@@ -17,17 +17,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .coefficients import coefficient_row
 from .conjectures import ScanConfig, scan_hyp_inequality, scan_infinite_logconcavity
 from .exact import rational_str
 from .quadrature import QuadratureConvergenceError, evaluate_quartic_integral
-from .reports import RunReport, utc_now_iso
+from .reports import SCHEMA_VERSION, RunReport, utc_now_iso
 from .suites import SUITES, run_suite
-from .tfunction import t_bundle
+from .tfunction import T_LIMIT, t_bundle
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -49,12 +51,33 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    """Pool size from --jobs or QUARTINT_JOBS, clamped to the CPU count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"--jobs / QUARTINT_JOBS must be a positive integer, got {text!r}")
+    return min(value, os.cpu_count() or 1)
+
+
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
     """lo:hi:step with exact decimal/rational bounds, e.g. 0.5:5:0.25."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like lo:hi:step, got {text!r}")
-    lo, hi, step = (Fraction(p) for p in parts)
+    try:
+        lo, hi, step = (Fraction(p) for p in parts)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in grid {text!r}") from None
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid bounds in {text!r}")
     grid = []
@@ -63,13 +86,6 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         grid.append(x)
         x += step
     return tuple(grid)
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("QUARTINT_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-m", type=_positive_int, default=None)
     p_verify.add_argument("--max-n", type=_positive_int, default=None)
     p_verify.add_argument("--depth", type=_positive_int, default=3)
-    p_verify.add_argument("--jobs", type=_positive_int, default=_default_jobs())
+    # A string default goes through _jobs too, so a bad QUARTINT_JOBS is a
+    # usage error like a bad --jobs.
+    p_verify.add_argument("--jobs", type=_jobs, default=os.environ.get("QUARTINT_JOBS", "1"))
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
 
     p_scan = sub.add_parser("scan", help="counterexample scans for the open conjectures")
@@ -104,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_integral = sub.add_parser("integral", help="numeric quartic integral vs closed form")
     p_integral.add_argument("--m", type=_nonnegative_int, required=True)
-    p_integral.add_argument("--a", type=float, required=True)
-    p_integral.add_argument("--tol", type=float, default=1e-10)
+    p_integral.add_argument("--a", type=_finite_float, required=True)
+    p_integral.add_argument("--tol", type=_finite_float, default=1e-10)
     p_integral.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
     return parser
@@ -175,9 +193,9 @@ def _cmd_tvalues(args) -> int:
     bundles = [t_bundle(m) for m in range(1, args.max_m + 1)]
     if args.format == "json":
         payload = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "command": "tvalues",
-            "limit": (2.0 - 2.0**0.5) / 2.0,
+            "limit": T_LIMIT,
             "rows": [b.to_jsonable() for b in bundles],
         }
         print(json.dumps(payload, indent=2))
@@ -241,11 +259,14 @@ def main(argv: list[str] | None = None) -> int:
     except QuadratureConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # Any other failure is a fault of the program, never a counterexample:
+        # exit 1 is reserved for a mathematical verdict.
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .polynomial import Polynomial
 from .reports import Counterexample, PropertyReport
@@ -48,18 +49,16 @@ CERTIFICATE = RecurrenceCoefficients(
 )
 
 
-def recurrence_residual(n: int) -> Fraction:
-    """a(n) T(n) - b(n) T(n+1) + c(n) T(n+2) + d(n), using the direct sum as
-    the T oracle; a correct transcription makes this exactly 0."""
+def recurrence_residual(n: int, t: Callable[[int], Fraction] | None = None) -> Fraction:
+    """a(n) T(n) - b(n) T(n+1) + c(n) T(n+2) + d(n), using ``t`` as the T
+    oracle (the direct sum when omitted); a correct transcription makes this
+    exactly 0."""
     if n < 1:
         raise ValueError("residual needs n >= 1")
+    if t is None:
+        t = t_direct
     cert = CERTIFICATE
-    return (
-        cert.a(n) * t_direct(n)
-        - cert.b(n) * t_direct(n + 1)
-        + cert.c(n) * t_direct(n + 2)
-        + cert.d(n)
-    )
+    return cert.a(n) * t(n) - cert.b(n) * t(n + 1) + cert.c(n) * t(n + 2) + cert.d(n)
 
 
 def b_identity_check() -> bool:

@@ -9,10 +9,11 @@ always the one with the smallest m.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import recurrence, seqprops, tfunction
@@ -352,20 +353,27 @@ def suite_recurrence(max_n: int, jobs: int = 1) -> list[PropertyReport]:
     )
 
     start = time.perf_counter()
-    residual_report = None
-    for n in range(1, max_n + 1):
-        res = recurrence.recurrence_residual(n)
-        if res != 0:
-            # one nonzero residual falsifies the transcription; halt here
-            residual_report = PropertyReport(
-                property="recurrence-residual",
-                range=f"1 <= n <= {max_n} (halted at first nonzero)",
-                passed=False,
-                counterexample=Counterexample({"n": n}, {"residual": rational_str(res)}),
-                elapsed=time.perf_counter() - start,
-            )
-            break
-    if residual_report is None:
+    # A second pass takes T from t_integral, which shares no code with the
+    # t_direct kernel, so the certificate is not checked only against the
+    # code it certifies.
+    ns = range(1, max_n + 1)
+    t_integral = lru_cache(maxsize=3)(tfunction.t_integral)  # T(n+1), T(n+2) recur at n+1
+    residuals = itertools.chain(
+        ((n, "t_direct", recurrence.recurrence_residual(n)) for n in ns),
+        ((n, "t_integral", recurrence.recurrence_residual(n, t=t_integral)) for n in ns),
+    )
+    # one nonzero residual falsifies the transcription; halt there
+    nonzero = next((r for r in residuals if r[2] != 0), None)
+    if nonzero is not None:
+        n, oracle, res = nonzero
+        residual_report = PropertyReport(
+            property="recurrence-residual",
+            range=f"1 <= n <= {max_n} (halted at first nonzero, T from {oracle})",
+            passed=False,
+            counterexample=Counterexample({"n": n}, {"residual": rational_str(res)}),
+            elapsed=time.perf_counter() - start,
+        )
+    else:
         residual_report = PropertyReport(
             property="recurrence-residual",
             range=f"a(n)T(n) - b(n)T(n+1) + c(n)T(n+2) + d(n) = 0 for 1 <= n <= {max_n}",

@@ -32,35 +32,51 @@ T_LIMIT_HISTORICAL_GUESS = 1.0 - math.log(2.0)
 
 
 def s_sum(m: int, ell: int) -> Fraction:
-    """S_{m,l} = sum_{k=l}^{2l} C(m-l,m-k) C(m+k,2k) / C(2m,2k) * (2l+1-k)/2^(m-k)."""
+    """S_{m,l} = sum_{k=l}^{2l} C(m-l,m-k) C(m+k,2k) / C(2m,2k) * (2l+1-k)/2^(m-k).
+
+    Evaluated as a weighted Horner form over the terms
+    u_k = C(m-l,m-k) C(m+k,2k) / (C(2m,2k) 2^(m-k)), which vanish for k > m,
+    through their exact ratio
+
+        u_{k+1}/u_k = (m-k)(m+k+1) / ((k+1-l)(2m-2k-1)),
+
+    with an integer numerator and denominator reduced once at the end.  The
+    tests compare it with the literal binomial sum; t-crosscheck compares
+    S(2m, m-1) with T(m) from the three independent routes.
+    """
     if not 0 <= ell <= m:
         raise ValueError(f"need 0 <= ell <= m, got ell={ell}, m={m}")
-    total = Fraction(0)
-    for k in range(ell, 2 * ell + 1):
-        num = binomial(m - ell, m - k) * binomial(m + k, 2 * k) * (2 * ell + 1 - k)
-        if num == 0:
-            continue
-        total += Fraction(num, binomial(2 * m, 2 * k) * 2 ** (m - k))
-    return total
+    top = min(2 * ell, m)
+    # u_l (w_l + rho_l (w_{l+1} + ... + rho_{top-1} w_top)), w_k = 2l+1-k
+    num, den = 2 * ell + 1 - top, 1
+    for k in range(top - 1, ell - 1, -1):
+        q = (k + 1 - ell) * (2 * m - 2 * k - 1)
+        num = (2 * ell + 1 - k) * q * den + (m - k) * (m + k + 1) * num
+        den *= q
+    return Fraction(binomial(m + ell, 2 * ell) * num, binomial(2 * m, 2 * ell) * 2 ** (m - ell) * den)
 
 
 @lru_cache(maxsize=None)
 def t_direct(m: int) -> Fraction:
-    """T(m) by its defining sum, accumulated over one common denominator."""
+    """T(m) by its defining sum over t_r = C(2r,r) C(m+1,r) (r-1) / (2^r C(4m,r)).
+
+    Evaluated in the nested form T = t_2 (1 + rho_2 (1 + rho_3 (... (1 + rho_m))))
+    with t_2 = 3(m+1) / (8(4m-1)) and the exact term ratio
+
+        rho_r = t_{r+1}/t_r = (2r+1)(m+1-r) r / ((r+1)(r-1)(4m-r)),
+
+    accumulated as an integer numerator and denominator and reduced once at
+    the end.  The tests compare it with the literal sum; t-crosscheck compares
+    it with the hypergeometric, integral and weighted-sum routes.
+    """
     if m < 1:
         raise ValueError("t_direct requires m >= 1")
-    # Common denominator 2^(m+1) * (4m)(4m-1)...(3m-1); each term scales to an
-    # integer, so the whole sum reduces exactly once at the end.
-    falling = [1] * (m + 2)  # falling[r] = (4m)(4m-1)...(4m-r+1)
-    for r in range(1, m + 2):
-        falling[r] = falling[r - 1] * (4 * m - r + 1)
-    total = 0
-    r_factorial = 2
-    for r in range(2, m + 2):
-        a_r = binomial(2 * r, r) * binomial(m + 1, r) * (r - 1)
-        total += a_r * r_factorial * (falling[m + 1] // falling[r]) * 2 ** (m + 1 - r)
-        r_factorial *= r + 1
-    return Fraction(total, 2 ** (m + 1) * falling[m + 1])
+    num = den = 1
+    for r in range(m, 1, -1):
+        q = (r + 1) * (r - 1) * (4 * m - r)
+        num = q * den + (2 * r + 1) * (m + 1 - r) * r * num
+        den *= q
+    return Fraction(3 * (m + 1) * num, 8 * (4 * m - 1) * den)
 
 
 def t_hypergeometric(m: int) -> Fraction:
@@ -144,10 +160,15 @@ def bound_pair_check(m: int, r: int) -> bool:
 
 def geometric_tail_bound(m: int) -> Fraction:
     """sum_{r=2}^{m+1} (r-1)/2^r = 1 - (m+2)/2^(m+1), the envelope that
-    dominates T(m) once every binomial ratio is replaced by 1."""
+    dominates T(m) once every binomial ratio is replaced by 1.  The sum is
+    taken over the common denominator 2^(m+1) and compared with the closed
+    form."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    total = sum(Fraction(r - 1, 2**r) for r in range(2, m + 2))
+    num = 0  # sum_{r=2}^{m+1} (r-1) 2^(m+1-r), by Horner in base 2
+    for r in range(2, m + 2):
+        num = 2 * num + r - 1
+    total = Fraction(num, 2 ** (m + 1))
     closed = 1 - Fraction(m + 2, 2 ** (m + 1))
     if total != closed:
         raise ArithmeticError("geometric tail bound: sum and closed form disagree")
@@ -192,21 +213,31 @@ def inequality_chain_check(m: int, ell: int) -> InequalityChain:
     """Evaluate both sides of all four inequalities exactly, checking on the
     way that the right sides really do weaken in order (last term <=
     unweighted sum <= weighted sum) and that S_{m,l} is the normalised form
-    of the strongest one."""
+    of the strongest one.
+
+    The three sums share their terms 2^k C(2m-2k, m-k) C(m+k, m+l), made in
+    one pass over l <= k <= m from two running binomials:
+
+        C(2m-2k-2, m-k-1) = C(2m-2k, m-k) (m-k)^2 / ((2m-2k)(2m-2k-1))
+        C(m+k+1, m+l)     = C(m+k, m+l) (m+k+1) / (k+1-l)
+
+    each division exact.  The tests compare all three sums with their literal
+    binomial sums; s_value comes from s_sum, computed independently.
+    """
     if not 0 <= ell < m // 2:
         raise ValueError(f"need 0 <= ell < floor(m/2), got ell={ell}, m={m}")
-    lhs = sum(
-        2**k * (2 * ell + 1 - k) * binomial(2 * m - 2 * k, m - k) * binomial(m + k, m + ell)
-        for k in range(ell, 2 * ell + 1)
-    )
-    rhs_full = sum(
-        2**k * (k - 2 * ell - 1) * binomial(2 * m - 2 * k, m - k) * binomial(m + k, m + ell)
-        for k in range(2 * ell + 2, m + 1)
-    )
-    rhs_unweighted = sum(
-        2**k * binomial(2 * m - 2 * k, m - k) * binomial(m + k, m + ell)
-        for k in range(2 * ell + 2, m + 1)
-    )
+    lhs = rhs_full = rhs_unweighted = 0
+    central, upper = binomial(2 * m - 2 * ell, m - ell), 1
+    for k in range(ell, m + 1):
+        term = (central * upper) << k
+        if k <= 2 * ell:
+            lhs += (2 * ell + 1 - k) * term
+        elif k > 2 * ell + 1:
+            rhs_full += (k - 2 * ell - 1) * term
+            rhs_unweighted += term
+        if k < m:
+            central = central * (m - k) ** 2 // ((2 * m - 2 * k) * (2 * m - 2 * k - 1))
+            upper = upper * (m + k + 1) // (k + 1 - ell)
     rhs_last_term = 2**m * binomial(2 * m, m + ell)
     s_value = s_sum(m, ell)
     if not rhs_last_term <= rhs_unweighted <= rhs_full:

@@ -1,11 +1,13 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import pytest
 
-from quartint import conjectures
-from quartint.cli import main
+from quartint import cli, conjectures
+from quartint.cli import build_parser, main
 from quartint.reports import SCHEMA_VERSION
+from quartint.tfunction import T_LIMIT
 
 
 def run(capsys, *argv):
@@ -78,12 +80,50 @@ def test_verify_with_jobs(capsys):
 
 
 def test_jobs_default_from_environment(capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # --jobs is clamped to the CPU count
     monkeypatch.setenv("QUARTINT_JOBS", "2")
     code, out, _ = run(
         capsys, "verify", "--property", "unimodal", "--max-m", "8", "--format", "json"
     )
     assert code == 0
     assert json.loads(out)["config"]["jobs"] == 2
+
+
+def test_invalid_jobs_environment_is_usage_error(monkeypatch):
+    monkeypatch.setenv("QUARTINT_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--property", "unimodal", "--max-m", "3"])
+    assert exc.value.code == 2
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    # parsing only: no pool is started
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._jobs("1000000") == 3
+    assert cli._jobs("2") == 2
+    assert build_parser().parse_args(["verify", "--all", "--jobs", "1000000"]).jobs == 3
+    monkeypatch.setenv("QUARTINT_JOBS", "1000000")
+    assert build_parser().parse_args(["verify", "--all"]).jobs == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._jobs("1000000") == 1
+    for bad in ("0", "-4", "abc", ""):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["verify", "--all", "--jobs", bad])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "error",
+    [RuntimeError("boom"), BrokenProcessPool("worker died"), MemoryError(), ZeroDivisionError("x"), KeyError("k")],
+)
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    code, _, err = run(capsys, "verify", "--property", "unimodal", "--max-m", "3")
+    assert code == 3
+    assert "internal error" in err
 
 
 def test_verify_all_small_ranges(capsys):
@@ -174,6 +214,8 @@ def test_tvalues_json_gap(capsys):
     code, out, _ = run(capsys, "tvalues", "--max-m", "1", "--format", "json")
     assert code == 0
     payload = json.loads(out)
+    assert payload["schema_version"] == SCHEMA_VERSION
+    assert payload["limit"] == T_LIMIT
     assert payload["rows"][0]["direct"] == "1/4"
     assert payload["rows"][0]["limit_gap"] == pytest.approx(0.0429, abs=1e-4)
 
@@ -199,6 +241,20 @@ def test_integral_divergent_is_usage_error(capsys):
     code, _, err = run(capsys, "integral", "--m", "1", "--a", "-2", "--tol", "1e-8")
     assert code == 2
     assert "diverges" in err
+
+
+@pytest.mark.parametrize("a", ["inf", "-inf", "nan"])
+def test_integral_nonfinite_a_is_usage_error(capsys, a):
+    with pytest.raises(SystemExit) as exc:
+        main(["integral", "--m", "1", f"--a={a}"])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_scan_rejects_zero_denominator_grid(capsys):
+    code, _, err = run(capsys, "scan", "hypineq", "--x-grid", "0.5:1/0:0.5")
+    assert code == 2
+    assert "denominator" in err
 
 
 def test_integral_convergence_failure_is_internal_error(capsys):

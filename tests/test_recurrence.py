@@ -14,7 +14,7 @@ from quartint.recurrence import (
     monotonicity_check,
     recurrence_residual,
 )
-from quartint.tfunction import t_direct
+from quartint.tfunction import t_direct, t_integral
 
 
 def test_certificate_shape():
@@ -48,6 +48,16 @@ def test_residuals_vanish():
     assert recurrence_residual(10) == 0
     with pytest.raises(ValueError):
         recurrence_residual(0)
+
+
+def test_residuals_vanish_with_integral_oracle():
+    for n in range(1, 26):
+        assert recurrence_residual(n, t=t_integral) == 0
+
+    def wrong(m):
+        return t_integral(m) + (m == 5)
+
+    assert [n for n in range(1, 8) if recurrence_residual(n, t=wrong) != 0] == [3, 4, 5]
 
 
 def test_d_shift_expansion():

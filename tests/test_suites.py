@@ -149,3 +149,15 @@ def test_recurrence_suite_halts_at_first_bad_residual(monkeypatch):
     assert residual.counterexample.values == {"residual": "1/3"}
     assert "halted" in residual.range
     assert max(calls) == 9  # later n never evaluated
+
+
+def test_recurrence_suite_checks_the_integral_oracle(monkeypatch):
+    from fractions import Fraction
+
+    real = suites.tfunction.t_integral
+    monkeypatch.setattr(suites.tfunction, "t_integral", lambda m: real(m) + Fraction(m == 7, 2))
+    reports = run_suite("recurrence", max_n=20)
+    residual = next(r for r in reports if r.property == "recurrence-residual")
+    assert not residual.passed
+    assert residual.counterexample.location == {"n": 5}
+    assert "T from t_integral" in residual.range

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quartint import tfunction
 from quartint.exact import binomial
@@ -22,6 +23,81 @@ from quartint.tfunction import (
     w_function,
     w_polynomial,
 )
+
+
+# Literal definitions, term by term with the vanishing-binomial convention:
+# the reference implementations for the running-ratio kernels.
+
+def literal_t(m):
+    return sum(
+        Fraction(binomial(2 * r, r) * binomial(m + 1, r) * (r - 1), 2**r * binomial(4 * m, r))
+        for r in range(2, m + 2)
+    )
+
+
+def literal_s(m, ell):
+    total = Fraction(0)
+    for k in range(ell, 2 * ell + 1):
+        num = binomial(m - ell, m - k) * binomial(m + k, 2 * k) * (2 * ell + 1 - k)
+        if num:
+            total += Fraction(num, binomial(2 * m, 2 * k) * 2 ** (m - k))
+    return total
+
+
+def literal_chain(m, ell):
+    def term(k):
+        return 2**k * binomial(2 * m - 2 * k, m - k) * binomial(m + k, m + ell)
+
+    lhs = sum((2 * ell + 1 - k) * term(k) for k in range(ell, 2 * ell + 1))
+    rhs_full = sum((k - 2 * ell - 1) * term(k) for k in range(2 * ell + 2, m + 1))
+    rhs_unweighted = sum(term(k) for k in range(2 * ell + 2, m + 1))
+    return lhs, rhs_full, rhs_unweighted, 2**m * binomial(2 * m, m + ell)
+
+
+def literal_geometric_tail(m):
+    return sum(Fraction(r - 1, 2**r) for r in range(2, m + 2))
+
+
+def chain_fields(chain):
+    return chain.lhs, chain.rhs_full, chain.rhs_unweighted, chain.rhs_last_term
+
+
+def test_t_direct_matches_literal_sum():
+    for m in range(1, 81):
+        assert t_direct(m) == literal_t(m)
+
+
+def test_t_direct_matches_integral_route_at_2000():
+    assert t_direct(2000) == t_integral(2000)
+
+
+def test_s_sum_and_chain_match_literal_sums():
+    for m in range(0, 61):
+        for ell in range(0, m + 1):
+            assert s_sum(m, ell) == literal_s(m, ell)
+        for ell in range(0, m // 2):
+            chain = inequality_chain_check(m, ell)
+            assert chain_fields(chain) == literal_chain(m, ell)
+            assert chain.s_value == literal_s(m, ell)
+
+
+def test_geometric_tail_matches_literal_sum():
+    for m in range(1, 201):
+        assert geometric_tail_bound(m) == literal_geometric_tail(m)
+
+
+@st.composite
+def chain_indices(draw):
+    m = draw(st.integers(min_value=2, max_value=150))
+    return m, draw(st.integers(min_value=0, max_value=m // 2 - 1))
+
+
+@given(chain_indices())
+def test_chain_and_s_sum_match_literal_forms(m_ell):
+    m, ell = m_ell
+    chain = inequality_chain_check(m, ell)
+    assert chain_fields(chain) == literal_chain(m, ell)
+    assert chain.s_value == s_sum(m, ell) == literal_s(m, ell)
 
 
 def test_s_sum_values():
