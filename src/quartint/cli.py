@@ -36,6 +36,8 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+MAX_GRID_POINTS = 10_000
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -70,7 +72,8 @@ def _jobs(text: str) -> int:
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
-    """lo:hi:step with exact decimal/rational bounds, e.g. 0.5:5:0.25."""
+    """lo:hi:step with exact decimal/rational bounds, e.g. 0.5:5:0.25; at
+    most MAX_GRID_POINTS points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like lo:hi:step, got {text!r}")
@@ -80,12 +83,10 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         raise ValueError(f"zero denominator in grid {text!r}") from None
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid bounds in {text!r}")
-    grid = []
-    x = lo
-    while x <= hi:
-        grid.append(x)
-        x += step
-    return tuple(grid)
+    count = (hi - lo) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return tuple(lo + i * step for i in range(count))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_integral = sub.add_parser("integral", help="numeric quartic integral vs closed form")
     p_integral.add_argument("--m", type=_nonnegative_int, required=True)
     p_integral.add_argument("--a", type=_finite_float, required=True)
-    p_integral.add_argument("--tol", type=_finite_float, default=1e-10)
+    p_integral.add_argument(
+        "--tol", type=_finite_float, default=1e-10, help="relative error target of the quadrature (default 1e-10)"
+    )
     p_integral.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
     return parser

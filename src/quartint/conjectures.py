@@ -13,11 +13,11 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coefficients import coefficient_row
+from .coefficients import scaled_row
 from .exact import rational_str
 from .hypergeometric import hyp2f1
 from .reports import Counterexample, PropertyReport
-from .seqprops import l_operator
+from .seqprops import iterated_l_first_negative
 from .tfunction import t_direct
 
 
@@ -34,16 +34,18 @@ class ScanConfig:
     stop_on_failure: bool = False
 
 
-def iterated_l_first_negative(seq, depth: int):
-    """Apply L up to depth times; return (iteration, index, value) for the
-    first negative entry, or None if all iterates stay nonnegative."""
-    current = list(seq)
-    for iteration in range(1, depth + 1):
-        current = l_operator(current)
-        for index, value in enumerate(current):
-            if value < 0:
-                return iteration, index, value
-    return None
+def row_first_negative(m: int, depth: int) -> tuple[int, int, Fraction] | None:
+    """First negative entry of L^j(d(m)), 1 <= j <= depth, as (iteration,
+    index, value), or None if all iterates stay nonnegative.
+
+    L is iterated on the integer row b(m) = 4^m d(m); a negative entry v of
+    L^j(b) is the entry v / 4^(m 2^j) of L^j(d(m)) (see l_operator).
+    """
+    hit = iterated_l_first_negative(scaled_row(m), depth)
+    if hit is None:
+        return None
+    iteration, index, value = hit
+    return iteration, index, Fraction(value, 4 ** (m * 2**iteration))
 
 
 def scan_infinite_logconcavity(cfg: ScanConfig) -> PropertyReport:
@@ -52,7 +54,7 @@ def scan_infinite_logconcavity(cfg: ScanConfig) -> PropertyReport:
     start = time.perf_counter()
     witnesses = []
     for m in range(0, cfg.max_m + 1):
-        hit = iterated_l_first_negative(coefficient_row(m).values, cfg.depth)
+        hit = row_first_negative(m, cfg.depth)
         if hit is not None:
             iteration, index, value = hit
             witnesses.append((m, iteration, index, value))

@@ -8,10 +8,15 @@ truncation order is N = -b and the value is the finite sum
 
     sum_{k=0}^{N} (a)_k (b)_k / ((c)_k k!) z^k.
 
-Evaluation walks the running-term recurrence
-term_{k+1} = term_k (a+k)(b+k) z / ((c+k)(k+1)) instead of recomputing
-rising factorials, after checking up front that (c)_k never vanishes before
-the truncation point.
+After checking up front that (c)_k never vanishes before the truncation
+point, evaluation writes a = alpha/da, c = gamma/dc, z = zeta/dz and sums the
+nested form 1 + r_0 (1 + r_1 (... (1 + r_{N-1}))) from the inside out with
+the exact term ratio
+
+    r_k = (a+k)(b+k) z / ((c+k)(k+1))
+        = (alpha + k da)(b+k) zeta dc / ((gamma + k dc)(k+1) dz da),
+
+carrying one integer numerator and denominator and reducing once at the end.
 """
 
 from __future__ import annotations
@@ -64,15 +69,26 @@ def _validated_order(a: Fraction, b: Fraction, c: Fraction) -> int:
     return n
 
 
+def _term_ratios(a: Fraction, b: Fraction, c: Fraction, n: int) -> list[tuple[int, int]]:
+    """Integer pairs (p_k, q_k) with p_k / q_k = (a+k)(b+k) / ((c+k)(k+1))
+    for 0 <= k < n; q_k != 0 once _validated_order has passed."""
+    alpha, da = a.numerator, a.denominator
+    gamma, dc = c.numerator, c.denominator
+    b = int(b)
+    return [((alpha + k * da) * (b + k) * dc, (gamma + k * dc) * (k + 1) * da) for k in range(n)]
+
+
 def hyp2f1_terminating(spec: Hyp2F1Spec) -> Fraction:
-    """Exact value of the terminating series."""
+    """Exact value of the terminating series, summed over one common
+    denominator (see the module docstring)."""
     n = spec.truncation_order()
-    total = Fraction(1)
-    term = Fraction(1)
-    for k in range(n):
-        term *= Fraction((spec.a + k) * (spec.b + k) * spec.z, (spec.c + k) * (k + 1))
-        total += term
-    return total
+    zeta, dz = spec.z.numerator, spec.z.denominator
+    num = den = 1
+    for p, q in reversed(_term_ratios(spec.a, spec.b, spec.c, n)):
+        q *= dz
+        num = q * den + p * zeta * num
+        den *= q
+    return Fraction(num, den)
 
 
 def hyp2f1(a, b, c, z) -> Fraction:
@@ -86,10 +102,8 @@ def hyp2f1_as_polynomial(a, b, c) -> Polynomial:
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     n = _validated_order(a, b, c)
     coeffs = [Fraction(1)]
-    term = Fraction(1)
-    for k in range(n):
-        term *= Fraction((a + k) * (b + k), (c + k) * (k + 1))
-        coeffs.append(term)
+    for p, q in _term_ratios(a, b, c, n):
+        coeffs.append(coeffs[-1] * Fraction(p, q))
     return Polynomial(coeffs)
 
 

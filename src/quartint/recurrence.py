@@ -49,6 +49,24 @@ CERTIFICATE = RecurrenceCoefficients(
 )
 
 
+def _at(coeffs: list[int], n: int) -> int:
+    """Horner evaluation of an integer coefficient list at an integer point.
+
+    The certificate is evaluated on the integer lists behind CERTIFICATE
+    rather than through Polynomial.__call__, whose Fraction coefficients make
+    every step a Fraction operation; the values are the same integers.
+    """
+    out = 0
+    for c in reversed(coeffs):
+        out = out * n + c
+    return out
+
+
+def ac_values(n: int) -> tuple[int, int]:
+    """(a(n), c(n)) as exact integers."""
+    return _at(_A, n), _at(_C, n)
+
+
 def recurrence_residual(n: int, t: Callable[[int], Fraction] | None = None) -> Fraction:
     """a(n) T(n) - b(n) T(n+1) + c(n) T(n+2) + d(n), using ``t`` as the T
     oracle (the direct sum when omitted); a correct transcription makes this
@@ -57,8 +75,7 @@ def recurrence_residual(n: int, t: Callable[[int], Fraction] | None = None) -> F
         raise ValueError("residual needs n >= 1")
     if t is None:
         t = t_direct
-    cert = CERTIFICATE
-    return cert.a(n) * t(n) - cert.b(n) * t(n + 1) + cert.c(n) * t(n + 2) + cert.d(n)
+    return _at(_A, n) * t(n) - _at(_B, n) * t(n + 1) + _at(_C, n) * t(n + 2) + _at(_D, n)
 
 
 def b_identity_check() -> bool:
@@ -88,10 +105,10 @@ def ac_ratio(n: int) -> Fraction:
     """a(n)/c(n), exactly; c is positive for every n >= 1."""
     if n < 1:
         raise ValueError("ac_ratio needs n >= 1")
-    c_n = CERTIFICATE.c(n)
+    a_n, c_n = ac_values(n)
     if c_n == 0:
         raise ZeroDivisionError(f"c({n}) = 0")
-    return Fraction(CERTIFICATE.a(n)) / c_n
+    return Fraction(a_n, c_n)
 
 
 def ac_limit() -> Fraction:
@@ -106,9 +123,9 @@ def main_inequality_check(n: int) -> bool:
     recurrence once T < 1 and d >= 0 are known."""
     if n < 1:
         raise ValueError("main inequality needs n >= 1")
-    cert = CERTIFICATE
-    left = cert.a(n) * (t_direct(n) - t_direct(n + 1))
-    right = cert.c(n) * (t_direct(n + 1) - t_direct(n + 2))
+    a_n, c_n = ac_values(n)
+    left = a_n * (t_direct(n) - t_direct(n + 1))
+    right = c_n * (t_direct(n + 1) - t_direct(n + 2))
     return left <= right
 
 

@@ -9,12 +9,13 @@ All comparisons are exact; no floating point enters this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .exact import binomial
 from .coefficients import scaled_row
 
 Entries = Sequence[Fraction | int]
+Entry = TypeVar("Entry", Fraction, int)
 
 
 def _check_nonempty(seq: Entries) -> None:
@@ -39,11 +40,15 @@ def is_logconcave(seq: Entries) -> bool:
     return all(seq[j] * seq[j] >= seq[j - 1] * seq[j + 1] for j in range(1, len(seq) - 1))
 
 
-def l_operator(seq: Entries) -> list[Fraction]:
+def l_operator(seq: Sequence[Entry]) -> list[Entry]:
     """The map {x_k} -> {x_k^2 - x_{k-1} x_{k+1}} on same-length sequences.
 
     Neighbors outside the index range count as 0, so both endpoints map to
-    their own squares.
+    their own squares.  The entry type is preserved: int entries give int
+    entries and Fraction entries give Fraction entries.  L is homogeneous of
+    degree 2, L(c x) = c^2 L(x), with the same zero padding, so the iterates
+    of a row d = b / 4^m are L^j(d) = L^j(b) / 4^(m 2^j) and can be computed
+    on the integer row b.
     """
     _check_nonempty(seq)
     n = len(seq)
@@ -51,8 +56,20 @@ def l_operator(seq: Entries) -> list[Fraction]:
     for k in range(n):
         left = seq[k - 1] if k > 0 else 0
         right = seq[k + 1] if k < n - 1 else 0
-        out.append(Fraction(seq[k] * seq[k] - left * right))
+        out.append(seq[k] * seq[k] - left * right)
     return out
+
+
+def iterated_l_first_negative(seq: Sequence[Entry], depth: int) -> tuple[int, int, Entry] | None:
+    """Apply L up to depth times; return (iteration, index, value) for the
+    first negative entry, or None if all iterates stay nonnegative."""
+    current = list(seq)
+    for iteration in range(1, depth + 1):
+        current = l_operator(current)
+        for index, value in enumerate(current):
+            if value < 0:
+                return iteration, index, value
+    return None
 
 
 def is_i_logconcave(seq: Entries, i: int) -> bool:
@@ -60,12 +77,7 @@ def is_i_logconcave(seq: Entries, i: int) -> bool:
     _check_nonempty(seq)
     if i < 0:
         raise ValueError("iteration count must be nonnegative")
-    current = [Fraction(x) for x in seq]
-    for _ in range(i + 1):
-        if any(x < 0 for x in current):
-            return False
-        current = l_operator(current)
-    return True
+    return all(x >= 0 for x in seq) and iterated_l_first_negative(seq, i) is None
 
 
 def is_ratio_monotone(seq: Entries) -> bool:

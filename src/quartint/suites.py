@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import recurrence, seqprops, tfunction
 from .coefficients import coefficient_row, delta_direct
-from .conjectures import iterated_l_first_negative
+from .conjectures import row_first_negative
 from .exact import rational_str
 from .reports import Counterexample, PropertyReport
 
@@ -82,7 +82,7 @@ def _logconcave_witness(m: int) -> Witness:
 
 
 def _ilogconcave_witness(m: int, depth: int) -> Witness:
-    hit = iterated_l_first_negative(coefficient_row(m).values, depth)
+    hit = row_first_negative(m, depth)
     if hit is None:
         return None
     iteration, index, value = hit
@@ -402,7 +402,7 @@ def suite_recurrence(max_n: int, jobs: int = 1) -> list[PropertyReport]:
     ratio_ok = recurrence.ac_limit() == Fraction(27, 16)
     ratio_above_one = all(recurrence.ac_ratio(n) > 1 for n in range(2, 501))
     ratio_near_limit = abs(recurrence.ac_ratio(1000) - Fraction(27, 16)) < Fraction(1, 100)
-    positivity = all(recurrence.CERTIFICATE.a(n) > 0 and recurrence.CERTIFICATE.c(n) > 0 for n in range(1, 1001))
+    positivity = all(min(recurrence.ac_values(n)) > 0 for n in range(1, 1001))
     ok = ratio_ok and ratio_above_one and ratio_near_limit and positivity
     reports.append(
         PropertyReport(

@@ -229,6 +229,15 @@ def test_integral_command(capsys):
     assert payload["relative_error"] < 1e-10
 
 
+def test_integral_tolerance_is_relative(capsys):
+    # the value is 3.49e35, far above any absolute tolerance of 1e-12
+    code, out, _ = run(
+        capsys, "integral", "--m", "50", "--a", "-0.9", "--tol", "1e-12", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["relative_error"] < 1e-10
+
+
 def test_integral_csv(capsys):
     code, out, _ = run(capsys, "integral", "--m", "0", "--a", "0", "--format", "csv")
     assert code == 0
@@ -255,6 +264,16 @@ def test_scan_rejects_zero_denominator_grid(capsys):
     code, _, err = run(capsys, "scan", "hypineq", "--x-grid", "0.5:1/0:0.5")
     assert code == 2
     assert "denominator" in err
+
+
+def test_scan_rejects_oversized_grid(capsys):
+    # 10^200 points: the count is checked before any point is built
+    code, _, err = run(capsys, "scan", "hypineq", "--x-grid", "0.5:1e100:1e-100")
+    assert code == 2
+    assert f"more than {cli.MAX_GRID_POINTS} points" in err
+    assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
+    with pytest.raises(ValueError):
+        cli._parse_grid(f"0:{cli.MAX_GRID_POINTS}:1")
 
 
 def test_integral_convergence_failure_is_internal_error(capsys):

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from quartint import conjectures
+from quartint import conjectures, suites
+from quartint.coefficients import scaled_row
 from quartint.conjectures import (
     ScanConfig,
     default_x_grid,
     half_point_equivalence_check,
     hyp_inequality_margin,
     iterated_l_first_negative,
+    row_first_negative,
     scan_hyp_inequality,
     scan_infinite_logconcavity,
 )
@@ -26,6 +28,26 @@ def test_iterated_l_detects_negativity():
     # L(1, 1, 3) = (1, -2, 9): negative at iteration 1, index 1
     assert iterated_l_first_negative([1, 1, 3], 5) == (1, 1, -2)
     assert iterated_l_first_negative([1, 4, 6, 4, 1], 3) is None
+
+
+def test_failing_row_reports_the_fraction_row_witness(monkeypatch):
+    # A doctored integer row for m = 4 whose L^2 goes negative: L(1,2,3,4,5)
+    # = (1,1,1,1,25) and L^2 has -24 at index 3.  The integer path must give
+    # the witness the Fraction row b / 4^m gives, -24 / 4^(4*4) = -3/2^29.
+    doctored = (1, 2, 3, 4, 5)
+    monkeypatch.setattr(conjectures, "scaled_row", lambda m: doctored if m == 4 else scaled_row(m))
+    expected = iterated_l_first_negative([Fraction(v, 4**4) for v in doctored], 5)
+    assert expected == (2, 3, Fraction(-3, 2**29))
+    assert row_first_negative(4, 5) == expected
+
+    location = {"m": 4, "iteration": 2, "index": 3}
+    values = {"entry": "-3/536870912"}
+    scan = scan_infinite_logconcavity(ScanConfig(max_m=6, depth=5))
+    assert not scan.passed
+    assert (scan.counterexample.location, scan.counterexample.values) == (location, values)
+    (suite,) = suites.run_suite("ilogconcave", max_m=6, depth=5, jobs=1)
+    assert not suite.passed
+    assert (suite.counterexample.location, suite.counterexample.values) == (location, values)
 
 
 def test_ilogconcave_scan_passes():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from quartint.exact import pochhammer
 from quartint.hypergeometric import (
@@ -80,6 +81,29 @@ def test_series_coefficients_against_pochhammer_products():
                 / (pochhammer(c, k) * factorial(k))
             )
             assert poly.coefficient(k) == expected
+
+
+def literal_hyp2f1(a, b, c, z):
+    # the defining sum, each term from rising factorials: the reference for
+    # the common-denominator evaluator
+    n = -int(b)
+    return sum(
+        pochhammer(a, k) * pochhammer(b, k) / (pochhammer(c, k) * factorial(k)) * Fraction(z) ** k
+        for k in range(n + 1)
+    )
+
+
+@given(
+    a=st.integers(-12, 12).map(lambda k: Fraction(k, 2)),
+    b=st.integers(-25, 0),
+    c=st.one_of(st.integers(-120, 10).map(Fraction), st.fractions(-50, 50, max_denominator=12)),
+    z=st.one_of(st.just(Fraction(0)), st.fractions(-10, 10, max_denominator=30)),
+)
+def test_hyp2f1_matches_literal_sum(a, b, c, z):
+    assume(all(c + j != 0 for j in range(-b)))
+    value = hyp2f1(a, b, c, z)
+    assert value == literal_hyp2f1(a, b, c, z)
+    assert value == hyp2f1_as_polynomial(a, b, c)(z)
 
 
 def test_derivative_relation():

@@ -7,6 +7,7 @@ from quartint.recurrence import (
     D_SHIFT_REFERENCE,
     ac_limit,
     ac_ratio,
+    ac_values,
     b_identity_check,
     d_shift_check,
     d_shift_positivity,
@@ -82,6 +83,12 @@ def test_certificate_positivity():
     for n in range(1, 1001):
         assert CERTIFICATE.a(n) > 0
         assert CERTIFICATE.c(n) > 0
+
+
+def test_integer_evaluation_matches_polynomials():
+    for n in (1, 2, 7, 500, 1000, 10**6):
+        assert ac_values(n) == (CERTIFICATE.a(n), CERTIFICATE.c(n))
+        assert ac_ratio(n) == CERTIFICATE.a(n) / CERTIFICATE.c(n)
 
 
 def test_main_inequality():

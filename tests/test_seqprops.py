@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartint.coefficients import coefficient_row
+from quartint.coefficients import coefficient_row, scaled_row
 from quartint.seqprops import (
     is_i_logconcave,
     is_logconcave,
@@ -40,6 +40,20 @@ def test_l_operator_examples():
     assert l_operator([Fraction(1, 2)]) == [Fraction(1, 4)]
 
 
+def test_l_operator_preserves_entry_type():
+    assert all(type(x) is int for x in l_operator([1, 4, 6, 4, 1]))
+    assert all(type(x) is Fraction for x in l_operator([Fraction(1, 2), Fraction(3), Fraction(1, 5)]))
+
+
+def test_l_iterates_of_a_row_scale_from_the_integer_row():
+    # L(c x) = c^2 L(x), so L^j(b / 4^m) = L^j(b) / 4^(m 2^j)
+    for m in range(0, 26):
+        rational, integer = list(coefficient_row(m).values), list(scaled_row(m))
+        for j in range(1, 6):
+            rational, integer = l_operator(rational), l_operator(integer)
+            assert rational == [Fraction(v, 4 ** (m * 2**j)) for v in integer], (m, j)
+
+
 @given(positive_rows)
 def test_l_operator_endpoints_are_squares(row):
     image = l_operator(row)
@@ -57,6 +71,7 @@ def test_logconcave_positive_implies_unimodal(row):
 
 def test_i_logconcave_examples():
     assert is_i_logconcave([2, 5, 1], 0)
+    assert not is_i_logconcave([2, -5, 1], 0)
     assert not is_i_logconcave([1, 1, 3], 1)
     assert is_i_logconcave([1, 4, 6, 4, 1], 3)
     with pytest.raises(ValueError):
