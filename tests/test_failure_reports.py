@@ -1,0 +1,231 @@
+"""Golden failure reports.
+
+Each check below is made to fail by doctoring the kernel it calls, and the
+whole list of reports its suite returns is compared with the expected
+content: every field of the JSON report except the timing.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from quartint import recurrence, tfunction
+from quartint.exact import rational_str
+from quartint.suites import run_suite
+
+
+def content(reports):
+    return [{k: v for k, v in r.to_jsonable().items() if k != "elapsed"} for r in reports]
+
+
+def passing(prop, range_desc, notes=()):
+    return {"property": prop, "range": range_desc, "verdict": "pass", "counterexample": None, "notes": list(notes)}
+
+
+def failing(prop, range_desc, location, values, notes=()):
+    return {
+        "property": prop,
+        "range": range_desc,
+        "verdict": "fail",
+        "counterexample": {"location": location, "values": values},
+        "notes": list(notes),
+    }
+
+
+def doctor(monkeypatch, owner, name, at, value):
+    """Replace owner.name by a function that returns value(real, *args) when
+    the arguments equal ``at`` and the real result otherwise."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: value(real, *args) if args == at else real(*args))
+
+
+def doctor_t(monkeypatch, at, value):
+    """Doctor T(m) under both names that bind it."""
+    real = tfunction.t_direct
+    fake = lambda m: value(real) if m == at else real(m)  # noqa: E731
+    monkeypatch.setattr(tfunction, "t_direct", fake)
+    monkeypatch.setattr(recurrence, "t_direct", fake)
+
+
+# ---------------------------------------------------------------------------
+# t-bounds
+
+T_BOUNDS = passing(
+    "t-bounds", "T < 1 on 1 <= m <= 12; T <= 27/28, T < 1-(m+2)/2^(m+1), prefactor <= 9/112 on 2 <= m"
+)
+PAIR_BOUND = passing("binomial-pair-bound", "C(2r,r)C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, m <= 12")
+
+
+def test_t_below_one_failure(monkeypatch):
+    doctor_t(monkeypatch, 5, lambda real: Fraction(1))
+    expected = [failing("t-below-one", "1 <= m <= 12", {"m": 5}, {"T": "1"}), PAIR_BOUND]
+    assert content(run_suite("t-bounds", max_m=12)) == expected
+
+
+def test_t_below_27_28_failure(monkeypatch):
+    doctor_t(monkeypatch, 6, lambda real: Fraction(27, 28) + Fraction(1, 1000))
+    expected = [failing("t-below-27-28", "2 <= m <= 12", {"m": 6}, {"T": "6757/7000"}), PAIR_BOUND]
+    assert content(run_suite("t-bounds", max_m=12)) == expected
+
+
+def test_t_below_geometric_tail_failure(monkeypatch):
+    t4 = rational_str(tfunction.t_direct(4))
+    doctor(monkeypatch, tfunction, "geometric_tail_bound", (4,), lambda real, m: tfunction.t_direct(m))
+    expected = [
+        failing("t-below-geometric-tail", "2 <= m <= 12", {"m": 4}, {"T": t4, "bound": t4}),
+        PAIR_BOUND,
+    ]
+    assert content(run_suite("t-bounds", max_m=12)) == expected
+
+
+def test_integral_prefactor_bound_failure(monkeypatch):
+    doctor(monkeypatch, tfunction, "integral_prefactor", (3,), lambda real, m: Fraction(1, 10))
+    expected = [failing("integral-prefactor-bound", "2 <= m <= 12", {"m": 3}, {"prefactor": "1/10"}), PAIR_BOUND]
+    assert content(run_suite("t-bounds", max_m=12)) == expected
+
+
+def test_binomial_pair_bound_failure(monkeypatch):
+    doctor(monkeypatch, tfunction, "bound_pair_check", (7, 4), lambda real, m, r: False)
+    expected = [T_BOUNDS, failing("binomial-pair-bound", "2 <= r <= m+1, m <= 12", {"m": 7, "r": 4}, {})]
+    assert content(run_suite("t-bounds", max_m=12)) == expected
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+
+RECURRENCE = [
+    passing("recurrence-b-identity", "b = a + c + d as exact polynomials"),
+    passing("recurrence-residual", "a(n)T(n) - b(n)T(n+1) + c(n)T(n+2) + d(n) = 0 for 1 <= n <= 10"),
+    passing(
+        "recurrence-d-shift",
+        "d(x+2) expansion: all 8 coefficients positive and equal to the reference list",
+        ["constant term 814627800, leading term 1858560"],
+    ),
+    passing(
+        "recurrence-ac-ratio",
+        "a/c limit 27/16; a(n)/c(n) > 1 on 2..500; |a/c(1000) - 27/16| < 1/100; a, c > 0 on 1..1000",
+    ),
+    passing("recurrence-main-inequality", "a(n)(T(n)-T(n+1)) <= c(n)(T(n+1)-T(n+2)) for 2 <= n <= 10"),
+]
+
+
+def recurrence_with(index, report):
+    expected = list(RECURRENCE)
+    expected[index] = report
+    return expected
+
+
+def test_recurrence_passes():
+    assert content(run_suite("recurrence", max_n=10)) == RECURRENCE
+
+
+def test_recurrence_b_identity_failure(monkeypatch):
+    monkeypatch.setattr(recurrence, "b_identity_check", lambda: False)
+    report = failing("recurrence-b-identity", RECURRENCE[0]["range"], {}, {"identity": "b != a + c + d"})
+    assert content(run_suite("recurrence", max_n=10)) == recurrence_with(0, report)
+
+
+def test_recurrence_residual_failure(monkeypatch):
+    doctor(monkeypatch, tfunction, "t_integral", (7,), lambda real, m: real(m) + Fraction(1, 2))
+    residual = Fraction(recurrence.ac_values(5)[1], 2)  # c(5) (T(7) + 1/2 - T(7))
+    report = failing(
+        "recurrence-residual",
+        "1 <= n <= 10 (halted at first nonzero, T from t_integral)",
+        {"n": 5},
+        {"residual": rational_str(residual)},
+    )
+    assert content(run_suite("recurrence", max_n=10)) == recurrence_with(1, report)
+
+
+def test_recurrence_d_shift_failure(monkeypatch):
+    computed = [*recurrence.D_SHIFT_REFERENCE[:-1], 1858561]
+    monkeypatch.setattr(recurrence, "d_shift_positivity", lambda: list(computed))
+    report = failing(
+        "recurrence-d-shift",
+        RECURRENCE[2]["range"],
+        {},
+        {"computed": str(computed), "reference": str(list(recurrence.D_SHIFT_REFERENCE))},
+        ["constant term 814627800, leading term 1858561"],
+    )
+    assert content(run_suite("recurrence", max_n=10)) == recurrence_with(2, report)
+
+
+@pytest.mark.parametrize(
+    "name, at, value, flags",
+    [
+        ("ac_ratio", (17,), lambda real, n: Fraction(1), ("False", "True", "True")),
+        ("ac_ratio", (1000,), lambda real, n: Fraction(2), ("True", "False", "True")),
+        ("ac_values", (999,), lambda real, n: (5, -1), ("True", "True", "False")),
+    ],
+)
+def test_recurrence_ac_ratio_failure(monkeypatch, name, at, value, flags):
+    doctor(monkeypatch, recurrence, name, at, value)
+    above_one, near_limit, positivity = flags
+    values = {"limit": "27/16", "ratio_above_one": above_one, "near_limit": near_limit, "positivity": positivity}
+    report = failing("recurrence-ac-ratio", RECURRENCE[3]["range"], {}, values)
+    assert content(run_suite("recurrence", max_n=10)) == recurrence_with(3, report)
+
+
+def test_recurrence_main_inequality_failure(monkeypatch):
+    doctor(monkeypatch, recurrence, "main_inequality_check", (6,), lambda real, n: False)
+    report = failing("recurrence-main-inequality", "2 <= n <= 10", {"n": 6}, {})
+    assert content(run_suite("recurrence", max_n=10)) == recurrence_with(4, report)
+
+
+# ---------------------------------------------------------------------------
+# monotone-t: t-monotone and limit-gap
+
+BOUNDARY = "boundary: T(1) = T(2) = 1/4 (equal, outside the m >= 2 claim)"
+LIMIT_NOTE = (
+    f"limit {tfunction.T_LIMIT:.9f}; historical (incorrect) guess 1 - ln 2 = "
+    f"{tfunction.T_LIMIT_HISTORICAL_GUESS:.9f}"
+)
+GAP_RANGE = "(2 - sqrt 2)/2 - T(m) positive on 1 <= m <= 20, strictly decreasing from m = 2"
+T_MONOTONE = passing("t-monotone", "2 <= m < 20", [BOUNDARY, "every step 2 <= m < max_m is strictly increasing"])
+LIMIT_GAP = passing("limit-gap", GAP_RANGE, [LIMIT_NOTE])
+
+
+def gap(m):
+    return tfunction.T_LIMIT - float(tfunction.t_direct(m))
+
+
+def test_monotone_t_passes():
+    assert content(run_suite("monotone-t", max_m=20)) == [T_MONOTONE, LIMIT_GAP]
+
+
+def test_t_monotone_failure(monkeypatch):
+    t7 = tfunction.t_direct(8) + Fraction(1, 1000)
+    doctor_t(monkeypatch, 7, lambda real: t7)
+    t8 = str(tfunction.t_direct(8))
+    expected = [
+        failing("t-monotone", "2 <= m < 20", {"m": 7}, {"T(m)": str(t7), "T(m+1)": t8}, [BOUNDARY]),
+        failing("limit-gap", GAP_RANGE, {"m": 7}, {"gap": repr(gap(7)), "next": repr(gap(8))}, [LIMIT_NOTE]),
+    ]
+    assert content(run_suite("monotone-t", max_m=20)) == expected
+
+
+def test_t_monotone_records_a_non_strict_step(monkeypatch):
+    doctor_t(monkeypatch, 9, lambda real: real(10))
+    expected = [
+        passing("t-monotone", "2 <= m < 20", [BOUNDARY, "non-strict steps at m in [9]"]),
+        failing("limit-gap", GAP_RANGE, {"m": 9}, {"gap": repr(gap(10)), "next": repr(gap(10))}, [LIMIT_NOTE]),
+    ]
+    assert content(run_suite("monotone-t", max_m=20)) == expected
+
+
+def test_limit_gap_positivity_is_checked_before_decrease(monkeypatch):
+    # gap(3) = 1 breaks the decrease at m = 2, but the positivity pass over
+    # every m runs first and reports m = 9
+    real = tfunction.limit_gap
+    monkeypatch.setattr(tfunction, "limit_gap", lambda m: {3: 1.0, 9: -0.5}.get(m) or real(m))
+    expected = [T_MONOTONE, failing("limit-gap", GAP_RANGE, {"m": 9}, {"gap": "-0.5"}, [LIMIT_NOTE])]
+    assert content(run_suite("monotone-t", max_m=20)) == expected
+
+
+def test_limit_gap_decrease_failure(monkeypatch):
+    doctor(monkeypatch, tfunction, "limit_gap", (5,), lambda real, m: 1e-9)
+    expected = [
+        T_MONOTONE,
+        failing("limit-gap", GAP_RANGE, {"m": 5}, {"gap": "1e-09", "next": repr(gap(6))}, [LIMIT_NOTE]),
+    ]
+    assert content(run_suite("monotone-t", max_m=20)) == expected
