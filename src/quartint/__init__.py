@@ -14,16 +14,12 @@ from .coefficients import (
     scaled_row,
 )
 from .conjectures import (
-    ScanConfig,
     default_x_grid,
     half_point_equivalence_check,
     hyp_inequality_margin,
-    scan_hyp_inequality,
-    scan_infinite_logconcavity,
 )
-from .exact import binomial, generalized_binomial, pochhammer, rational_from_str, rational_str
+from .exact import binomial, pochhammer, rational_str
 from .hypergeometric import (
-    Hyp2F1Spec,
     HypergeometricError,
     NonTerminatingSeriesError,
     SeriesPoleError,
@@ -34,8 +30,6 @@ from .hypergeometric import (
     envelope_bound_check,
     hyp2f1,
     hyp2f1_as_polynomial,
-    hyp2f1_terminating,
-    one_f_zero,
     pochhammer_ratio_bound_check,
 )
 from .polynomial import Polynomial
@@ -56,7 +50,6 @@ from .recurrence import (
     d_shift_check,
     d_shift_positivity,
     main_inequality_check,
-    monotonicity_check,
     recurrence_residual,
 )
 from .reports import Counterexample, PropertyReport, RunReport, SCHEMA_VERSION
@@ -70,6 +63,7 @@ from .seqprops import (
     minimum_functional,
     minimum_functional_uncorrected,
 )
+from .suites import scan_hyp_inequality, scan_infinite_logconcavity
 from .tfunction import (
     InequalityChain,
     T_LIMIT,

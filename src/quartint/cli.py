@@ -24,11 +24,10 @@ import traceback
 from fractions import Fraction
 
 from .coefficients import coefficient_row
-from .conjectures import ScanConfig, scan_hyp_inequality, scan_infinite_logconcavity
 from .exact import rational_str
 from .quadrature import QuadratureConvergenceError, evaluate_quartic_integral
 from .reports import SCHEMA_VERSION, RunReport, utc_now_iso
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, scan_hyp_inequality, scan_infinite_logconcavity
 from .tfunction import T_LIMIT, t_bundle
 
 EXIT_PASS = 0
@@ -114,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--max-m", type=_positive_int, default=40)
     p_scan.add_argument("--depth", type=_positive_int, default=5)
     p_scan.add_argument("--x-grid", default="0.5:5:0.25")
-    p_scan.add_argument("--stop-on-failure", action="store_true")
     p_scan.add_argument("--format", choices=("table", "json"), default="json")
 
     p_tvalues = sub.add_parser("tvalues", help="T(m) through every exact route")
@@ -173,14 +171,12 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     started = utc_now_iso()
     if args.kind == "ilogconcave":
-        cfg = ScanConfig(max_m=args.max_m, depth=args.depth, stop_on_failure=args.stop_on_failure)
-        result = scan_infinite_logconcavity(cfg)
-        config = {"kind": args.kind, "max_m": cfg.max_m, "depth": cfg.depth}
+        result = scan_infinite_logconcavity(args.max_m, args.depth)
+        config = {"kind": args.kind, "max_m": args.max_m, "depth": args.depth}
     else:
         grid = _parse_grid(args.x_grid)
-        cfg = ScanConfig(max_m=args.max_m, x_grid=grid, stop_on_failure=args.stop_on_failure)
-        result = scan_hyp_inequality(cfg)
-        config = {"kind": args.kind, "max_m": cfg.max_m, "x_grid": [rational_str(x) for x in grid]}
+        result = scan_hyp_inequality(args.max_m, grid)
+        config = {"kind": args.kind, "max_m": args.max_m, "x_grid": [rational_str(x) for x in grid]}
     report = RunReport(
         command="scan",
         config=config,

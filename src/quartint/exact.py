@@ -7,7 +7,7 @@ Everything here is arbitrary precision and never rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 
 def binomial(n: int, k: int) -> int:
@@ -19,17 +19,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def generalized_binomial(n: int, k: int) -> Fraction:
-    """C(n, k) = (-1)^k (-n)_k / k!, meaningful for negative n as well.
-
-    Only for call sites that explicitly want the rising-factorial extension;
-    ordinary code should use binomial().
-    """
-    if k < 0:
-        raise ValueError("generalized_binomial needs k >= 0")
-    return Fraction((-1) ** k) * pochhammer(Fraction(-n), k) / factorial(k)
 
 
 def pochhammer(x: Fraction | int, k: int) -> Fraction:
@@ -49,8 +38,3 @@ def rational_str(q: Fraction | int) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def rational_from_str(s: str) -> Fraction:
-    """Parse the canonical "p/q" (or plain "p") form back into a rational."""
-    return Fraction(s)

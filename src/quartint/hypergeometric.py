@@ -21,7 +21,6 @@ carrying one integer numerator and denominator and reducing once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import pochhammer
@@ -38,25 +37,6 @@ class NonTerminatingSeriesError(HypergeometricError):
 
 class SeriesPoleError(HypergeometricError):
     """(c)_k vanishes at or before the truncation point."""
-
-
-@dataclass(frozen=True)
-class Hyp2F1Spec:
-    """Parameter triple (a, b; c) with rational argument z."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    z: Fraction
-
-    @classmethod
-    def of(cls, a, b, c, z) -> "Hyp2F1Spec":
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(z))
-
-    def truncation_order(self) -> int:
-        """N = -b, after checking b is a nonpositive integer and that the
-        denominator parameter has no pole before the series truncates."""
-        return _validated_order(self.a, self.b, self.c)
 
 
 def _validated_order(a: Fraction, b: Fraction, c: Fraction) -> int:
@@ -78,22 +58,18 @@ def _term_ratios(a: Fraction, b: Fraction, c: Fraction, n: int) -> list[tuple[in
     return [((alpha + k * da) * (b + k) * dc, (gamma + k * dc) * (k + 1) * da) for k in range(n)]
 
 
-def hyp2f1_terminating(spec: Hyp2F1Spec) -> Fraction:
-    """Exact value of the terminating series, summed over one common
-    denominator (see the module docstring)."""
-    n = spec.truncation_order()
-    zeta, dz = spec.z.numerator, spec.z.denominator
+def hyp2f1(a, b, c, z) -> Fraction:
+    """Exact value of the terminating series 2F1(a, b; c; z), summed over one
+    common denominator (see the module docstring)."""
+    a, b, c, z = Fraction(a), Fraction(b), Fraction(c), Fraction(z)
+    n = _validated_order(a, b, c)
+    zeta, dz = z.numerator, z.denominator
     num = den = 1
-    for p, q in reversed(_term_ratios(spec.a, spec.b, spec.c, n)):
+    for p, q in reversed(_term_ratios(a, b, c, n)):
         q *= dz
         num = q * den + p * zeta * num
         den *= q
     return Fraction(num, den)
-
-
-def hyp2f1(a, b, c, z) -> Fraction:
-    """Convenience wrapper: exact terminating 2F1(a, b; c; z)."""
-    return hyp2f1_terminating(Hyp2F1Spec.of(a, b, c, z))
 
 
 def hyp2f1_as_polynomial(a, b, c) -> Polynomial:
@@ -125,17 +101,6 @@ def contiguous_relation_check(a, b, c, z) -> bool:
     if b != 0:
         rhs += Fraction(b * z, c) * hyp2f1(a + 1, b + 1, c + 1, z)
     return lhs == rhs
-
-
-def one_f_zero(a, z: float) -> float:
-    """1F0(a; z) = (1-z)^(-a) for |z| < 1, in floating point.
-
-    Only used for limit diagnostics; everything comparable exactly stays
-    exact elsewhere.
-    """
-    if not abs(z) < 1:
-        raise ValueError(f"1F0 requires |z| < 1, got z={z}")
-    return (1.0 - z) ** (-float(Fraction(a)))
 
 
 def pochhammer_ratio_bound_check(m: int) -> bool:

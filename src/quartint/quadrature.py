@@ -63,8 +63,9 @@ def _panel(f, lo: float, hi: float) -> tuple[float, float]:
     gauss *= half
     kronrod *= half
     # QUADPACK-style rescaled estimate; conservative for smooth integrands.
+    # From diff = 1 on it is diff itself, and (200 diff)^1.5 could overflow.
     diff = abs(kronrod - gauss)
-    err = min(diff, (200.0 * diff) ** 1.5) if diff > 0 else 0.0
+    err = min(diff, (200.0 * diff) ** 1.5) if diff < 1 else diff
     return kronrod, err
 
 
@@ -130,14 +131,17 @@ def _integrate(m: int, a: float, tol: float, budget: int) -> tuple[float, float,
 
 
 def closed_form(m: int, a) -> float:
-    """pi / (2^(m+3/2) (a+1)^(m+1/2)) * P_m(a), with P_m evaluated exactly at
-    the (rational) argument and converted to float only at the end."""
+    """pi / (2^(m+3/2) (a+1)^(m+1/2)) * P_m(a).
+
+    The exact rational P_m(a) / (2^m (a+1)^m) is converted to float once and
+    then multiplied by pi / (2^(3/2) sqrt(a+1)): for large m, P_m(a) and the
+    powers of 2 and a+1 each overflow a float on their own.
+    """
     a_exact = Fraction(a)  # exact also for float input
     if not a_exact > -1:
         raise ValueError(f"closed form requires a > -1, got a = {a}")
-    p_value = poly_p(m)(a_exact)
-    prefactor = math.pi / (2.0 ** (m + 1.5) * float(a_exact + 1) ** (m + 0.5))
-    return prefactor * float(p_value)
+    scaled = poly_p(m)(a_exact) / (2 * (a_exact + 1)) ** m
+    return float(scaled) * math.pi / (2.0**1.5 * math.sqrt(a_exact + 1))
 
 
 @dataclass(frozen=True)

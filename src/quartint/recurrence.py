@@ -12,13 +12,11 @@ monotonicity argument for T.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .polynomial import Polynomial
-from .reports import Counterexample, PropertyReport
 from .tfunction import t_direct
 
 _A = [7195230, 87693273, 448856568, 1263033897, 2147597568,
@@ -127,43 +125,3 @@ def main_inequality_check(n: int) -> bool:
     left = a_n * (t_direct(n) - t_direct(n + 1))
     right = c_n * (t_direct(n + 1) - t_direct(n + 2))
     return left <= right
-
-
-def monotonicity_check(max_m: int) -> PropertyReport:
-    """T(m) <= T(m+1) exactly for 2 <= m < max_m, with strictness recorded
-    per step.  The known non-strict boundary T(1) = T(2) = 1/4 is reported
-    as a note, not a failure."""
-    if max_m < 3:
-        raise ValueError("monotonicity check needs max_m >= 3")
-    start = time.perf_counter()
-    notes = []
-    if t_direct(1) == t_direct(2):
-        notes.append("boundary: T(1) = T(2) = 1/4 (equal, outside the m >= 2 claim)")
-    non_strict = []
-    for m in range(2, max_m):
-        t_m, t_next = t_direct(m), t_direct(m + 1)
-        if t_m > t_next:
-            return PropertyReport(
-                property="t-monotone",
-                range=f"2 <= m < {max_m}",
-                passed=False,
-                counterexample=Counterexample(
-                    location={"m": m},
-                    values={"T(m)": str(t_m), "T(m+1)": str(t_next)},
-                ),
-                elapsed=time.perf_counter() - start,
-                notes=tuple(notes),
-            )
-        if t_m == t_next:
-            non_strict.append(m)
-    if non_strict:
-        notes.append(f"non-strict steps at m in {non_strict}")
-    else:
-        notes.append("every step 2 <= m < max_m is strictly increasing")
-    return PropertyReport(
-        property="t-monotone",
-        range=f"2 <= m < {max_m}",
-        passed=True,
-        elapsed=time.perf_counter() - start,
-        notes=tuple(notes),
-    )

@@ -1,99 +1,111 @@
-"""Named verification suites behind the CLI.
+"""Named verification suites behind the CLI, and the two conjecture scans.
 
-Each suite sweeps a documented range exactly, reporting pass/fail with exact
-witnesses for any failure.  The per-m workers are pure module-level
-functions, so suites can fan out across a process pool (--jobs) and the
-merged outcome is independent of partitioning: the reported counterexample is
-always the one with the smallest m.
+Every property is a record (name, range, items, witness[, notes[, summary]])
+that _sweep checks: it calls witness(item) for each item in order and
+reports the first failure with its exact witnesses.  The witnesses are pure
+module-level functions, so a sweep can fan out across a process pool
+(--jobs), and the reported counterexample is always the first one in item
+order, however the items are partitioned.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import lru_cache, partial
-from typing import Callable, Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
-from . import recurrence, seqprops, tfunction
+from . import conjectures, recurrence, seqprops, tfunction
 from .coefficients import coefficient_row, delta_direct
-from .conjectures import row_first_negative
 from .exact import rational_str
 from .reports import Counterexample, PropertyReport
 
-Witness = Optional[tuple[dict, dict]]
+# None when an item holds; (location, values) or (location, values, fields)
+# when it fails.
+Witness = Optional[tuple]
+
+# The items of a record that checks a single fact.
+_ONCE = (None,)
 
 
-def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
+def _results(witness: Callable, items: Sequence, jobs: int) -> Iterator:
+    """witness(item) for each item, in order and lazily: serially, or in
+    chunks on a pool of ``jobs`` processes whose pending chunks are cancelled
+    once the caller stops reading."""
     if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    chunk = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        yield from map(witness, items)
+        return
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        yield from pool.map(witness, items, chunksize=max(1, len(items) // (4 * jobs)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _sweep(
     name: str,
     range_desc: str,
-    ms: Iterable[int],
-    worker: Callable[[int], Witness],
-    jobs: int,
+    items: Sequence,
+    witness: Callable,
     notes: tuple[str, ...] = (),
+    summary: Optional[Callable[[list], tuple[str, ...]]] = None,
+    jobs: int = 1,
 ) -> PropertyReport:
+    """Check one property over ``items`` and report it.
+
+    witness(item) returns None when the item holds, or a failure
+    (location, values); a third element, a dict of report fields, lets the
+    failing report name a narrower property, range or notes.  The sweep
+    stops at the first failure.  Any other result is an observation of an
+    item that holds: when every item holds, summary(list of (item,
+    observation)) gives notes that follow ``notes``.  An empty range is a
+    ValueError, because a pass that checked nothing is no pass.
+    """
     start = time.perf_counter()
-    ms = list(ms)
-    results = _parallel_map(worker, ms, jobs)
-    for res in results:
-        if res is not None:
-            location, values = res
-            return PropertyReport(
-                property=name,
-                range=range_desc,
-                passed=False,
-                counterexample=Counterexample(location, values),
-                elapsed=time.perf_counter() - start,
-                notes=notes,
-            )
-    return PropertyReport(
-        property=name,
-        range=range_desc,
-        passed=True,
-        elapsed=time.perf_counter() - start,
-        notes=notes,
-    )
+    items = list(items)
+    if not items:
+        raise ValueError(f"{name}: empty range ({range_desc})")
+    seen = []
+    results = _results(witness, items, jobs)
+    try:
+        for item, result in zip(items, results):
+            if isinstance(result, tuple):
+                location, values, *fields = result
+                report = {"property": name, "range": range_desc, "notes": notes}
+                report.update(*fields)
+                return PropertyReport(
+                    **report,
+                    passed=False,
+                    counterexample=Counterexample(location, values),
+                    elapsed=time.perf_counter() - start,
+                )
+            if result is not None:
+                seen.append((item, result))
+    finally:
+        results.close()
+    if summary is not None:
+        notes = (*notes, *summary(seen))
+    return PropertyReport(name, range_desc, True, elapsed=time.perf_counter() - start, notes=notes)
 
 
 # ---------------------------------------------------------------------------
-# per-m workers (module level so they pickle)
+# witnesses (module level so they pickle; kernels are looked up as module
+# attributes at call time)
 
-def _unimodal_witness(m: int) -> Witness:
+def _row_witness(predicate: str, m: int) -> Witness:
     row = coefficient_row(m)
-    if seqprops.is_unimodal(row.values):
-        return None
-    return {"m": m}, {"row": ",".join(row.as_strings())}
-
-
-def _logconcave_witness(m: int) -> Witness:
-    row = coefficient_row(m)
-    if seqprops.is_logconcave(row.values):
+    if getattr(seqprops, predicate)(row.values):
         return None
     return {"m": m}, {"row": ",".join(row.as_strings())}
 
 
 def _ilogconcave_witness(m: int, depth: int) -> Witness:
-    hit = row_first_negative(m, depth)
+    hit = conjectures.row_first_negative(m, depth)
     if hit is None:
         return None
     iteration, index, value = hit
     return {"m": m, "iteration": iteration, "index": index}, {"entry": rational_str(value)}
-
-
-def _ratio_monotone_witness(m: int) -> Witness:
-    row = coefficient_row(m)
-    if seqprops.is_ratio_monotone(row.values):
-        return None
-    return {"m": m}, {"row": ",".join(row.as_strings())}
 
 
 def _min_functional_witness(m: int) -> Witness:
@@ -106,6 +118,15 @@ def _min_functional_witness(m: int) -> Witness:
         if v < floor or (m >= 2 and v == floor):
             return {"m": m, "ell": ell}, {"value": str(v), "minimum": str(floor)}
     return None
+
+
+def _min_functional_notes(m: int) -> tuple[str, ...]:
+    """The corrected functional and the uncorrected variant at (m, l) = (m, m)."""
+    return (
+        f"corrected form at (m,l)=({m},{m}): {seqprops.minimum_functional(m, m)} "
+        f"(claimed closed form {seqprops.minimum_claimed_value(m)})",
+        f"uncorrected cross-term variant at the same point: {seqprops.minimum_functional_uncorrected(m, m)}",
+    )
 
 
 def _delta_signs_witness(m: int) -> Witness:
@@ -147,6 +168,30 @@ def _s_monotone_witness(m: int) -> Witness:
     return None
 
 
+def _t_bounds_witness(m: int, max_m: int) -> Witness:
+    t = tfunction.t_direct(m)
+    if not t < 1:
+        return {"m": m}, {"T": rational_str(t)}, {"property": "t-below-one", "range": f"1 <= m <= {max_m}"}
+    if m < 2:
+        return None
+    if not t <= Fraction(27, 28):
+        name, values = "t-below-27-28", {"T": rational_str(t)}
+    elif not t < (bound := tfunction.geometric_tail_bound(m)):
+        name, values = "t-below-geometric-tail", {"T": rational_str(t), "bound": rational_str(bound)}
+    elif not (prefactor := tfunction.integral_prefactor(m)) <= Fraction(9, 112):
+        name, values = "integral-prefactor-bound", {"prefactor": rational_str(prefactor)}
+    else:
+        return None
+    return {"m": m}, values, {"property": name, "range": f"2 <= m <= {max_m}"}
+
+
+def _pair_witness(m: int, max_m: int) -> Witness:
+    for r in range(2, m + 2):
+        if not tfunction.bound_pair_check(m, r):
+            return {"m": m, "r": r}, {}, {"range": f"2 <= r <= m+1, m <= {max_m}"}
+    return None
+
+
 def _crosscheck_witness(m: int) -> Witness:
     direct = tfunction.t_direct(m)
     routes = {
@@ -165,342 +210,237 @@ def _crosscheck_witness(m: int) -> Witness:
     return None
 
 
-# ---------------------------------------------------------------------------
-# suites
-
-def suite_unimodal(max_m: int, jobs: int = 1) -> list[PropertyReport]:
-    return [_sweep("unimodal", f"rows m <= {max_m}", range(0, max_m + 1), _unimodal_witness, jobs)]
+def _b_identity_witness(_) -> Witness:
+    return None if recurrence.b_identity_check() else ({}, {"identity": "b != a + c + d"})
 
 
-def suite_logconcave(max_m: int, jobs: int = 1) -> list[PropertyReport]:
-    return [_sweep("logconcave", f"rows m <= {max_m}", range(0, max_m + 1), _logconcave_witness, jobs)]
+def _memo(table: dict, fn: Callable, m: int):
+    """fn(m), kept in ``table``."""
+    if m not in table:
+        table[m] = fn(m)
+    return table[m]
 
 
-def suite_ilogconcave(max_m: int, depth: int, jobs: int = 1) -> list[PropertyReport]:
-    worker = partial(_ilogconcave_witness, depth=depth)
-    return [
-        _sweep(
-            "i-logconcave",
-            f"rows m <= {max_m}, depth {depth}",
-            range(0, max_m + 1),
-            worker,
-            jobs,
-        )
-    ]
+def _residual_witness(item: tuple[str, int], max_n: int, memo: dict) -> Witness:
+    """The residual at n with T from the oracle t_direct or t_integral.
 
-
-def suite_ratio_monotone(max_m: int, jobs: int = 1) -> list[PropertyReport]:
-    if max_m < 2:
-        raise ValueError("ratio-monotone needs max_m >= 2")
-    return [
-        _sweep("ratio-monotone", f"rows 2 <= m <= {max_m}", range(2, max_m + 1), _ratio_monotone_witness, jobs)
-    ]
-
-
-def suite_min_functional(max_m: int, jobs: int = 1) -> list[PropertyReport]:
-    demo_m = min(max_m, 2)
-    notes = (
-        f"corrected form at (m,l)=({demo_m},{demo_m}): "
-        f"{seqprops.minimum_functional(demo_m, demo_m)} "
-        f"(claimed closed form {seqprops.minimum_claimed_value(demo_m)})",
-        f"uncorrected cross-term variant at the same point: "
-        f"{seqprops.minimum_functional_uncorrected(demo_m, demo_m)}",
-    )
-    return [
-        _sweep(
-            "min-functional",
-            f"minimum over 1 <= l <= m at l = m, 1 <= m <= {max_m}",
-            range(1, max_m + 1),
-            _min_functional_witness,
-            jobs,
-            notes=notes,
-        )
-    ]
-
-
-def suite_delta_signs(max_m: int, jobs: int = 1) -> list[PropertyReport]:
-    return [
-        _sweep(
-            "delta-signs",
-            f"positive below floor(m/2), negative at and above; m <= {max_m}",
-            range(1, max_m + 1),
-            _delta_signs_witness,
-            jobs,
-        )
-    ]
-
-
-def suite_inequality_chain(max_m: int, jobs: int = 1) -> list[PropertyReport]:
-    if max_m < 2:
-        raise ValueError("inequality-chain needs max_m >= 2")
-    return [
-        _sweep(
-            "inequality-chain",
-            f"all (m, l) with 0 <= l < floor(m/2), m <= {max_m}",
-            range(2, max_m + 1),
-            _chain_witness,
-            jobs,
-        )
-    ]
-
-
-def suite_s_monotone(max_m: int, jobs: int = 1) -> list[PropertyReport]:
-    if max_m < 2:
-        raise ValueError("s-monotone needs max_m >= 2")
-    return [
-        _sweep(
-            "s-monotone",
-            f"S(m,l) strictly increasing over 0 <= l <= floor((m-1)/2) and max < 1; 2 <= m <= {max_m}",
-            range(2, max_m + 1),
-            _s_monotone_witness,
-            jobs,
-        )
-    ]
-
-
-def suite_t_bounds(max_m: int, jobs: int = 1) -> list[PropertyReport]:
-    start = time.perf_counter()
-    reports = []
-    for m in range(1, max_m + 1):
-        t = tfunction.t_direct(m)
-        if not t < 1:
-            reports.append(_fail("t-below-one", f"1 <= m <= {max_m}", {"m": m}, {"T": rational_str(t)}, start))
-            break
-        if m >= 2 and not t <= Fraction(27, 28):
-            reports.append(_fail("t-below-27-28", f"2 <= m <= {max_m}", {"m": m}, {"T": rational_str(t)}, start))
-            break
-        if m >= 2 and not t < tfunction.geometric_tail_bound(m):
-            reports.append(
-                _fail(
-                    "t-below-geometric-tail",
-                    f"2 <= m <= {max_m}",
-                    {"m": m},
-                    {"T": rational_str(t), "bound": rational_str(tfunction.geometric_tail_bound(m))},
-                    start,
-                )
-            )
-            break
-        if m >= 2 and not tfunction.integral_prefactor(m) <= Fraction(9, 112):
-            reports.append(
-                _fail(
-                    "integral-prefactor-bound",
-                    f"2 <= m <= {max_m}",
-                    {"m": m},
-                    {"prefactor": rational_str(tfunction.integral_prefactor(m))},
-                    start,
-                )
-            )
-            break
+    The t_integral pass shares no code with the t_direct kernel, so the
+    certificate is not checked only against the code it certifies.
+    """
+    oracle, n = item
+    if oracle == "t_direct":
+        residual = recurrence.recurrence_residual(n)
     else:
-        reports.append(
-            PropertyReport(
-                property="t-bounds",
-                range=f"T < 1 on 1 <= m <= {max_m}; T <= 27/28, T < 1-(m+2)/2^(m+1), prefactor <= 9/112 on 2 <= m",
-                passed=True,
-                elapsed=time.perf_counter() - start,
-            )
-        )
-    pair_start = time.perf_counter()
-    pair_max = min(max_m, 120)
-    for m in range(1, pair_max + 1):
-        for r in range(2, m + 2):
-            if not tfunction.bound_pair_check(m, r):
-                reports.append(
-                    _fail("binomial-pair-bound", f"2 <= r <= m+1, m <= {pair_max}", {"m": m, "r": r}, {}, pair_start)
-                )
-                return reports
-    reports.append(
-        PropertyReport(
-            property="binomial-pair-bound",
-            range=f"C(2r,r)C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, m <= {pair_max}",
-            passed=True,
-            elapsed=time.perf_counter() - pair_start,
-        )
-    )
-    return reports
+        # T(n+1) and T(n+2) recur at n+1, so this run keeps them in memo
+        residual = recurrence.recurrence_residual(n, t=partial(_memo, memo, tfunction.t_integral))
+    if residual == 0:
+        return None
+    halted = f"1 <= n <= {max_n} (halted at first nonzero, T from {oracle})"
+    return {"n": n}, {"residual": rational_str(residual)}, {"range": halted}
 
 
-def suite_t_crosscheck(max_m: int, jobs: int = 1) -> list[PropertyReport]:
-    notes = (
-        "identity used: T(m) = [x W'(x) - W(x) + 1] at x = 1/2; "
-        f"the variant W'(1/2)/2 - W(1/2) gives {rational_str(tfunction.t_via_w_variant(1))} at m = 1 "
-        f"where T(1) = {rational_str(tfunction.t_direct(1))}",
-    )
-    return [
-        _sweep(
-            "t-crosscheck",
-            f"direct = hypergeometric = integral = via-W and S(2m, m-1) = T(m); 1 <= m <= {max_m}",
-            range(1, max_m + 1),
-            _crosscheck_witness,
-            jobs,
-            notes=notes,
-        )
-    ]
-
-
-def suite_recurrence(max_n: int, jobs: int = 1) -> list[PropertyReport]:
-    reports = []
-    start = time.perf_counter()
-    identity_ok = recurrence.b_identity_check()
-    reports.append(
-        PropertyReport(
-            property="recurrence-b-identity",
-            range="b = a + c + d as exact polynomials",
-            passed=identity_ok,
-            counterexample=None if identity_ok else Counterexample({}, {"identity": "b != a + c + d"}),
-            elapsed=time.perf_counter() - start,
-        )
-    )
-
-    start = time.perf_counter()
-    # A second pass takes T from t_integral, which shares no code with the
-    # t_direct kernel, so the certificate is not checked only against the
-    # code it certifies.
-    ns = range(1, max_n + 1)
-    t_integral = lru_cache(maxsize=3)(tfunction.t_integral)  # T(n+1), T(n+2) recur at n+1
-    residuals = itertools.chain(
-        ((n, "t_direct", recurrence.recurrence_residual(n)) for n in ns),
-        ((n, "t_integral", recurrence.recurrence_residual(n, t=t_integral)) for n in ns),
-    )
-    # one nonzero residual falsifies the transcription; halt there
-    nonzero = next((r for r in residuals if r[2] != 0), None)
-    if nonzero is not None:
-        n, oracle, res = nonzero
-        residual_report = PropertyReport(
-            property="recurrence-residual",
-            range=f"1 <= n <= {max_n} (halted at first nonzero, T from {oracle})",
-            passed=False,
-            counterexample=Counterexample({"n": n}, {"residual": rational_str(res)}),
-            elapsed=time.perf_counter() - start,
-        )
-    else:
-        residual_report = PropertyReport(
-            property="recurrence-residual",
-            range=f"a(n)T(n) - b(n)T(n+1) + c(n)T(n+2) + d(n) = 0 for 1 <= n <= {max_n}",
-            passed=True,
-            elapsed=time.perf_counter() - start,
-        )
-    reports.append(residual_report)
-
-    start = time.perf_counter()
+def _d_shift_witness(_) -> Witness:
     positive, matches = recurrence.d_shift_check()
-    coeffs = recurrence.d_shift_positivity()
-    reports.append(
-        PropertyReport(
-            property="recurrence-d-shift",
-            range="d(x+2) expansion: all 8 coefficients positive and equal to the reference list",
-            passed=positive and matches,
-            counterexample=None
-            if (positive and matches)
-            else Counterexample({}, {"computed": str(coeffs), "reference": str(list(recurrence.D_SHIFT_REFERENCE))}),
-            elapsed=time.perf_counter() - start,
-            notes=(f"constant term {coeffs[0]}, leading term {coeffs[-1]}",),
-        )
-    )
+    if positive and matches:
+        return None
+    return {}, {"computed": str(recurrence.d_shift_positivity()), "reference": str(list(recurrence.D_SHIFT_REFERENCE))}
 
-    start = time.perf_counter()
-    ratio_ok = recurrence.ac_limit() == Fraction(27, 16)
-    ratio_above_one = all(recurrence.ac_ratio(n) > 1 for n in range(2, 501))
-    ratio_near_limit = abs(recurrence.ac_ratio(1000) - Fraction(27, 16)) < Fraction(1, 100)
+
+def _ac_ratio_witness(_) -> Witness:
+    limit_ok = recurrence.ac_limit() == Fraction(27, 16)
+    above_one = all(recurrence.ac_ratio(n) > 1 for n in range(2, 501))
+    near_limit = abs(recurrence.ac_ratio(1000) - Fraction(27, 16)) < Fraction(1, 100)
     positivity = all(min(recurrence.ac_values(n)) > 0 for n in range(1, 1001))
-    ok = ratio_ok and ratio_above_one and ratio_near_limit and positivity
-    reports.append(
-        PropertyReport(
-            property="recurrence-ac-ratio",
-            range="a/c limit 27/16; a(n)/c(n) > 1 on 2..500; |a/c(1000) - 27/16| < 1/100; a, c > 0 on 1..1000",
-            passed=ok,
-            counterexample=None
-            if ok
-            else Counterexample(
-                {},
-                {
-                    "limit": rational_str(recurrence.ac_limit()),
-                    "ratio_above_one": str(ratio_above_one),
-                    "near_limit": str(ratio_near_limit),
-                    "positivity": str(positivity),
-                },
-            ),
-            elapsed=time.perf_counter() - start,
-        )
-    )
-
-    start = time.perf_counter()
-    main_report = None
-    for n in range(2, max_n + 1):
-        if not recurrence.main_inequality_check(n):
-            main_report = PropertyReport(
-                property="recurrence-main-inequality",
-                range=f"2 <= n <= {max_n}",
-                passed=False,
-                counterexample=Counterexample({"n": n}, {}),
-                elapsed=time.perf_counter() - start,
-            )
-            break
-    if main_report is None:
-        main_report = PropertyReport(
-            property="recurrence-main-inequality",
-            range=f"a(n)(T(n)-T(n+1)) <= c(n)(T(n+1)-T(n+2)) for 2 <= n <= {max_n}",
-            passed=True,
-            elapsed=time.perf_counter() - start,
-        )
-    reports.append(main_report)
-    return reports
+    if limit_ok and above_one and near_limit and positivity:
+        return None
+    return {}, {
+        "limit": rational_str(recurrence.ac_limit()),
+        "ratio_above_one": str(above_one),
+        "near_limit": str(near_limit),
+        "positivity": str(positivity),
+    }
 
 
-def suite_monotone_t(max_m: int, jobs: int = 1) -> list[PropertyReport]:
-    reports = [recurrence.monotonicity_check(max_m)]
-    start = time.perf_counter()
-    gaps = [(m, tfunction.limit_gap(m)) for m in range(1, max_m + 1)]
-    bad = None
-    for m, gap in gaps:
-        if gap <= 0:
-            bad = ({"m": m}, {"gap": repr(gap)})
-            break
-    if bad is None:
-        for (m, gap), (_, nxt) in zip(gaps[1:], gaps[2:]):
-            if not gap > nxt:
-                bad = ({"m": m}, {"gap": repr(gap), "next": repr(nxt)})
-                break
-    reports.append(
-        PropertyReport(
-            property="limit-gap",
-            range=f"(2 - sqrt 2)/2 - T(m) positive on 1 <= m <= {max_m}, strictly decreasing from m = 2",
-            passed=bad is None,
-            counterexample=None if bad is None else Counterexample(*bad),
-            elapsed=time.perf_counter() - start,
-            notes=(
+def _main_inequality_witness(n: int, max_n: int) -> Witness:
+    if recurrence.main_inequality_check(n):
+        return None
+    return {"n": n}, {}, {"range": f"2 <= n <= {max_n}"}
+
+
+def _t_step_witness(m: int) -> Witness | bool:
+    """A failure if T(m) > T(m+1); True (an observation) if they are equal."""
+    t_m, t_next = tfunction.t_direct(m), tfunction.t_direct(m + 1)
+    if t_m > t_next:
+        return {"m": m}, {"T(m)": str(t_m), "T(m+1)": str(t_next)}
+    return True if t_m == t_next else None
+
+
+def _strictness(seen: list) -> tuple[str, ...]:
+    non_strict = [m for m, _ in seen]
+    if non_strict:
+        return (f"non-strict steps at m in {non_strict}",)
+    return ("every step 2 <= m < max_m is strictly increasing",)
+
+
+def _limit_gap_witness(item: tuple[str, int]) -> Witness:
+    test, m = item
+    gap = tfunction.limit_gap(m)
+    if test == "positive":
+        return ({"m": m}, {"gap": repr(gap)}) if gap <= 0 else None
+    nxt = tfunction.limit_gap(m + 1)
+    return None if gap > nxt else ({"m": m}, {"gap": repr(gap), "next": repr(nxt)})
+
+
+def _margin_witness(point: tuple[int, Fraction]) -> Witness | Fraction:
+    """A failure if the margin at (m, x) is not positive; else the margin,
+    as an observation."""
+    m, x = point
+    margin = conjectures.hyp_inequality_margin(m, x)
+    if margin > 0:
+        return margin
+    return {"m": m, "x": rational_str(x)}, {"margin": rational_str(margin)}, {"notes": (_margin_note(point, margin),)}
+
+
+def _margin_note(point: tuple[int, Fraction], margin: Fraction) -> str:
+    m, x = point
+    return f"smallest margin {rational_str(margin)} at m={m}, x={rational_str(x)}"
+
+
+def _smallest_margin(seen: list) -> tuple[str, ...]:
+    return (_margin_note(*min(seen, key=lambda s: s[1])),)
+
+
+# ---------------------------------------------------------------------------
+# records of the suites with more than one property
+
+def _t_bounds(n: int, depth: int) -> list[tuple]:
+    pair_max = min(n, 120)
+    return [
+        (
+            "t-bounds",
+            f"T < 1 on 1 <= m <= {n}; T <= 27/28, T < 1-(m+2)/2^(m+1), prefactor <= 9/112 on 2 <= m",
+            range(1, n + 1),
+            partial(_t_bounds_witness, max_m=n),
+        ),
+        (
+            "binomial-pair-bound",
+            f"C(2r,r)C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, m <= {pair_max}",
+            range(1, pair_max + 1),
+            partial(_pair_witness, max_m=pair_max),
+        ),
+    ]
+
+
+def _recurrence(n: int, depth: int) -> list[tuple]:
+    shift = recurrence.d_shift_positivity()
+    return [
+        ("recurrence-b-identity", "b = a + c + d as exact polynomials", _ONCE, _b_identity_witness),
+        (
+            "recurrence-residual",
+            f"a(n)T(n) - b(n)T(n+1) + c(n)T(n+2) + d(n) = 0 for 1 <= n <= {n}",
+            [(oracle, k) for oracle in ("t_direct", "t_integral") for k in range(1, n + 1)],
+            partial(_residual_witness, max_n=n, memo={}),
+        ),
+        (
+            "recurrence-d-shift",
+            "d(x+2) expansion: all 8 coefficients positive and equal to the reference list",
+            _ONCE,
+            _d_shift_witness,
+            (f"constant term {shift[0]}, leading term {shift[-1]}",),
+        ),
+        (
+            "recurrence-ac-ratio",
+            "a/c limit 27/16; a(n)/c(n) > 1 on 2..500; |a/c(1000) - 27/16| < 1/100; a, c > 0 on 1..1000",
+            _ONCE,
+            _ac_ratio_witness,
+        ),
+        (
+            "recurrence-main-inequality",
+            f"a(n)(T(n)-T(n+1)) <= c(n)(T(n+1)-T(n+2)) for 2 <= n <= {n}",
+            range(2, n + 1),
+            partial(_main_inequality_witness, max_n=n),
+        ),
+    ]
+
+
+def _monotone_t(n: int, depth: int) -> list[tuple]:
+    boundary = ()
+    if tfunction.t_direct(1) == tfunction.t_direct(2):
+        boundary = ("boundary: T(1) = T(2) = 1/4 (equal, outside the m >= 2 claim)",)
+    return [
+        ("t-monotone", f"2 <= m < {n}", range(2, n), _t_step_witness, boundary, _strictness),
+        (
+            "limit-gap",
+            f"(2 - sqrt 2)/2 - T(m) positive on 1 <= m <= {n}, strictly decreasing from m = 2",
+            [("positive", m) for m in range(1, n + 1)] + [("decreasing", m) for m in range(2, n)],
+            _limit_gap_witness,
+            (
                 f"limit {tfunction.T_LIMIT:.9f}; historical (incorrect) guess 1 - ln 2 = "
                 f"{tfunction.T_LIMIT_HISTORICAL_GUESS:.9f}",
             ),
-        )
-    )
-    return reports
+        ),
+    ]
 
 
-def _fail(name: str, range_desc: str, location: dict, values: dict, start: float) -> PropertyReport:
-    return PropertyReport(
-        property=name,
-        range=range_desc,
-        passed=False,
-        counterexample=Counterexample(location, values),
-        elapsed=time.perf_counter() - start,
-    )
-
-
-# property name -> (runner, default range, knob)
-SUITES: dict[str, tuple[Callable, int, str]] = {
-    "unimodal": (suite_unimodal, 100, "max_m"),
-    "logconcave": (suite_logconcave, 100, "max_m"),
-    "ilogconcave": (suite_ilogconcave, 100, "max_m"),
-    "ratio-monotone": (suite_ratio_monotone, 100, "max_m"),
-    "min-functional": (suite_min_functional, 40, "max_m"),
-    "delta-signs": (suite_delta_signs, 100, "max_m"),
-    "inequality-chain": (suite_inequality_chain, 100, "max_m"),
-    "s-monotone": (suite_s_monotone, 100, "max_m"),
-    "t-bounds": (suite_t_bounds, 500, "max_m"),
-    "t-crosscheck": (suite_t_crosscheck, 100, "max_m"),
-    "recurrence": (suite_recurrence, 100, "max_n"),
-    "monotone-t": (suite_monotone_t, 500, "max_m"),
+# suite name -> (default limit, the limit it reads, its records at limit n
+# and iteration depth)
+SUITES: dict[str, tuple[int, str, Callable[[int, int], list[tuple]]]] = {
+    "unimodal": (100, "max_m", lambda n, depth: [
+        ("unimodal", f"rows m <= {n}", range(n + 1), partial(_row_witness, "is_unimodal")),
+    ]),
+    "logconcave": (100, "max_m", lambda n, depth: [
+        ("logconcave", f"rows m <= {n}", range(n + 1), partial(_row_witness, "is_logconcave")),
+    ]),
+    "ilogconcave": (100, "max_m", lambda n, depth: [
+        ("i-logconcave", f"rows m <= {n}, depth {depth}", range(n + 1), partial(_ilogconcave_witness, depth=depth)),
+    ]),
+    "ratio-monotone": (100, "max_m", lambda n, depth: [
+        ("ratio-monotone", f"rows 2 <= m <= {n}", range(2, n + 1), partial(_row_witness, "is_ratio_monotone")),
+    ]),
+    "min-functional": (40, "max_m", lambda n, depth: [
+        (
+            "min-functional",
+            f"minimum over 1 <= l <= m at l = m, 1 <= m <= {n}",
+            range(1, n + 1),
+            _min_functional_witness,
+            _min_functional_notes(min(n, 2)),
+        ),
+    ]),
+    "delta-signs": (100, "max_m", lambda n, depth: [
+        (
+            "delta-signs",
+            f"positive below floor(m/2), negative at and above; m <= {n}",
+            range(1, n + 1),
+            _delta_signs_witness,
+        ),
+    ]),
+    "inequality-chain": (100, "max_m", lambda n, depth: [
+        ("inequality-chain", f"all (m, l) with 0 <= l < floor(m/2), m <= {n}", range(2, n + 1), _chain_witness),
+    ]),
+    "s-monotone": (100, "max_m", lambda n, depth: [
+        (
+            "s-monotone",
+            f"S(m,l) strictly increasing over 0 <= l <= floor((m-1)/2) and max < 1; 2 <= m <= {n}",
+            range(2, n + 1),
+            _s_monotone_witness,
+        ),
+    ]),
+    "t-bounds": (500, "max_m", _t_bounds),
+    "t-crosscheck": (100, "max_m", lambda n, depth: [
+        (
+            "t-crosscheck",
+            f"direct = hypergeometric = integral = via-W and S(2m, m-1) = T(m); 1 <= m <= {n}",
+            range(1, n + 1),
+            _crosscheck_witness,
+            (
+                "identity used: T(m) = [x W'(x) - W(x) + 1] at x = 1/2; "
+                f"the variant W'(1/2)/2 - W(1/2) gives {rational_str(tfunction.t_via_w_variant(1))} at m = 1 "
+                f"where T(1) = {rational_str(tfunction.t_direct(1))}",
+            ),
+        ),
+    ]),
+    "recurrence": (100, "max_n", _recurrence),
+    "monotone-t": (500, "max_m", _monotone_t),
 }
 
 
@@ -515,12 +455,39 @@ def run_suite(
     given."""
     if name not in SUITES:
         raise ValueError(f"unknown property {name!r}; choose from {sorted(SUITES)}")
-    runner, default_limit, knob = SUITES[name]
-    limit = (max_n if knob == "max_n" else max_m)
+    default_limit, knob, records = SUITES[name]
+    limit = max_n if knob == "max_n" else max_m
     if limit is None:
         limit = default_limit
     if limit < 1:
         raise ValueError(f"{knob.replace('_', '-')} must be >= 1")
-    if name == "ilogconcave":
-        return runner(limit, depth=depth, jobs=jobs)
-    return runner(limit, jobs=jobs)
+    return [_sweep(*record, jobs=jobs) for record in records(limit, depth)]
+
+
+# ---------------------------------------------------------------------------
+# conjecture scans
+
+def scan_infinite_logconcavity(max_m: int, depth: int) -> PropertyReport:
+    """Rows m <= max_m through depth applications of L; the report stops at
+    the first (m, iteration, index) that goes negative."""
+    return _sweep(
+        "infinite-logconcavity-scan",
+        f"m <= {max_m}, depth {depth}",
+        range(max_m + 1),
+        partial(_ilogconcave_witness, depth=depth),
+    )
+
+
+def scan_hyp_inequality(max_m: int, x_grid: Sequence = conjectures.default_x_grid()) -> PropertyReport:
+    """The margin at every (m, x) with 2 <= m <= max_m and x in the grid,
+    stopping at the first that is not positive; the note gives the smallest
+    margin seen."""
+    if any(x < Fraction(1, 2) for x in x_grid):
+        raise ValueError("x grid entries must be >= 1/2")
+    return _sweep(
+        "hyp-inequality-scan",
+        f"2 <= m <= {max_m}, {len(x_grid)} grid points",
+        [(m, x) for m in range(2, max_m + 1) for x in x_grid],
+        _margin_witness,
+        summary=_smallest_margin,
+    )

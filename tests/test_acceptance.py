@@ -12,14 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from quartint import conjectures
+from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavity
 from quartint.coefficients import coefficient_row, d_coeff, delta_direct
-from quartint.conjectures import (
-    ScanConfig,
-    default_x_grid,
-    scan_hyp_inequality,
-    scan_infinite_logconcavity,
-)
+from quartint.conjectures import default_x_grid
 from quartint.exact import binomial
 from quartint.hypergeometric import (
     companion_ratio_bound_violations,
@@ -207,9 +202,9 @@ def test_c13_quadrature():
 
 @criterion(14, "conjecture scans")
 def test_c14_conjecture_scans(monkeypatch):
-    report = scan_infinite_logconcavity(ScanConfig(max_m=40, depth=5))
+    report = scan_infinite_logconcavity(40, 5)
     assert report.passed, report
-    report = scan_hyp_inequality(ScanConfig(max_m=40, x_grid=default_x_grid()))
+    report = scan_hyp_inequality(40, default_x_grid())
     assert report.passed, report
     # counterexample plumbing: a failing margin must surface exact witnesses
     monkeypatch.setattr(
@@ -217,7 +212,7 @@ def test_c14_conjecture_scans(monkeypatch):
         "hyp_inequality_margin",
         lambda m, x: Fraction(-1, 3) if (m, x) == (5, Fraction(1, 2)) else Fraction(1),
     )
-    doctored = scan_hyp_inequality(ScanConfig(max_m=6, x_grid=(Fraction(1, 2),)))
+    doctored = scan_hyp_inequality(6, (Fraction(1, 2),))
     assert not doctored.passed
     assert doctored.counterexample.location == {"m": 5, "x": "1/2"}
     assert doctored.counterexample.values == {"margin": "-1/3"}

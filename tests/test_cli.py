@@ -280,3 +280,17 @@ def test_integral_convergence_failure_is_internal_error(capsys):
     code, _, err = run(capsys, "integral", "--m", "2", "--a", "1", "--tol", "1e-300")
     assert code == 3
     assert "tol" in err
+
+
+@pytest.mark.parametrize("m, a", [("200", "100"), ("300", "-0.9"), ("400", "4")])
+def test_integral_large_m(capsys, m, a):
+    code, out, _ = run(capsys, "integral", "--m", m, "--a", a, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["relative_error"] < 1e-10
+
+
+def test_verify_empty_range_is_usage_error(capsys):
+    # recurrence-main-inequality starts at n = 2: --max-n 1 would check nothing
+    code, _, err = run(capsys, "verify", "--property", "recurrence", "--max-n", "1")
+    assert code == 2
+    assert "recurrence-main-inequality: empty range" in err

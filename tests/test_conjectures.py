@@ -2,17 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from quartint import conjectures, suites
+from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavity, suites
 from quartint.coefficients import scaled_row
 from quartint.conjectures import (
-    ScanConfig,
     default_x_grid,
     half_point_equivalence_check,
     hyp_inequality_margin,
     iterated_l_first_negative,
     row_first_negative,
-    scan_hyp_inequality,
-    scan_infinite_logconcavity,
 )
 
 
@@ -42,16 +39,17 @@ def test_failing_row_reports_the_fraction_row_witness(monkeypatch):
 
     location = {"m": 4, "iteration": 2, "index": 3}
     values = {"entry": "-3/536870912"}
-    scan = scan_infinite_logconcavity(ScanConfig(max_m=6, depth=5))
+    scan = scan_infinite_logconcavity(6, 5)
     assert not scan.passed
     assert (scan.counterexample.location, scan.counterexample.values) == (location, values)
+    assert scan.notes == ()
     (suite,) = suites.run_suite("ilogconcave", max_m=6, depth=5, jobs=1)
     assert not suite.passed
     assert (suite.counterexample.location, suite.counterexample.values) == (location, values)
 
 
 def test_ilogconcave_scan_passes():
-    report = scan_infinite_logconcavity(ScanConfig(max_m=25, depth=5))
+    report = scan_infinite_logconcavity(25, 5)
     assert report.passed
     assert report.counterexample is None
     assert "depth 5" in report.range
@@ -64,22 +62,22 @@ def test_hyp_margin_positive_on_small_grid():
 
 
 def test_hyp_scan_passes_and_records_margin():
-    report = scan_hyp_inequality(ScanConfig(max_m=10, x_grid=default_x_grid()))
+    report = scan_hyp_inequality(10)
     assert report.passed
     assert any("smallest margin" in note for note in report.notes)
 
 
 def test_hyp_scan_single_comparison():
-    report = scan_hyp_inequality(ScanConfig(max_m=2, x_grid=(Fraction(1, 2),)))
+    report = scan_hyp_inequality(2, (Fraction(1, 2),))
     assert report.passed
     assert report.notes and "m=2" in report.notes[0]
 
 
 def test_hyp_scan_grid_validation():
     with pytest.raises(ValueError):
-        scan_hyp_inequality(ScanConfig(max_m=5, x_grid=(Fraction(1, 4),)))
+        scan_hyp_inequality(5, (Fraction(1, 4),))
     with pytest.raises(ValueError):
-        scan_hyp_inequality(ScanConfig(max_m=5, x_grid=()))
+        scan_hyp_inequality(5, ())
 
 
 def test_hyp_scan_reports_counterexample_with_witnesses(monkeypatch):
@@ -91,10 +89,12 @@ def test_hyp_scan_reports_counterexample_with_witnesses(monkeypatch):
         return real_margin(m, x)
 
     monkeypatch.setattr(conjectures, "hyp_inequality_margin", doctored)
-    report = scan_hyp_inequality(ScanConfig(max_m=6, x_grid=(Fraction(1, 2), Fraction(3, 4))))
+    report = scan_hyp_inequality(6, (Fraction(1, 2), Fraction(3, 4)))
     assert not report.passed
     assert report.counterexample.location == {"m": 4, "x": "3/4"}
     assert report.counterexample.values == {"margin": "-1/7"}
+    # the smallest margin up to the witness is the witness's own
+    assert report.notes == ("smallest margin -1/7 at m=4, x=3/4",)
 
 
 def test_half_point_equivalence():
@@ -104,11 +104,10 @@ def test_half_point_equivalence():
 
 def test_hyp_scan_max_m_validation():
     with pytest.raises(ValueError):
-        scan_hyp_inequality(ScanConfig(max_m=1, x_grid=(Fraction(1, 2),)))
+        scan_hyp_inequality(1, (Fraction(1, 2),))
 
 
 def test_scans_are_deterministic():
-    cfg = ScanConfig(max_m=8, depth=3)
-    a = scan_infinite_logconcavity(cfg)
-    b = scan_infinite_logconcavity(cfg)
+    a = scan_infinite_logconcavity(8, 3)
+    b = scan_infinite_logconcavity(8, 3)
     assert (a.passed, a.range, a.counterexample) == (b.passed, b.range, b.counterexample)

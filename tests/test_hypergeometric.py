@@ -7,7 +7,6 @@ from hypothesis import assume, given, strategies as st
 
 from quartint.exact import pochhammer
 from quartint.hypergeometric import (
-    Hyp2F1Spec,
     NonTerminatingSeriesError,
     SeriesPoleError,
     companion_ratio_bound_violations,
@@ -17,8 +16,6 @@ from quartint.hypergeometric import (
     envelope_bound_check,
     hyp2f1,
     hyp2f1_as_polynomial,
-    hyp2f1_terminating,
-    one_f_zero,
     pochhammer_ratio_bound_check,
 )
 
@@ -27,12 +24,6 @@ def test_terminating_values():
     assert hyp2f1(Fraction(5, 2), 0, -7, 3) == 1
     assert hyp2f1(Fraction(1, 2), -2, -4, 2) == Fraction(7, 4)
     assert hyp2f1(Fraction(3, 2), -1, -3, 2) == 2
-
-
-def test_spec_object_round():
-    spec = Hyp2F1Spec.of(Fraction(1, 2), -2, -4, 2)
-    assert spec.truncation_order() == 2
-    assert hyp2f1_terminating(spec) == Fraction(7, 4)
 
 
 def test_non_terminating_rejected():
@@ -122,16 +113,6 @@ def test_contiguous_relation():
         c = Fraction(-4 * n - rng.randint(2, 6))
         z = Fraction(rng.randint(1, 5), rng.randint(1, 4))
         assert contiguous_relation_check(a, -n, c, z)
-
-
-def test_one_f_zero_closed_forms():
-    assert one_f_zero(Fraction(5, 2), 0.5) == pytest.approx(2**2.5, rel=1e-13)
-    assert one_f_zero(Fraction(1, 2), 0.5) == pytest.approx(2**0.5, rel=1e-13)
-    assert one_f_zero(Fraction(3, 2), 0.5) == pytest.approx(2 * 2**0.5, rel=1e-13)
-    with pytest.raises(ValueError):
-        one_f_zero(Fraction(1, 2), 1.0)
-    with pytest.raises(ValueError):
-        one_f_zero(Fraction(1, 2), -1.5)
 
 
 def test_pochhammer_ratio_bound():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quartint.coefficients import poly_p
 from quartint.quadrature import (
     DivergentIntegralError,
     QuadratureConvergenceError,
@@ -74,3 +75,16 @@ def test_result_record():
     assert payload["relative_error"] == result.relative_error
     assert payload["evaluations"] == result.evaluations
     assert result.relative_error == abs(result.numeric - result.closed_form) / abs(result.closed_form)
+
+
+def factor_by_factor_closed_form(m, a):
+    """The closed form with each factor converted to float on its own; it
+    overflows for large m."""
+    a = Fraction(a)
+    return math.pi / (2.0 ** (m + 1.5) * float(a + 1) ** (m + 0.5)) * float(poly_p(m)(a))
+
+
+def test_closed_form_matches_factor_by_factor_form():
+    points = [(m, float(a)) for m in range(1, 41) for a in ("-0.5", "-0.25", "0", "0.5", "1", "2", "4")]
+    for m, a in points + [(50, -0.9)]:
+        assert closed_form(m, a) == pytest.approx(factor_by_factor_closed_form(m, a), rel=1e-13), (m, a)

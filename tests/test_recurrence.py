@@ -12,9 +12,9 @@ from quartint.recurrence import (
     d_shift_check,
     d_shift_positivity,
     main_inequality_check,
-    monotonicity_check,
     recurrence_residual,
 )
+from quartint.suites import run_suite
 from quartint.tfunction import t_direct, t_integral
 
 
@@ -97,10 +97,11 @@ def test_main_inequality():
 
 
 def test_monotonicity_report():
-    report = monotonicity_check(40)
+    report = run_suite("monotone-t", max_m=40)[0]
+    assert report.property == "t-monotone"
     assert report.passed
     assert report.counterexample is None
     assert any("T(1) = T(2)" in note for note in report.notes)
     assert any("strictly increasing" in note for note in report.notes)
     with pytest.raises(ValueError):
-        monotonicity_check(2)
+        run_suite("monotone-t", max_m=2)

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from quartint import seqprops, suites
@@ -161,3 +163,35 @@ def test_recurrence_suite_checks_the_integral_oracle(monkeypatch):
     assert not residual.passed
     assert residual.counterexample.location == {"n": 5}
     assert "T from t_integral" in residual.range
+
+
+def test_no_default_range_is_empty():
+    for name, (limit, _, records) in SUITES.items():
+        for record in records(limit, 3):
+            assert len(record[2]) > 0, (name, record[0])
+
+
+def test_serial_sweep_stops_at_the_first_failure(monkeypatch):
+    real = seqprops.is_unimodal
+    calls = []
+
+    def doctored(row):
+        calls.append(len(row) - 1)
+        return real(row) and len(row) != 8
+
+    monkeypatch.setattr(seqprops, "is_unimodal", doctored)
+    report = single(run_suite("unimodal", max_m=30))
+    assert report.counterexample.location == {"m": 7}
+    assert calls == list(range(8))
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="pool workers see the doctored kernel only when forked"
+)
+def test_parallel_sweep_reports_the_serial_counterexample(monkeypatch):
+    real = seqprops.is_logconcave
+    monkeypatch.setattr(seqprops, "is_logconcave", lambda row: real(row) and len(row) - 1 not in (9, 140))
+    serial = single(run_suite("logconcave", max_m=150, jobs=1))
+    parallel = single(run_suite("logconcave", max_m=150, jobs=2))
+    assert serial.counterexample.location == {"m": 9}
+    assert (parallel.range, parallel.counterexample) == (serial.range, serial.counterexample)
