@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from quartint import recurrence, tfunction
+from quartint import coefficients, recurrence, tfunction
 from quartint.exact import rational_str
 from quartint.suites import run_suite
 
@@ -229,3 +229,45 @@ def test_limit_gap_decrease_failure(monkeypatch):
         failing("limit-gap", GAP_RANGE, {"m": 5}, {"gap": "1e-09", "next": repr(gap(6))}, [LIMIT_NOTE]),
     ]
     assert content(run_suite("monotone-t", max_m=20)) == expected
+
+
+# ---------------------------------------------------------------------------
+# row suites: unimodal, logconcave and delta-signs on a doctored row m = 5
+
+ROW_5 = (17556, 68712, 114576, 99456, 44352, 8064)
+
+
+def doctor_row_5(monkeypatch, index, value):
+    """Replace entry ``index`` of the integer row b(5) under every caller."""
+    real = coefficients._scaled_row
+    assert real(5) == ROW_5
+    row = list(ROW_5)
+    row[index] = value
+    monkeypatch.setattr(coefficients, "_scaled_row", lambda m: tuple(row) if m == 5 else real(m))
+    return ",".join(rational_str(Fraction(b, 4**5)) for b in row)
+
+
+@pytest.mark.parametrize("name", ["unimodal", "logconcave"])
+def test_row_predicate_failure(monkeypatch, name):
+    # 114576, 99456, 100000: the row falls and then rises again
+    row = doctor_row_5(monkeypatch, 4, 100000)
+    assert row == "4389/256,8589/128,7161/64,777/8,3125/32,63/8"
+    expected = [failing(name, "rows m <= 8", {"m": 5}, {"row": row})]
+    assert content(run_suite(name, max_m=8)) == expected
+
+
+DELTA_RANGE = "positive below floor(m/2), negative at and above; m <= 8"
+
+
+def test_delta_signs_failure_in_the_rising_half(monkeypatch):
+    # b_1 = b_0 gives delta 0 at l = 0 < floor(5/2)
+    doctor_row_5(monkeypatch, 1, ROW_5[0])
+    expected = [failing("delta-signs", DELTA_RANGE, {"m": 5, "ell": 0}, {"delta": "0"})]
+    assert content(run_suite("delta-signs", max_m=8)) == expected
+
+
+def test_delta_signs_failure_in_the_falling_half(monkeypatch):
+    # b_4 - b_3 = 544 > 0 at l = 3 >= floor(5/2)
+    doctor_row_5(monkeypatch, 4, 100000)
+    expected = [failing("delta-signs", DELTA_RANGE, {"m": 5, "ell": 3}, {"delta": "17/32"})]
+    assert content(run_suite("delta-signs", max_m=8)) == expected
