@@ -10,7 +10,6 @@ from .coefficients import (
     d_coeff,
     delta_closed,
     delta_direct,
-    poly_p,
     scaled_row,
 )
 from .conjectures import (
@@ -32,14 +31,13 @@ from .hypergeometric import (
     hyp2f1_as_polynomial,
     pochhammer_ratio_bound_check,
 )
-from .polynomial import Polynomial
+from .polynomial import derivative, horner, taylor_shift
 from .quadrature import (
     DivergentIntegralError,
     QuadratureConvergenceError,
     QuadratureResult,
     closed_form,
     evaluate_quartic_integral,
-    quartic_integral_numeric,
 )
 from .recurrence import (
     CERTIFICATE,

@@ -2,11 +2,16 @@
 P_m(a), its integer scaling b_l(m) = 2^(2m) d_l(m), and the forward
 difference d_{l+1}(m) - d_l(m) in direct and closed forms.
 
-The defining sum is
+The defining sum
 
-    d_l(m) = 2^(-2m) * sum_{k=l}^{m} 2^k C(2m-2k, m-k) C(m+k, m) C(k, l),
+    d_l(m) = 2^(-2m) * sum_{k=l}^{m} 2^k C(2m-2k, m-k) C(m+k, m) C(k, l)
 
-computed literally; 2^(2m) d_l(m) is an integer by construction.
+is the expansion in powers of a of the Boros-Moll form
+
+    P_m(a) = 2^(-2m) * sum_{k=0}^{m} 2^k C(2m-2k, m-k) C(m+k, m) (a+1)^k,
+
+so the integer row b(m) is the Taylor shift by 1 of the integer weights
+w_k = 2^k C(2m-2k, m-k) C(m+k, m), made with additions only.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import binomial, rational_str
-from .polynomial import Polynomial
+from .polynomial import taylor_shift
 
 
 @dataclass(frozen=True)
@@ -32,35 +37,18 @@ class CoefficientRow:
         if any(v <= 0 for v in self.values):
             raise ValueError("coefficient rows are strictly positive")
 
-    def scaled(self) -> tuple[int, ...]:
-        """The integer row b_l(m) = 2^(2m) d_l(m)."""
-        return _scaled_row(self.m)
-
     def as_strings(self) -> list[str]:
         return [rational_str(v) for v in self.values]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, ell: int) -> Fraction:
-        return self.values[ell]
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 @lru_cache(maxsize=None)
 def _scaled_row(m: int) -> tuple[int, ...]:
-    # The weights 2^k C(2m-2k, m-k) C(m+k, m) are shared by every l, so they
-    # are computed once per row.
     weights = [2**k * binomial(2 * m - 2 * k, m - k) * binomial(m + k, m) for k in range(m + 1)]
-    return tuple(
-        sum(weights[k] * binomial(k, ell) for k in range(ell, m + 1)) for ell in range(m + 1)
-    )
+    return taylor_shift(weights, 1)
 
 
 def d_coeff(m: int, ell: int) -> Fraction:
-    """d_l(m) by literal summation, exact."""
+    """d_l(m) = b_l(m) / 4^m, exact."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if not 0 <= ell <= m:
@@ -81,11 +69,6 @@ def scaled_row(m: int) -> tuple[int, ...]:
     if m < 0:
         raise ValueError("m must be nonnegative")
     return _scaled_row(m)
-
-
-def poly_p(m: int) -> Polynomial:
-    """P_m(a) = sum_l d_l(m) a^l as a dense polynomial."""
-    return Polynomial(coefficient_row(m).values)
 
 
 def delta_direct(m: int, ell: int) -> Fraction:

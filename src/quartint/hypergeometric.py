@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import pochhammer
-from .polynomial import Polynomial
+from .polynomial import derivative
 
 
 class HypergeometricError(ValueError):
@@ -72,25 +72,26 @@ def hyp2f1(a, b, c, z) -> Fraction:
     return Fraction(num, den)
 
 
-def hyp2f1_as_polynomial(a, b, c) -> Polynomial:
-    """The terminating series as a polynomial in z; coefficient k is
-    (a)_k (b)_k / ((c)_k k!)."""
+def hyp2f1_as_polynomial(a, b, c) -> tuple[Fraction, ...]:
+    """The terminating series as a coefficient tuple in z, of length
+    N + 1; coefficient k is (a)_k (b)_k / ((c)_k k!)."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     n = _validated_order(a, b, c)
     coeffs = [Fraction(1)]
     for p, q in _term_ratios(a, b, c, n):
         coeffs.append(coeffs[-1] * Fraction(p, q))
-    return Polynomial(coeffs)
+    return tuple(coeffs)
 
 
 def derivative_relation_check(a, b, c) -> bool:
-    """d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z), as exact polynomials."""
+    """d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z), coefficient by
+    coefficient."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    left = hyp2f1_as_polynomial(a, b, c).derivative()
+    left = derivative(hyp2f1_as_polynomial(a, b, c))
     if b == 0:
-        return left.is_zero()
-    right = Fraction(a * b, c) * hyp2f1_as_polynomial(a + 1, b + 1, c + 1)
-    return left == right
+        return left == ()
+    factor = a * b / c
+    return left == tuple(factor * r for r in hyp2f1_as_polynomial(a + 1, b + 1, c + 1))
 
 
 def contiguous_relation_check(a, b, c, z) -> bool:

@@ -1,109 +1,49 @@
-"""Dense polynomials over the exact rationals.
+"""Dense polynomials as coefficient tuples, index equal to degree.
 
-Coefficient index equals degree.  Trailing zeros are stripped on
-construction, so the zero polynomial has an empty coefficient tuple and
-degree -1.
+Three operations cover every polynomial in the package, and each keeps the
+entry type of its input: int coefficients at an int point give ints,
+Fraction coefficients or points give Fractions, a float point gives a float.
+
+    horner(p, x)        p(x)
+    derivative(p)       p'
+    taylor_shift(p, c)  the coefficients of p(x + c)
+
+The shift is repeated synthetic division by x - c (Horner's rule applied
+n times), so it needs only additions and multiplications by c; this is the
+classical O(n^2) Taylor shift of von zur Gathen and Gerhard (ISSAC 1997).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Union
+from typing import Sequence, Union
 
-Scalar = Union[Fraction, int]
+Scalar = Union[int, Fraction, float]
 
 
-class Polynomial:
-    """Immutable dense polynomial with Fraction coefficients."""
+def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
+    """p(x) for p = coeffs[0] + coeffs[1] x + ...; the empty tuple is 0."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+def derivative(coeffs: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """The coefficients k c_k of p'; a constant gives the empty tuple."""
+    return tuple(k * c for k, c in enumerate(coeffs) if k)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+def taylor_shift(coeffs: Sequence[Scalar], c: Scalar) -> tuple[Scalar, ...]:
+    """The coefficients of p(x + c), same length as ``coeffs``.
 
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def coefficient(self, k: int) -> Fraction:
-        """Coefficient of x^k, 0 beyond the degree."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction x, float for float x."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        return Polynomial(c * Fraction(other) for c in self.coeffs)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(Fraction(k) * c for k, c in enumerate(self.coeffs) if k >= 1)
-
-    def antiderivative(self) -> "Polynomial":
-        """Antiderivative with zero constant term."""
-        return Polynomial([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
-
-    def integrate(self, lo: Scalar, hi: Scalar) -> Fraction:
-        """Exact definite integral over [lo, hi] for rational endpoints."""
-        anti = self.antiderivative()
-        return anti(Fraction(hi)) - anti(Fraction(lo))
-
-    def shift(self, c: Scalar) -> "Polynomial":
-        """Compose with x -> x + c, expanded exactly."""
-        c = Fraction(c)
-        out = [Fraction(0)] * len(self.coeffs)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(i + 1):
-                out[j] += a * comb(i, j) * c ** (i - j)
-        return Polynomial(out)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
+    Round j divides the quotient left by round j - 1, held in entries
+    j..n-1, by x - c; its remainder p^(j)(c) / j!, the j-th Taylor
+    coefficient at c, lands in entry j.
+    """
+    out = list(coeffs)
+    n = len(out)
+    for j in range(n - 1):
+        for i in range(n - 2, j - 1, -1):
+            out[i] += c * out[i + 1]
+    return tuple(out)

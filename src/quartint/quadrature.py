@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import poly_p
+from .coefficients import scaled_row
+from .polynomial import horner
 
 
 class DivergentIntegralError(ValueError):
@@ -98,13 +99,6 @@ def _adaptive(f, lo: float, hi: float, tol: float, budget: int) -> tuple[float, 
     return value, total_err, evaluations
 
 
-def quartic_integral_numeric(m: int, a: float, tol: float, budget: int = 200_000) -> float:
-    """Adaptive quadrature of the quartic integral for a > -1, to the
-    relative tolerance tol."""
-    value, _, _ = _integrate(m, a, tol, budget)
-    return value
-
-
 def _integrate(m: int, a: float, tol: float, budget: int) -> tuple[float, float, int]:
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -133,14 +127,15 @@ def _integrate(m: int, a: float, tol: float, budget: int) -> tuple[float, float,
 def closed_form(m: int, a) -> float:
     """pi / (2^(m+3/2) (a+1)^(m+1/2)) * P_m(a).
 
-    The exact rational P_m(a) / (2^m (a+1)^m) is converted to float once and
-    then multiplied by pi / (2^(3/2) sqrt(a+1)): for large m, P_m(a) and the
-    powers of 2 and a+1 each overflow a float on their own.
+    With P_m(a) = b(m)(a) / 4^m for the integer row b(m), the exact rational
+    P_m(a) / (2^m (a+1)^m) = b(m)(a) / (8 (a+1))^m is converted to float
+    once and then multiplied by pi / (2^(3/2) sqrt(a+1)): for large m,
+    P_m(a) and the powers of 2 and a+1 each overflow a float on their own.
     """
     a_exact = Fraction(a)  # exact also for float input
     if not a_exact > -1:
         raise ValueError(f"closed form requires a > -1, got a = {a}")
-    scaled = poly_p(m)(a_exact) / (2 * (a_exact + 1)) ** m
+    scaled = horner(scaled_row(m), a_exact) / (8 * (a_exact + 1)) ** m
     return float(scaled) * math.pi / (2.0**1.5 * math.sqrt(a_exact + 1))
 
 

@@ -17,7 +17,7 @@ from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import conjectures, recurrence, seqprops, tfunction
-from .coefficients import coefficient_row, delta_direct
+from .coefficients import coefficient_row, delta_direct, scaled_row
 from .exact import rational_str
 from .reports import Counterexample, PropertyReport
 
@@ -94,10 +94,12 @@ def _sweep(
 # attributes at call time)
 
 def _row_witness(predicate: str, m: int) -> Witness:
-    row = coefficient_row(m)
-    if getattr(seqprops, predicate)(row.values):
+    """The predicate on the integer row b(m); unimodality, log-concavity
+    and ratio-monotonicity are invariant under the positive scale 4^m, so
+    the rational row d(m) is built only for the report of a failure."""
+    if getattr(seqprops, predicate)(scaled_row(m)):
         return None
-    return {"m": m}, {"row": ",".join(row.as_strings())}
+    return {"m": m}, {"row": ",".join(coefficient_row(m).as_strings())}
 
 
 def _ilogconcave_witness(m: int, depth: int) -> Witness:
@@ -130,10 +132,12 @@ def _min_functional_notes(m: int) -> tuple[str, ...]:
 
 
 def _delta_signs_witness(m: int) -> Witness:
+    """The sign of d_{l+1}(m) - d_l(m) is that of b_{l+1}(m) - b_l(m)."""
+    row = scaled_row(m)
     for ell in range(m):
-        d = delta_direct(m, ell)
-        if (d <= 0) if ell < m // 2 else (d >= 0):
-            return {"m": m, "ell": ell}, {"delta": rational_str(d)}
+        step = row[ell + 1] - row[ell]
+        if (step <= 0) if ell < m // 2 else (step >= 0):
+            return {"m": m, "ell": ell}, {"delta": rational_str(delta_direct(m, ell))}
     return None
 
 

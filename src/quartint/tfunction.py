@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .exact import binomial, rational_str
 from .hypergeometric import hyp2f1, hyp2f1_as_polynomial
-from .polynomial import Polynomial
+from .polynomial import derivative, horner
 
 # Limit of T(m), and the early incorrect guess 1 - ln 2 kept as a second
 # diagnostic constant for context.
@@ -95,7 +95,7 @@ def t_integral(m: int) -> Fraction:
         raise ValueError("t_integral requires m >= 1")
     integrand = hyp2f1_as_polynomial(Fraction(5, 2), 1 - m, 2 - 4 * m)
     # int_0^2 t * sum c_k t^k dt = sum c_k 2^(k+2) / (k+2)
-    value = sum(c * Fraction(2 ** (k + 2), k + 2) for k, c in enumerate(integrand.coeffs))
+    value = sum(c * Fraction(2 ** (k + 2), k + 2) for k, c in enumerate(integrand))
     return integral_prefactor(m) * value
 
 
@@ -106,11 +106,11 @@ def integral_prefactor(m: int) -> Fraction:
     return Fraction(3 * (m + 1), 16 * (4 * m - 1))
 
 
-def w_polynomial(m: int) -> Polynomial:
-    """W_m(x) = sum_{r=0}^{m+1} C(2r,r) C(m+1,r) / C(4m,r) x^r."""
+def w_polynomial(m: int) -> tuple[Fraction, ...]:
+    """The coefficients of W_m(x) = sum_{r=0}^{m+1} C(2r,r) C(m+1,r) / C(4m,r) x^r."""
     if m < 1:
         raise ValueError("w_polynomial requires m >= 1")
-    return Polynomial(
+    return tuple(
         Fraction(binomial(2 * r, r) * binomial(m + 1, r), binomial(4 * m, r)) for r in range(m + 2)
     )
 
@@ -119,7 +119,7 @@ def w_function(m: int, x) -> Fraction:
     """W_m at a rational point, evaluated from the sum and cross-checked
     against the equivalent series 2F1(1/2, -1-m; -4m; 4x)."""
     x = Fraction(x)
-    from_sum = w_polynomial(m)(x)
+    from_sum = horner(w_polynomial(m), x)
     from_series = hyp2f1(Fraction(1, 2), -1 - m, -4 * m, 4 * x)
     if from_sum != from_series:
         raise ArithmeticError(f"W_{m}({x}): sum form {from_sum} != series form {from_series}")
@@ -136,7 +136,7 @@ def t_via_w(m: int) -> Fraction:
     """
     w = w_polynomial(m)
     half = Fraction(1, 2)
-    return half * w.derivative()(half) - w(half) + 1
+    return half * horner(derivative(w), half) - horner(w, half) + 1
 
 
 def t_via_w_variant(m: int) -> Fraction:
@@ -147,7 +147,7 @@ def t_via_w_variant(m: int) -> Fraction:
     """
     w = w_polynomial(m)
     half = Fraction(1, 2)
-    return half * w.derivative()(half) - w(half)
+    return half * horner(derivative(w), half) - horner(w, half)
 
 
 def bound_pair_check(m: int, r: int) -> bool:
@@ -165,9 +165,7 @@ def geometric_tail_bound(m: int) -> Fraction:
     form."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    num = 0  # sum_{r=2}^{m+1} (r-1) 2^(m+1-r), by Horner in base 2
-    for r in range(2, m + 2):
-        num = 2 * num + r - 1
+    num = horner(range(m, 0, -1), 2)  # sum_{r=2}^{m+1} (r-1) 2^(m+1-r)
     total = Fraction(num, 2 ** (m + 1))
     closed = 1 - Fraction(m + 2, 2 ** (m + 1))
     if total != closed:

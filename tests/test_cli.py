@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import os
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quartint import cli, conjectures
+from quartint import cli, conjectures, suites
 from quartint.cli import build_parser, main
 from quartint.reports import SCHEMA_VERSION
 from quartint.tfunction import T_LIMIT
@@ -294,3 +299,67 @@ def test_verify_empty_range_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--property", "recurrence", "--max-n", "1")
     assert code == 2
     assert "recurrence-main-inequality: empty range" in err
+
+
+# ---------------------------------------------------------------------------
+# every malformed value of a bounded option is a usage error
+
+LETTERS = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", min_size=1)
+NONFINITE = st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400"])
+
+
+def _grid(parts):
+    return ":".join(str(p) for p in parts)
+
+
+malformed_grids = st.one_of(
+    st.lists(st.integers(1, 5), max_size=5).filter(lambda ps: len(ps) != 3).map(_grid),
+    st.tuples(LETTERS, st.integers(0, 2)).map(lambda t: _grid(t[0] if i == t[1] else 1 for i in range(3))),
+    st.fractions(max_value=0).map(lambda step: _grid((1, 2, step))),
+    st.tuples(st.fractions(1, 10), st.fractions(0, 10).filter(bool)).map(lambda t: _grid((t[0], t[0] - t[1], 1))),
+    st.fractions(-20, Fraction(1, 2), max_denominator=50)
+    .filter(lambda lo: lo < Fraction(1, 2))
+    .map(lambda lo: _grid((lo, lo + 1, Fraction(1, 4)))),
+    st.tuples(st.integers(1, 1000), st.integers(0, 10**6)).map(
+        lambda t: _grid((1, 1 + Fraction(cli.MAX_GRID_POINTS + t[1], t[0]), Fraction(1, t[0])))
+    ),
+    st.sampled_from(["1/0:2:1", "1:2/0:1", "1:2:1/0"]),
+)
+bad_a = st.one_of(st.floats(max_value=-1.0, allow_nan=False).map(repr), NONFINITE, LETTERS)
+bad_tol = st.one_of(st.floats(max_value=0.0, allow_nan=False).map(repr), NONFINITE, LETTERS)
+bad_count = st.one_of(st.integers(max_value=0).map(str), st.sampled_from(["1.5", "2e3", ""]), LETTERS)
+bad_jobs = st.one_of(st.integers(max_value=0).map(str), st.sampled_from(["1.5", ""]), LETTERS)
+
+# (argv, QUARTINT_JOBS or None)
+malformed_invocations = st.one_of(
+    malformed_grids.map(lambda g: (["scan", "hypineq", "--max-m", "2", f"--x-grid={g}"], None)),
+    bad_a.map(lambda a: (["integral", "--m", "1", f"--a={a}"], None)),
+    bad_tol.map(lambda t: (["integral", "--m", "1", "--a", "1", f"--tol={t}"], None)),
+    st.tuples(
+        st.sampled_from([["verify", "--property", "unimodal"], ["scan", "ilogconcave"], ["tvalues"]]), bad_count
+    ).map(lambda t: ([*t[0], f"--max-m={t[1]}"], None)),
+    bad_jobs.map(lambda j: (["verify", "--property", "unimodal", "--max-m", "2", f"--jobs={j}"], None)),
+    bad_jobs.map(lambda j: (["verify", "--property", "unimodal", "--max-m", "2"], j)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_invocations)
+def test_malformed_values_exit_with_usage_error(invocation):
+    argv, env_jobs = invocation
+    pools = []
+    environ = {} if env_jobs is None else {"QUARTINT_JOBS": env_jobs}
+    with (
+        mock.patch.dict(os.environ, environ),
+        mock.patch.object(suites, "ProcessPoolExecutor", lambda *a, **k: pools.append(a)),
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        if env_jobs is None:
+            os.environ.pop("QUARTINT_JOBS", None)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2, argv
+    assert pools == []

@@ -8,9 +8,9 @@ from quartint.coefficients import (
     d_coeff,
     delta_closed,
     delta_direct,
-    poly_p,
     scaled_row,
 )
+from quartint.polynomial import horner
 
 
 def test_first_rows():
@@ -33,17 +33,27 @@ def test_row_tail_closed_form():
 def test_scaled_rows_are_integers():
     for m in range(0, 121):
         row = coefficient_row(m)
-        assert row.scaled() == scaled_row(m)
-        for value, scaled in zip(row.values, row.scaled()):
+        assert all(type(b) is int for b in scaled_row(m))
+        assert len(row.values) == len(scaled_row(m)) == m + 1
+        for value, scaled in zip(row.values, scaled_row(m)):
             assert value * 4**m == scaled
 
 
-def test_row_container_protocol():
-    row = coefficient_row(2)
-    assert len(row) == 3
-    assert row[1] == Fraction(15, 4)
-    assert list(row) == list(row.values)
-    assert row.as_strings() == ["21/8", "15/4", "3/2"]
+def literal_scaled_row(m):
+    # b_l(m) = sum_{k=l}^{m} 2^k C(2m-2k, m-k) C(m+k, m) C(k, l), term by term
+    return tuple(
+        sum(2**k * comb(2 * m - 2 * k, m - k) * comb(m + k, m) * comb(k, ell) for k in range(ell, m + 1))
+        for ell in range(m + 1)
+    )
+
+
+def test_scaled_row_matches_the_literal_triple_binomial_sum():
+    for m in [*range(0, 61), 150]:
+        assert scaled_row(m) == literal_scaled_row(m), m
+
+
+def test_row_strings():
+    assert coefficient_row(2).as_strings() == ["21/8", "15/4", "3/2"]
 
 
 def test_domain_errors():
@@ -57,10 +67,13 @@ def test_domain_errors():
         delta_closed(3, -1)
 
 
-def test_poly_p():
-    assert poly_p(0).coeffs == (1,)
-    assert poly_p(1).coeffs == (Fraction(3, 2), 1)
-    assert poly_p(1)(1) == Fraction(5, 2)
+def test_p_m_from_the_row():
+    # P_m(a) = sum_l d_l(m) a^l = 2^(-2m) sum_k 2^k C(2m-2k, m-k) C(m+k, m) (a+1)^k
+    assert horner(coefficient_row(1).values, 1) == Fraction(5, 2)
+    for m in range(0, 13):
+        for a in (Fraction(-1, 2), 0, 1, Fraction(7, 3)):
+            form = sum(2**k * comb(2 * m - 2 * k, m - k) * comb(m + k, m) * (a + 1) ** k for k in range(m + 1))
+            assert horner(coefficient_row(m).values, a) == horner(scaled_row(m), a) / 4**m == form / 4**m
 
 
 def test_delta_values():

@@ -266,8 +266,9 @@ def test_delta_signs_failure_in_the_rising_half(monkeypatch):
     assert content(run_suite("delta-signs", max_m=8)) == expected
 
 
-def test_delta_signs_failure_in_the_falling_half(monkeypatch):
-    # b_4 - b_3 = 544 > 0 at l = 3 >= floor(5/2)
-    doctor_row_5(monkeypatch, 4, 100000)
-    expected = [failing("delta-signs", DELTA_RANGE, {"m": 5, "ell": 3}, {"delta": "17/32"})]
+@pytest.mark.parametrize("b_4, delta", [(100000, "17/32"), (ROW_5[3], "0")])
+def test_delta_signs_failure_in_the_falling_half(monkeypatch, b_4, delta):
+    # b_4 - b_3 = 544 > 0, then b_4 - b_3 = 0, at l = 3 >= floor(5/2)
+    doctor_row_5(monkeypatch, 4, b_4)
+    expected = [failing("delta-signs", DELTA_RANGE, {"m": 5, "ell": 3}, {"delta": delta})]
     assert content(run_suite("delta-signs", max_m=8)) == expected

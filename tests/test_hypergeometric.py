@@ -18,6 +18,7 @@ from quartint.hypergeometric import (
     hyp2f1_as_polynomial,
     pochhammer_ratio_bound_check,
 )
+from quartint.polynomial import horner
 
 
 def test_terminating_values():
@@ -40,9 +41,9 @@ def test_pole_before_truncation_rejected():
 
 
 def test_polynomial_form():
-    assert hyp2f1_as_polynomial(Fraction(5, 2), 0, -2).coeffs == (1,)
+    assert hyp2f1_as_polynomial(Fraction(5, 2), 0, -2) == (1,)
     # m = 2 instance of the integrand series
-    assert hyp2f1_as_polynomial(Fraction(5, 2), -1, -6).coeffs == (1, Fraction(5, 12))
+    assert hyp2f1_as_polynomial(Fraction(5, 2), -1, -6) == (1, Fraction(5, 12))
 
 
 def test_polynomial_matches_evaluator_on_random_specs():
@@ -53,8 +54,8 @@ def test_polynomial_matches_evaluator_on_random_specs():
         n = rng.randint(0, 8)
         c = Fraction(-4 * n - rng.randint(1, 5))
         poly = hyp2f1_as_polynomial(a, -n, c)
-        assert poly(z) == hyp2f1(a, -n, c, z)
-        assert poly.degree <= n
+        assert horner(poly, z) == hyp2f1(a, -n, c, z)
+        assert len(poly) == n + 1
 
 
 def test_series_coefficients_against_pochhammer_products():
@@ -71,7 +72,7 @@ def test_series_coefficients_against_pochhammer_products():
                 pochhammer(a, k) * pochhammer(Fraction(-n), k)
                 / (pochhammer(c, k) * factorial(k))
             )
-            assert poly.coefficient(k) == expected
+            assert poly[k] == expected
 
 
 def literal_hyp2f1(a, b, c, z):
@@ -94,7 +95,7 @@ def test_hyp2f1_matches_literal_sum(a, b, c, z):
     assume(all(c + j != 0 for j in range(-b)))
     value = hyp2f1(a, b, c, z)
     assert value == literal_hyp2f1(a, b, c, z)
-    assert value == hyp2f1_as_polynomial(a, b, c)(z)
+    assert value == horner(hyp2f1_as_polynomial(a, b, c), z)
 
 
 def test_derivative_relation():

@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from quartint.coefficients import poly_p
+from quartint.coefficients import coefficient_row
+from quartint.polynomial import horner
 from quartint.quadrature import (
     DivergentIntegralError,
     QuadratureConvergenceError,
     closed_form,
     evaluate_quartic_integral,
-    quartic_integral_numeric,
 )
 
 
 def test_classical_value():
     # integrand (x^2+1)^(-4) at m = 1, a = 1
-    value = quartic_integral_numeric(1, 1.0, 1e-12)
+    value = evaluate_quartic_integral(1, 1.0, 1e-12).numeric
     assert value == pytest.approx(5 * math.pi / 32, rel=1e-10)
 
 
@@ -54,18 +54,18 @@ def test_monotone_in_a_and_m():
 
 def test_divergent_and_domain_errors():
     with pytest.raises(DivergentIntegralError):
-        quartic_integral_numeric(1, -1.0, 1e-8)
+        evaluate_quartic_integral(1, -1.0, 1e-8)
     with pytest.raises(DivergentIntegralError):
-        quartic_integral_numeric(1, -2.5, 1e-8)
+        evaluate_quartic_integral(1, -2.5, 1e-8)
     with pytest.raises(ValueError):
         closed_form(1, -1.0)
     with pytest.raises(ValueError):
-        quartic_integral_numeric(1, 1.0, 0.0)
+        evaluate_quartic_integral(1, 1.0, 0.0)
 
 
 def test_budget_exhaustion():
     with pytest.raises(QuadratureConvergenceError):
-        quartic_integral_numeric(2, 1.0, 1e-30, budget=600)
+        evaluate_quartic_integral(2, 1.0, 1e-30, budget=600)
 
 
 def test_result_record():
@@ -81,7 +81,18 @@ def factor_by_factor_closed_form(m, a):
     """The closed form with each factor converted to float on its own; it
     overflows for large m."""
     a = Fraction(a)
-    return math.pi / (2.0 ** (m + 1.5) * float(a + 1) ** (m + 0.5)) * float(poly_p(m)(a))
+    return math.pi / (2.0 ** (m + 1.5) * float(a + 1) ** (m + 0.5)) * float(horner(coefficient_row(m).values, a))
+
+
+def test_closed_form_converts_the_exact_rational_once():
+    # P_m(a) / (2^m (a+1)^m) as a literal power sum over the rational row,
+    # converted to float once: the same rational, so the same float
+    for m in range(0, 41):
+        for a in (-0.9, -0.5, 0.0, 0.5, 1.0, 4.0):
+            exact = Fraction(a)
+            p_m = sum(d * exact**ell for ell, d in enumerate(coefficient_row(m).values))
+            expected = float(p_m / (2 * (exact + 1)) ** m) * math.pi / (2.0**1.5 * math.sqrt(exact + 1))
+            assert closed_form(m, a) == expected, (m, a)
 
 
 def test_closed_form_matches_factor_by_factor_form():

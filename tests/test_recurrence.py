@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quartint import recurrence
 from quartint.recurrence import (
     CERTIFICATE,
     D_SHIFT_REFERENCE,
@@ -14,19 +15,18 @@ from quartint.recurrence import (
     main_inequality_check,
     recurrence_residual,
 )
+from quartint.polynomial import horner
 from quartint.suites import run_suite
 from quartint.tfunction import t_direct, t_integral
 
 
 def test_certificate_shape():
-    assert CERTIFICATE.a.degree == 9
-    assert CERTIFICATE.b.degree == 9
-    assert CERTIFICATE.c.degree == 9
-    assert CERTIFICATE.d.degree == 7
-    assert CERTIFICATE.a.leading_coefficient() == 9732096
-    assert CERTIFICATE.b.leading_coefficient() == 15499264
-    assert CERTIFICATE.c.leading_coefficient() == 5767168
-    assert CERTIFICATE.d.leading_coefficient() == 1858560
+    assert [len(p) - 1 for p in CERTIFICATE] == [9, 9, 9, 7]
+    assert CERTIFICATE.a[-1] == 9732096
+    assert CERTIFICATE.b[-1] == 15499264
+    assert CERTIFICATE.c[-1] == 5767168
+    assert CERTIFICATE.d[-1] == 1858560
+    assert all(type(c) is int for p in CERTIFICATE for c in p)
 
 
 def test_b_identity():
@@ -34,6 +34,15 @@ def test_b_identity():
     # spot checks on the extreme coefficients
     assert 7195230 + 3265920 - 799470 == 9661680
     assert 9732096 + 5767168 == 15499264
+
+
+@pytest.mark.parametrize("k", [0, 7, 8, 9])
+def test_b_identity_sees_every_coefficient(monkeypatch, k):
+    # k = 8, 9 lie above the degree of d
+    b = list(CERTIFICATE.b)
+    b[k] += 1
+    monkeypatch.setattr(recurrence, "CERTIFICATE", CERTIFICATE._replace(b=tuple(b)))
+    assert not b_identity_check()
 
 
 def test_residual_at_one_from_frozen_values():
@@ -81,14 +90,19 @@ def test_ac_ratio_and_limit():
 
 def test_certificate_positivity():
     for n in range(1, 1001):
-        assert CERTIFICATE.a(n) > 0
-        assert CERTIFICATE.c(n) > 0
+        assert horner(CERTIFICATE.a, n) > 0
+        assert horner(CERTIFICATE.c, n) > 0
 
 
-def test_integer_evaluation_matches_polynomials():
+def power_sum(coeffs, n):
+    return sum(c * n**k for k, c in enumerate(coeffs))
+
+
+def test_integer_evaluation_matches_the_power_sum():
     for n in (1, 2, 7, 500, 1000, 10**6):
-        assert ac_values(n) == (CERTIFICATE.a(n), CERTIFICATE.c(n))
-        assert ac_ratio(n) == CERTIFICATE.a(n) / CERTIFICATE.c(n)
+        a, c = power_sum(CERTIFICATE.a, n), power_sum(CERTIFICATE.c, n)
+        assert ac_values(n) == (a, c)
+        assert ac_ratio(n) == Fraction(a, c)
 
 
 def test_main_inequality():
