@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quartint import recurrence
+from quartint.polynomial import horner
 from quartint.recurrence import (
     CERTIFICATE,
     D_SHIFT_REFERENCE,
@@ -15,7 +16,6 @@ from quartint.recurrence import (
     main_inequality_check,
     recurrence_residual,
 )
-from quartint.polynomial import horner
 from quartint.suites import run_suite
 from quartint.tfunction import t_direct, t_integral
 
