@@ -52,8 +52,12 @@ def test_scaled_row_matches_the_literal_triple_binomial_sum():
         assert scaled_row(m) == literal_scaled_row(m), m
 
 
-def test_row_strings():
-    assert coefficient_row(2).as_strings() == ["21/8", "15/4", "3/2"]
+def test_row_container_protocol():
+    row = coefficient_row(2)
+    assert len(row.values) == 3
+    assert row.values[1] == Fraction(15, 4)
+    assert row.values == tuple(Fraction(b, 4**2) for b in scaled_row(2))
+    assert row.as_strings() == ["21/8", "15/4", "3/2"]
 
 
 def test_domain_errors():
@@ -67,7 +71,7 @@ def test_domain_errors():
         delta_closed(3, -1)
 
 
-def test_p_m_from_the_row():
+def test_poly_p():
     # P_m(a) = sum_l d_l(m) a^l = 2^(-2m) sum_k 2^k C(2m-2k, m-k) C(m+k, m) (a+1)^k
     assert horner(coefficient_row(1).values, 1) == Fraction(5, 2)
     for m in range(0, 13):

@@ -12,6 +12,27 @@ points = st.fractions()
 shifts = st.one_of(st.integers(-50, 50), st.fractions())
 
 
+def add(p, q):
+    return tuple(x + y for x, y in zip_longest(p, q, fillvalue=0))
+
+
+def sub(p, q):
+    return tuple(x - y for x, y in zip_longest(p, q, fillvalue=0))
+
+
+def mul(p, q):
+    # the Cauchy product, term by term
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def scale(p, s):
+    return tuple(s * x for x in p)
+
+
 def test_evaluation():
     p = (Fraction(3, 2), 1)  # 3/2 + x
     assert horner(p, 1) == Fraction(5, 2)
@@ -31,6 +52,32 @@ def test_entry_type_is_preserved():
     assert all(type(c) is int for c in derivative(p))
     assert all(type(c) is int for c in taylor_shift(p, 2))
     assert type(horner(p, Fraction(1, 3))) is Fraction
+
+
+def test_coefficient_access():
+    # entry k is the coefficient of x^k, and the last entry leads
+    p = (5, 0, 7)
+    assert horner(p, 0) == p[0] == 5
+    shifted = taylor_shift(p, 3)
+    assert len(shifted) == len(p)
+    assert shifted[0] == horner(p, 3) == 68
+    assert shifted[-1] == p[-1] == 7
+    assert derivative(p)[-1] == 2 * p[-1]
+
+
+@given(coeff_lists, coeff_lists, points)
+def test_ring_operations_match_pointwise(a, b, x):
+    assert horner(add(a, b), x) == horner(a, x) + horner(b, x)
+    assert horner(sub(a, b), x) == horner(a, x) - horner(b, x)
+    assert horner(mul(a, b), x) == horner(a, x) * horner(b, x)
+
+
+@given(coeff_lists, points, shifts)
+def test_scalar_multiplication(a, x, c):
+    assert horner(scale(a, 3), x) == 3 * horner(a, x)
+    assert horner(scale(a, Fraction(1, 2)), x) == horner(a, x) / 2
+    assert taylor_shift(scale(a, 3), c) == scale(taylor_shift(a, c), 3)
+    assert derivative(scale(a, Fraction(1, 2))) == scale(derivative(a), Fraction(1, 2))
 
 
 def test_derivative_values():
@@ -65,9 +112,9 @@ def test_derivative_is_the_first_taylor_coefficient(p, x):
 
 
 @given(coeff_lists, coeff_lists)
-def test_derivative_is_linear(a, b):
-    total = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-    assert derivative(total) == tuple(x + y for x, y in zip_longest(derivative(a), derivative(b), fillvalue=0))
+def test_derivative_is_linear_and_leibniz(a, b):
+    assert derivative(add(a, b)) == add(derivative(a), derivative(b))
+    assert derivative(mul(a, b)) == add(mul(derivative(a), b), mul(a, derivative(b)))
 
 
 @given(coeff_lists, shifts)
