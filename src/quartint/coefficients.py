@@ -12,6 +12,19 @@ is the expansion in powers of a of the Boros-Moll form
 
 so the integer row b(m) is the Taylor shift by 1 of the integer weights
 w_k = 2^k C(2m-2k, m-k) C(m+k, m), made with additions only.
+
+Consecutive rows satisfy Moll's recurrence in m (Kauers and Paule, "A
+computer proof of Moll's log-concavity conjecture", Proc. AMS 2007), which
+on the integer rows reads
+
+    b_l(m+1) = 2 [2(m+l) b_{l-1}(m) + (4m+2l+3) b_l(m)] / (m+1),
+
+with b_{-1}(m) = b_{m+1}(m) = 0; the division is exact.  Row m is the Taylor
+shift when m is a multiple of 64 (a checkpoint) and one recurrence step from
+row m-1 otherwise, so a cold row recurses at most 63 rows deep, well inside
+the interpreter's recursion limit, and a sweep in increasing m pays one
+Taylor shift per 64 rows.  A nonzero remainder raises ArithmeticError: an
+internal error, never a wrong row.
 """
 
 from __future__ import annotations
@@ -41,10 +54,28 @@ class CoefficientRow:
         return [rational_str(v) for v in self.values]
 
 
+_ROW_CHECKPOINT = 64
+
+
 @lru_cache(maxsize=None)
 def _scaled_row(m: int) -> tuple[int, ...]:
-    weights = [2**k * binomial(2 * m - 2 * k, m - k) * binomial(m + k, m) for k in range(m + 1)]
-    return taylor_shift(weights, 1)
+    if m % _ROW_CHECKPOINT == 0:
+        weights = [2**k * binomial(2 * m - 2 * k, m - k) * binomial(m + k, m) for k in range(m + 1)]
+        return taylor_shift(weights, 1)
+    return _next_row(_scaled_row(m - 1), m - 1)
+
+
+def _next_row(row: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """b(m+1) from b(m) by the recurrence in m."""
+    out = []
+    below = 0
+    for ell, b in enumerate((*row, 0)):
+        value, remainder = divmod(2 * (2 * (m + ell) * below + (4 * m + 2 * ell + 3) * b), m + 1)
+        if remainder:
+            raise ArithmeticError(f"row recurrence: inexact division at m={m + 1}, ell={ell}")
+        out.append(value)
+        below = b
+    return tuple(out)
 
 
 def d_coeff(m: int, ell: int) -> Fraction:

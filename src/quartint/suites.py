@@ -3,15 +3,16 @@
 Every property is a record (name, range, items, witness[, notes[, summary]])
 that _sweep checks: it calls witness(item) for each item in order and
 reports the first failure with its exact witnesses.  The witnesses are pure
-module-level functions, so a sweep can fan out across a process pool
-(--jobs), and the reported counterexample is always the first one in item
-order, however the items are partitioned.
+module-level functions, so a sweep can fan out across a process pool, and
+the reported counterexample is always the first one in item order, however
+the items are partitioned.  --jobs is the most processes a sweep uses: only
+the records in POOLED, whose items cost enough to pay for the pool's start
+and its workers' cold caches, get a pool; every other record runs serially.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
@@ -28,14 +29,26 @@ Witness = Optional[tuple]
 # The items of a record that checks a single fact.
 _ONCE = (None,)
 
+# The records that sweep on a process pool when --jobs allows it: cold runs of
+# each at its default range and at max-m 150 are faster on two processes.  The
+# other records' items take microseconds to a few milliseconds, so a pool's
+# start costs them more than it saves.  t-bounds alone gains at m <= 500, but
+# in verify --all it reads T from the cache that monotone-t filled, and a pool
+# would only add its start.
+POOLED = frozenset({"inequality-chain", "t-crosscheck"})
+
 
 def _results(witness: Callable, items: Sequence, jobs: int) -> Iterator:
     """witness(item) for each item, in order and lazily: serially, or in
-    chunks on a pool of ``jobs`` processes whose pending chunks are cancelled
-    once the caller stops reading."""
-    if jobs <= 1 or len(items) <= 1:
+    chunks on a pool of at most ``jobs`` processes whose pending chunks are
+    cancelled once the caller stops reading."""
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
         yield from map(witness, items)
         return
+    # imported here so that a run that starts no pool does not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         yield from pool.map(witness, items, chunksize=max(1, len(items) // (4 * jobs)))
@@ -67,7 +80,7 @@ def _sweep(
     if not items:
         raise ValueError(f"{name}: empty range ({range_desc})")
     seen = []
-    results = _results(witness, items, jobs)
+    results = _results(witness, items, jobs if name in POOLED else 1)
     try:
         for item, result in zip(items, results):
             if isinstance(result, tuple):

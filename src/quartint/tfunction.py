@@ -213,29 +213,29 @@ def inequality_chain_check(m: int, ell: int) -> InequalityChain:
     unweighted sum <= weighted sum) and that S_{m,l} is the normalised form
     of the strongest one.
 
-    The three sums share their terms 2^k C(2m-2k, m-k) C(m+k, m+l), made in
-    one pass over l <= k <= m from two running binomials:
+    The three sums share their terms t_k = 2^k C(2m-2k, m-k) C(m+k, m+l),
+    made in one pass over l <= k <= m from t_l = 2^l C(2m-2l, m-l) and the
+    term ratio
 
-        C(2m-2k-2, m-k-1) = C(2m-2k, m-k) (m-k)^2 / ((2m-2k)(2m-2k-1))
-        C(m+k+1, m+l)     = C(m+k, m+l) (m+k+1) / (k+1-l)
+        t_{k+1} = t_k (m-k)(m+k+1) / ((2m-2k-1)(k+1-l)),
 
-    each division exact.  The tests compare all three sums with their literal
-    binomial sums; s_value comes from s_sum, computed independently.
+    one small-factor multiply and one division per step, exact because both
+    sides are the integer t_{k+1}.  The tests compare all three sums with
+    their literal binomial sums; s_value comes from s_sum, computed
+    independently.
     """
     if not 0 <= ell < m // 2:
         raise ValueError(f"need 0 <= ell < floor(m/2), got ell={ell}, m={m}")
     lhs = rhs_full = rhs_unweighted = 0
-    central, upper = binomial(2 * m - 2 * ell, m - ell), 1
+    term = binomial(2 * m - 2 * ell, m - ell) << ell
     for k in range(ell, m + 1):
-        term = (central * upper) << k
         if k <= 2 * ell:
             lhs += (2 * ell + 1 - k) * term
         elif k > 2 * ell + 1:
             rhs_full += (k - 2 * ell - 1) * term
             rhs_unweighted += term
         if k < m:
-            central = central * (m - k) ** 2 // ((2 * m - 2 * k) * (2 * m - 2 * k - 1))
-            upper = upper * (m + k + 1) // (k + 1 - ell)
+            term = term * ((m - k) * (m + k + 1)) // ((2 * m - 2 * k - 1) * (k + 1 - ell))
     rhs_last_term = 2**m * binomial(2 * m, m + ell)
     s_value = s_sum(m, ell)
     if not rhs_last_term <= rhs_unweighted <= rhs_full:

@@ -1,15 +1,20 @@
+import concurrent.futures
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartint import cli, conjectures, suites
+import quartint
+from quartint import cli, conjectures
 from quartint.cli import build_parser, main
 from quartint.reports import SCHEMA_VERSION
 from quartint.tfunction import T_LIMIT
@@ -351,7 +356,7 @@ def test_malformed_values_exit_with_usage_error(invocation):
     environ = {} if env_jobs is None else {"QUARTINT_JOBS": env_jobs}
     with (
         mock.patch.dict(os.environ, environ),
-        mock.patch.object(suites, "ProcessPoolExecutor", lambda *a, **k: pools.append(a)),
+        mock.patch.object(concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pools.append(a)),
         contextlib.redirect_stdout(io.StringIO()),
         contextlib.redirect_stderr(io.StringIO()),
     ):
@@ -363,3 +368,11 @@ def test_malformed_values_exit_with_usage_error(invocation):
             code = exc.code
     assert code == 2, argv
     assert pools == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool module is imported only by a sweep that starts a pool
+    code = "import sys, quartint.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(quartint.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

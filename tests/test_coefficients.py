@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 
+from quartint import coefficients
+from quartint.cli import main
 from quartint.coefficients import (
     coefficient_row,
     d_coeff,
@@ -10,7 +12,7 @@ from quartint.coefficients import (
     delta_direct,
     scaled_row,
 )
-from quartint.polynomial import horner
+from quartint.polynomial import horner, taylor_shift
 
 
 def test_first_rows():
@@ -102,3 +104,58 @@ def test_delta_sign_pattern():
                 assert d > 0
             else:
                 assert d < 0
+
+
+# ---------------------------------------------------------------------------
+# rows stepped by the recurrence in m against the Taylor shift of the weights
+
+
+def taylor_row(m):
+    # the checkpoint construction, made here for every m and not through the row cache
+    return taylor_shift([2**k * comb(2 * m - 2 * k, m - k) * comb(m + k, m) for k in range(m + 1)], 1)
+
+
+@pytest.fixture
+def cold_rows():
+    coefficients._scaled_row.cache_clear()
+    yield
+    coefficients._scaled_row.cache_clear()
+
+
+def test_stepped_rows_match_the_taylor_shift_in_an_increasing_sweep(cold_rows):
+    for m in range(301):
+        assert scaled_row(m) == taylor_row(m), m
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 127, 150, 300])
+def test_a_cold_row_matches_the_taylor_shift(cold_rows, m):
+    assert scaled_row(m) == taylor_row(m)
+    # rows come from the checkpoint at or below m and the steps up to m
+    assert coefficients._scaled_row.cache_info().currsize == m % coefficients._ROW_CHECKPOINT + 1
+
+
+def test_a_cold_row_past_the_recursion_limit(cold_rows):
+    # 1500 = 23 * 64 + 28: one Taylor shift at m = 1472, then 28 steps
+    m = 1500
+    weights = [2**k * comb(2 * m - 2 * k, m - k) * comb(m + k, m) for k in range(m + 1)]
+    row = scaled_row(m)
+    assert len(row) == m + 1
+    assert row[0] == sum(weights)  # 4^m P_m(0)
+    assert row[-1] == 2**m * comb(2 * m, m)  # 4^m d_m(m)
+    assert horner(row, 1) == horner(weights, 2)  # 4^m P_m(1)
+
+
+def test_an_inexact_step_is_an_internal_error(cold_rows, monkeypatch, capsys):
+    # one unit added to b_0(64) leaves 2 * 259 = 63 (mod 65) in the step to m = 65
+    real = coefficients.taylor_shift
+
+    def doctored(weights, c):
+        row = real(weights, c)
+        return (row[0] + 1, *row[1:]) if len(row) == 65 else row
+
+    monkeypatch.setattr(coefficients, "taylor_shift", doctored)
+    with pytest.raises(ArithmeticError, match="m=65, ell=0"):
+        scaled_row(65)
+    coefficients._scaled_row.cache_clear()
+    assert main(["coeffs", "--m", "65"]) == 3
+    assert "inexact division" in capsys.readouterr().err

@@ -1,9 +1,18 @@
+import concurrent.futures
+import dataclasses
 import multiprocessing
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quartint import seqprops, suites
+from quartint import seqprops, suites, tfunction
 from quartint.suites import SUITES, run_suite
+
+forked_pool = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="pool workers see the doctored kernel only when forked"
+)
 
 
 def single(reports):
@@ -113,11 +122,33 @@ def test_default_ranges_apply_when_limit_omitted():
     assert "m <= 40" in report.range
 
 
-def test_parallel_matches_serial():
-    serial = single(run_suite("logconcave", max_m=25, jobs=1))
-    parallel = single(run_suite("logconcave", max_m=25, jobs=3))
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool a sweep starts."""
+    real, started = concurrent.futures.ProcessPoolExecutor, []
+
+    def spy(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return started
+
+
+def test_parallel_matches_serial(pools):
+    serial = single(run_suite("inequality-chain", max_m=25, jobs=1))
+    assert pools == []
+    parallel = single(run_suite("inequality-chain", max_m=25, jobs=3))
+    assert pools == [3]
     assert serial.passed and parallel.passed
     assert serial.range == parallel.range
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_only_the_costly_records_start_a_pool(pools, name):
+    # every other record is cheaper serially than a pool's start
+    assert all(r.passed for r in run_suite(name, max_m=6, max_n=6, jobs=2))
+    assert pools == ([2] if name in ("inequality-chain", "t-crosscheck") else [])
 
 
 def test_sweep_reports_first_counterexample(monkeypatch):
@@ -185,13 +216,32 @@ def test_serial_sweep_stops_at_the_first_failure(monkeypatch):
     assert calls == list(range(8))
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="pool workers see the doctored kernel only when forked"
-)
-def test_parallel_sweep_reports_the_serial_counterexample(monkeypatch):
-    real = seqprops.is_logconcave
-    monkeypatch.setattr(seqprops, "is_logconcave", lambda row: real(row) and len(row) - 1 not in (9, 140))
-    serial = single(run_suite("logconcave", max_m=150, jobs=1))
-    parallel = single(run_suite("logconcave", max_m=150, jobs=2))
-    assert serial.counterexample.location == {"m": 9}
+def doctor_chain(failing):
+    """Make the inequality chain fail at every (m, 0) with m in ``failing``."""
+    real = tfunction.inequality_chain_check
+
+    def doctored(m, ell):
+        chain = real(m, ell)
+        return dataclasses.replace(chain, s_value=Fraction(1)) if m in failing and ell == 0 else chain
+
+    return mock.patch.object(tfunction, "inequality_chain_check", doctored)
+
+
+@forked_pool
+def test_parallel_sweep_reports_the_serial_counterexample(pools):
+    with doctor_chain({9, 55}):
+        serial = single(run_suite("inequality-chain", max_m=60, jobs=1))
+        parallel = single(run_suite("inequality-chain", max_m=60, jobs=2))
+    assert pools == [2]
+    assert serial.counterexample.location == {"m": 9, "ell": 0}
     assert (parallel.range, parallel.counterexample) == (serial.range, serial.counterexample)
+
+
+@forked_pool
+@settings(max_examples=6, deadline=None)
+@given(max_m=st.integers(3, 40), failing=st.sets(st.integers(2, 40), max_size=3))
+def test_parallel_and_serial_sweeps_give_the_same_report(max_m, failing):
+    with doctor_chain(failing):
+        serial, parallel = (single(run_suite("inequality-chain", max_m=max_m, jobs=j)) for j in (1, 2))
+    assert dataclasses.replace(parallel, elapsed=0) == dataclasses.replace(serial, elapsed=0)
+    assert serial.passed == all(m > max_m for m in failing)
