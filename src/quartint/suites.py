@@ -29,12 +29,11 @@ Witness = Optional[tuple]
 # The items of a record that checks a single fact.
 _ONCE = (None,)
 
-# The records that sweep on a process pool when --jobs allows it: cold runs of
-# each at its default range and at max-m 150 are faster on two processes.  The
-# other records' items take microseconds to a few milliseconds, so a pool's
-# start costs them more than it saves.  t-bounds alone gains at m <= 500, but
-# in verify --all it reads T from the cache that monotone-t filled, and a pool
-# would only add its start.
+# The records that sweep on a process pool when --jobs allows it: a cold run of
+# each is faster on two processes than on one, at its default range and at
+# max-m 150.  Every other record is slower on a pool at one of the two or at
+# both, because its items take microseconds to a few milliseconds and the
+# pool's start costs more than it saves.
 POOLED = frozenset({"inequality-chain", "t-crosscheck"})
 
 

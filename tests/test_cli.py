@@ -13,7 +13,6 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import quartint
 from quartint import cli, conjectures
 from quartint.cli import build_parser, main
 from quartint.reports import SCHEMA_VERSION
@@ -373,6 +372,6 @@ def test_malformed_values_exit_with_usage_error(invocation):
 def test_importing_the_cli_loads_no_process_pool():
     # the pool module is imported only by a sweep that starts a pool
     code = "import sys, quartint.cli; print('concurrent.futures.process' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(quartint.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"

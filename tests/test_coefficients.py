@@ -110,9 +110,13 @@ def test_delta_sign_pattern():
 # rows stepped by the recurrence in m against the Taylor shift of the weights
 
 
+def weights(m):
+    return [2**k * comb(2 * m - 2 * k, m - k) * comb(m + k, m) for k in range(m + 1)]
+
+
 def taylor_row(m):
     # the checkpoint construction, made here for every m and not through the row cache
-    return taylor_shift([2**k * comb(2 * m - 2 * k, m - k) * comb(m + k, m) for k in range(m + 1)], 1)
+    return taylor_shift(weights(m), 1)
 
 
 @pytest.fixture
@@ -137,12 +141,11 @@ def test_a_cold_row_matches_the_taylor_shift(cold_rows, m):
 def test_a_cold_row_past_the_recursion_limit(cold_rows):
     # 1500 = 23 * 64 + 28: one Taylor shift at m = 1472, then 28 steps
     m = 1500
-    weights = [2**k * comb(2 * m - 2 * k, m - k) * comb(m + k, m) for k in range(m + 1)]
     row = scaled_row(m)
     assert len(row) == m + 1
-    assert row[0] == sum(weights)  # 4^m P_m(0)
+    assert row[0] == sum(weights(m))  # 4^m P_m(0)
     assert row[-1] == 2**m * comb(2 * m, m)  # 4^m d_m(m)
-    assert horner(row, 1) == horner(weights, 2)  # 4^m P_m(1)
+    assert horner(row, 1) == horner(weights(m), 2)  # 4^m P_m(1)
 
 
 def test_an_inexact_step_is_an_internal_error(cold_rows, monkeypatch, capsys):
