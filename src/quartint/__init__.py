@@ -4,28 +4,14 @@ its unimodality, the three-term recurrence certificate for T, and
 counterexample scans for the two open conjectures about the family.
 """
 
-from .coefficients import (
-    CoefficientRow,
-    coefficient_row,
-    d_coeff,
-    delta_closed,
-    delta_direct,
-    scaled_row,
-)
-from .conjectures import (
-    default_x_grid,
-    half_point_equivalence_check,
-    hyp_inequality_margin,
-)
+from .coefficients import CoefficientRow, coefficient_row, delta_direct, scaled_row
+from .conjectures import default_x_grid, hyp_inequality_margin
 from .exact import binomial, pochhammer, rational_str
 from .hypergeometric import (
     HypergeometricError,
     NonTerminatingSeriesError,
     SeriesPoleError,
     companion_ratio_bound_violations,
-    contiguous_relation_check,
-    derivative_relation_check,
-    difference_identity_check,
     envelope_bound_check,
     hyp2f1,
     hyp2f1_as_polynomial,
@@ -52,7 +38,6 @@ from .recurrence import (
 )
 from .reports import Counterexample, PropertyReport, RunReport, SCHEMA_VERSION
 from .seqprops import (
-    is_i_logconcave,
     is_logconcave,
     is_ratio_monotone,
     is_unimodal,
@@ -78,7 +63,6 @@ from .tfunction import (
     t_integral,
     t_via_w,
     t_via_w_variant,
-    w_function,
     w_polynomial,
 )
 

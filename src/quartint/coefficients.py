@@ -1,6 +1,6 @@
 """The rational coefficient family d_l(m) of the quartic-integral polynomial
 P_m(a), its integer scaling b_l(m) = 2^(2m) d_l(m), and the forward
-difference d_{l+1}(m) - d_l(m) in direct and closed forms.
+difference d_{l+1}(m) - d_l(m).
 
 The defining sum
 
@@ -78,15 +78,6 @@ def _next_row(row: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def d_coeff(m: int, ell: int) -> Fraction:
-    """d_l(m) = b_l(m) / 4^m, exact."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if not 0 <= ell <= m:
-        raise ValueError(f"need 0 <= ell <= m, got ell={ell}, m={m}")
-    return Fraction(_scaled_row(m)[ell], 4**m)
-
-
 def coefficient_row(m: int) -> CoefficientRow:
     """All of (d_0(m), ..., d_m(m)) in one shot."""
     if m < 0:
@@ -108,17 +99,3 @@ def delta_direct(m: int, ell: int) -> Fraction:
         raise ValueError(f"need 0 <= ell <= m-1, got ell={ell}, m={m}")
     row = _scaled_row(m)
     return Fraction(row[ell + 1] - row[ell], 4**m)
-
-
-def delta_closed(m: int, ell: int) -> Fraction:
-    """The same difference through the single-sum closed form
-
-    2^(-2m) C(m+l, m) sum_{k=l}^{m} 2^k C(2m-2k, m-k) C(m+k, m+l) (k-2l-1)/(l+1).
-    """
-    if not 0 <= ell <= m - 1:
-        raise ValueError(f"need 0 <= ell <= m-1, got ell={ell}, m={m}")
-    inner = sum(
-        Fraction(2**k * binomial(2 * m - 2 * k, m - k) * binomial(m + k, m + ell) * (k - 2 * ell - 1), ell + 1)
-        for k in range(ell, m + 1)
-    )
-    return Fraction(binomial(m + ell, m), 4**m) * inner

@@ -13,7 +13,6 @@ from fractions import Fraction
 from .coefficients import scaled_row
 from .hypergeometric import hyp2f1
 from .seqprops import iterated_l_first_negative
-from .tfunction import t_direct
 
 
 def default_x_grid() -> tuple[Fraction, ...]:
@@ -51,9 +50,3 @@ def hyp_inequality_margin(m: int, x) -> Fraction:
         hyp2f1(Fraction(1, 2), -m - 2, -4 * m - 4, z) - hyp2f1(Fraction(1, 2), -m - 1, -4 * m, z)
     )
     return left - right
-
-
-def half_point_equivalence_check(m: int) -> bool:
-    """At x = 1/2 the conjectured inequality is the statement T(m+1) > T(m):
-    the exact margin equals 2 (T(m+1) - T(m))."""
-    return hyp_inequality_margin(m, Fraction(1, 2)) == 2 * (t_direct(m + 1) - t_direct(m))

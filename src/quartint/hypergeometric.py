@@ -1,7 +1,6 @@
 """Terminating Gauss 2F1 series evaluated exactly at rational arguments,
-their dense polynomial form, the derivative and contiguous identities linking
-neighbouring parameter triples, and the 3^(-k) ratio bounds used to control
-the series tails.
+their dense polynomial form, and the 3^(-k) ratio bounds and the integrand
+envelope used to control the series tails.
 
 A series terminates when the upper parameter b is a nonpositive integer; the
 truncation order is N = -b and the value is the finite sum
@@ -24,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import pochhammer
-from .polynomial import derivative
 
 
 class HypergeometricError(ValueError):
@@ -83,27 +81,6 @@ def hyp2f1_as_polynomial(a, b, c) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def derivative_relation_check(a, b, c) -> bool:
-    """d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z), coefficient by
-    coefficient."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    left = derivative(hyp2f1_as_polynomial(a, b, c))
-    if b == 0:
-        return left == ()
-    factor = a * b / c
-    return left == tuple(factor * r for r in hyp2f1_as_polynomial(a + 1, b + 1, c + 1))
-
-
-def contiguous_relation_check(a, b, c, z) -> bool:
-    """2F1(a+1,b;c;z) = 2F1(a,b;c;z) + (bz/c) 2F1(a+1,b+1;c+1;z), exactly."""
-    a, b, c, z = Fraction(a), Fraction(b), Fraction(c), Fraction(z)
-    lhs = hyp2f1(a + 1, b, c, z)
-    rhs = hyp2f1(a, b, c, z)
-    if b != 0:
-        rhs += Fraction(b * z, c) * hyp2f1(a + 1, b + 1, c + 1, z)
-    return lhs == rhs
-
-
 def pochhammer_ratio_bound_check(m: int) -> bool:
     """b_k = 3^k (1-m)_k / (2-4m)_k stays in (0, 1] and never increases,
     for 1 <= k <= m-1.
@@ -153,17 +130,3 @@ def envelope_bound_check(m: int, t) -> bool:
         raise ValueError("t must lie in [0, 2]")
     value = hyp2f1(Fraction(5, 2), 1 - m, 2 - 4 * m, t)
     return value * value * (3 - t) ** 5 <= 243
-
-
-def difference_identity_check(m: int) -> bool:
-    """(m+1)/(4m) 2F1(3/2,-m;1-4m;2) equals
-    [2F1(3/2,-1-m;-4m;2) - 2F1(1/2,-1-m;-4m;2)] / 2, exactly.
-
-    This is the contiguous relation specialised at z = 2; it rewrites the
-    second series in the T(m) representation as a half difference.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    lhs = Fraction(m + 1, 4 * m) * hyp2f1(Fraction(3, 2), -m, 1 - 4 * m, 2)
-    rhs = (hyp2f1(Fraction(3, 2), -1 - m, -4 * m, 2) - hyp2f1(Fraction(1, 2), -1 - m, -4 * m, 2)) / 2
-    return lhs == rhs

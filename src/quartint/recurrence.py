@@ -89,8 +89,6 @@ def ac_ratio(n: int) -> Fraction:
     if n < 1:
         raise ValueError("ac_ratio needs n >= 1")
     a_n, c_n = ac_values(n)
-    if c_n == 0:
-        raise ZeroDivisionError(f"c({n}) = 0")
     return Fraction(a_n, c_n)
 
 

@@ -66,7 +66,7 @@ class RunReport:
 
     @property
     def overall_passed(self) -> bool:
-        return all(getattr(r, "passed", True) for r in self.results)
+        return all(r.passed for r in self.results)
 
     def to_jsonable(self) -> dict:
         return {

@@ -72,14 +72,6 @@ def iterated_l_first_negative(seq: Sequence[Entry], depth: int) -> tuple[int, in
     return None
 
 
-def is_i_logconcave(seq: Entries, i: int) -> bool:
-    """True iff every iterate L^j(seq), 0 <= j <= i, is entrywise >= 0."""
-    _check_nonempty(seq)
-    if i < 0:
-        raise ValueError("iteration count must be nonnegative")
-    return all(x >= 0 for x in seq) and iterated_l_first_negative(seq, i) is None
-
-
 def is_ratio_monotone(seq: Entries) -> bool:
     """True iff x_0/x_{m-1} <= x_1/x_{m-2} <= ... <= x_{floor(m/2)-1}/x_{m-floor(m/2)} <= 1.
 

@@ -115,17 +115,6 @@ def w_polynomial(m: int) -> tuple[Fraction, ...]:
     )
 
 
-def w_function(m: int, x) -> Fraction:
-    """W_m at a rational point, evaluated from the sum and cross-checked
-    against the equivalent series 2F1(1/2, -1-m; -4m; 4x)."""
-    x = Fraction(x)
-    from_sum = horner(w_polynomial(m), x)
-    from_series = hyp2f1(Fraction(1, 2), -1 - m, -4 * m, 4 * x)
-    if from_sum != from_series:
-        raise ArithmeticError(f"W_{m}({x}): sum form {from_sum} != series form {from_series}")
-    return from_sum
-
-
 def t_via_w(m: int) -> Fraction:
     """T(m) = x W'(x) - W(x) + 1 at x = 1/2, with the exact polynomial
     derivative.

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavity
-from quartint.coefficients import coefficient_row, d_coeff, delta_direct
+from quartint.coefficients import coefficient_row, delta_direct
 from quartint.conjectures import default_x_grid
 from quartint.exact import binomial
 from quartint.hypergeometric import (
@@ -30,10 +30,10 @@ from quartint.recurrence import (
     recurrence_residual,
 )
 from quartint.seqprops import (
-    is_i_logconcave,
     is_logconcave,
     is_ratio_monotone,
     is_unimodal,
+    iterated_l_first_negative,
     minimum_claimed_value,
     minimum_functional,
 )
@@ -70,7 +70,7 @@ def criterion(number, label):
 def test_c01_coefficient_fidelity():
     assert coefficient_row(2).values == (Fraction(21, 8), Fraction(15, 4), Fraction(3, 2))
     for m in range(0, 21):
-        assert d_coeff(m, m) == Fraction(binomial(2 * m, m), 2**m)
+        assert coefficient_row(m).values[m] == Fraction(binomial(2 * m, m), 2**m)
 
 
 @criterion(2, "unimodality and delta signs")
@@ -88,7 +88,8 @@ def test_c03_logconcavity():
     for m in range(0, 201):
         assert is_logconcave(coefficient_row(m).values)
     for m in range(0, 101):
-        assert is_i_logconcave(coefficient_row(m).values, 3)
+        row = coefficient_row(m).values
+        assert min(row) >= 0 and iterated_l_first_negative(row, 3) is None
 
 
 @criterion(4, "ratio-monotonicity")

@@ -5,13 +5,7 @@ import pytest
 
 from quartint import coefficients
 from quartint.cli import main
-from quartint.coefficients import (
-    coefficient_row,
-    d_coeff,
-    delta_closed,
-    delta_direct,
-    scaled_row,
-)
+from quartint.coefficients import coefficient_row, delta_direct, scaled_row
 from quartint.polynomial import horner, taylor_shift
 
 
@@ -22,14 +16,14 @@ def test_first_rows():
 
 
 def test_single_coefficients():
-    assert d_coeff(1, 0) == Fraction(3, 2)
-    assert d_coeff(2, 1) == Fraction(15, 4)
+    assert coefficient_row(1).values[0] == Fraction(3, 2)
+    assert coefficient_row(2).values[1] == Fraction(15, 4)
 
 
 def test_row_tail_closed_form():
     # the k = m term is the only survivor at l = m
     for m in range(0, 21):
-        assert d_coeff(m, m) == Fraction(comb(2 * m, m), 2**m)
+        assert coefficient_row(m).values[m] == Fraction(comb(2 * m, m), 2**m)
 
 
 def test_scaled_rows_are_integers():
@@ -64,13 +58,7 @@ def test_row_container_protocol():
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        d_coeff(2, 3)
-    with pytest.raises(ValueError):
-        d_coeff(-1, 0)
-    with pytest.raises(ValueError):
         delta_direct(3, 3)
-    with pytest.raises(ValueError):
-        delta_closed(3, -1)
 
 
 def test_poly_p():
@@ -82,18 +70,28 @@ def test_poly_p():
             assert horner(coefficient_row(m).values, a) == horner(scaled_row(m), a) / 4**m == form / 4**m
 
 
+def literal_delta_closed(m, ell):
+    # d_{l+1}(m) - d_l(m) as the single sum
+    # 2^(-2m) C(m+l, m) sum_{k=l}^{m} 2^k C(2m-2k, m-k) C(m+k, m+l) (k-2l-1)/(l+1)
+    inner = sum(
+        Fraction(2**k * comb(2 * m - 2 * k, m - k) * comb(m + k, m + ell) * (k - 2 * ell - 1), ell + 1)
+        for k in range(ell, m + 1)
+    )
+    return Fraction(comb(m + ell, m), 4**m) * inner
+
+
 def test_delta_values():
     assert delta_direct(2, 0) == Fraction(9, 8)
     assert delta_direct(2, 1) == Fraction(-9, 4)
     assert delta_direct(1, 0) == Fraction(-1, 2)
-    assert delta_closed(2, 0) == Fraction(9, 8)
-    assert delta_closed(2, 1) == Fraction(-9, 4)
+    assert literal_delta_closed(2, 0) == Fraction(9, 8)
+    assert literal_delta_closed(2, 1) == Fraction(-9, 4)
 
 
 def test_delta_closed_matches_direct_everywhere():
     for m in range(1, 61):
         for ell in range(m):
-            assert delta_closed(m, ell) == delta_direct(m, ell)
+            assert literal_delta_closed(m, ell) == delta_direct(m, ell)
 
 
 def test_delta_sign_pattern():

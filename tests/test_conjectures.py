@@ -6,11 +6,11 @@ from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavit
 from quartint.coefficients import scaled_row
 from quartint.conjectures import (
     default_x_grid,
-    half_point_equivalence_check,
     hyp_inequality_margin,
     iterated_l_first_negative,
     row_first_negative,
 )
+from quartint.tfunction import t_direct
 
 
 def test_default_grid():
@@ -98,8 +98,9 @@ def test_hyp_scan_reports_counterexample_with_witnesses(monkeypatch):
 
 
 def test_half_point_equivalence():
+    # at x = 1/2 the conjectured inequality is T(m+1) > T(m)
     for m in range(2, 101):
-        assert half_point_equivalence_check(m)
+        assert hyp_inequality_margin(m, Fraction(1, 2)) == 2 * (t_direct(m + 1) - t_direct(m))
 
 
 def test_hyp_scan_max_m_validation():

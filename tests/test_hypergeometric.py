@@ -10,15 +10,12 @@ from quartint.hypergeometric import (
     NonTerminatingSeriesError,
     SeriesPoleError,
     companion_ratio_bound_violations,
-    contiguous_relation_check,
-    derivative_relation_check,
-    difference_identity_check,
     envelope_bound_check,
     hyp2f1,
     hyp2f1_as_polynomial,
     pochhammer_ratio_bound_check,
 )
-from quartint.polynomial import horner
+from quartint.polynomial import derivative, horner
 
 
 def test_terminating_values():
@@ -98,22 +95,41 @@ def test_hyp2f1_matches_literal_sum(a, b, c, z):
     assert value == horner(hyp2f1_as_polynomial(a, b, c), z)
 
 
+def assert_derivative_relation(a, b, c):
+    # d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z), coefficient by coefficient
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    left = derivative(hyp2f1_as_polynomial(a, b, c))
+    if b == 0:
+        assert left == ()
+    else:
+        assert left == tuple(a * b / c * r for r in hyp2f1_as_polynomial(a + 1, b + 1, c + 1))
+
+
 def test_derivative_relation():
-    assert derivative_relation_check(Fraction(1, 2), -4, -12)
-    assert derivative_relation_check(Fraction(3, 2), -5, -19)
-    assert derivative_relation_check(Fraction(7, 2), 0, -5)
+    assert_derivative_relation(Fraction(1, 2), -4, -12)
+    assert_derivative_relation(Fraction(3, 2), -5, -19)
+    assert_derivative_relation(Fraction(7, 2), 0, -5)
+
+
+def assert_contiguous_relation(a, b, c, z):
+    # 2F1(a+1,b;c;z) = 2F1(a,b;c;z) + (bz/c) 2F1(a+1,b+1;c+1;z); the last
+    # series does not terminate at b = 0, where its factor vanishes
+    rhs = hyp2f1(a, b, c, z)
+    if b != 0:
+        rhs += Fraction(b * z, c) * hyp2f1(a + 1, b + 1, c + 1, z)
+    assert hyp2f1(a + 1, b, c, z) == rhs
 
 
 def test_contiguous_relation():
-    assert contiguous_relation_check(Fraction(1, 2), -5, -16, 2)
-    assert contiguous_relation_check(Fraction(9, 4), 0, -3, 2)
+    assert_contiguous_relation(Fraction(1, 2), -5, -16, 2)
+    assert_contiguous_relation(Fraction(9, 4), 0, -3, 2)
     rng = random.Random(11)
     for _ in range(30):
         a = Fraction(rng.randint(1, 7), rng.choice((1, 2, 4)))
         n = rng.randint(0, 7)
         c = Fraction(-4 * n - rng.randint(2, 6))
         z = Fraction(rng.randint(1, 5), rng.randint(1, 4))
-        assert contiguous_relation_check(a, -n, c, z)
+        assert_contiguous_relation(a, -n, c, z)
 
 
 def test_pochhammer_ratio_bound():
@@ -145,5 +161,9 @@ def test_envelope_bound_domain():
 
 
 def test_difference_identity():
+    # the contiguous relation at z = 2: (m+1)/(4m) 2F1(3/2,-m;1-4m;2) is
+    # [2F1(3/2,-1-m;-4m;2) - 2F1(1/2,-1-m;-4m;2)] / 2
     for m in range(1, 101):
-        assert difference_identity_check(m)
+        lhs = Fraction(m + 1, 4 * m) * hyp2f1(Fraction(3, 2), -m, 1 - 4 * m, 2)
+        rhs = (hyp2f1(Fraction(3, 2), -1 - m, -4 * m, 2) - hyp2f1(Fraction(1, 2), -1 - m, -4 * m, 2)) / 2
+        assert lhs == rhs, m

@@ -47,3 +47,9 @@ def test_run_report_overall_and_round_trip():
     assert payload["overall"] == "fail"
     assert payload["results"][1]["counterexample"]["values"] == {"w": "1"}
     assert payload["started"] <= payload["finished"]
+
+
+def test_a_result_without_a_verdict_is_not_a_pass():
+    report = RunReport("verify", {}, (object(),), utc_now_iso(), utc_now_iso())
+    with pytest.raises(AttributeError):
+        report.overall_passed

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from quartint.coefficients import coefficient_row, scaled_row
 from quartint.seqprops import (
-    is_i_logconcave,
     is_logconcave,
     is_ratio_monotone,
     is_unimodal,
+    iterated_l_first_negative,
     l_operator,
     minimum_claimed_value,
     minimum_functional,
@@ -70,12 +70,12 @@ def test_logconcave_positive_implies_unimodal(row):
 
 
 def test_i_logconcave_examples():
-    assert is_i_logconcave([2, 5, 1], 0)
-    assert not is_i_logconcave([2, -5, 1], 0)
-    assert not is_i_logconcave([1, 1, 3], 1)
-    assert is_i_logconcave([1, 4, 6, 4, 1], 3)
-    with pytest.raises(ValueError):
-        is_i_logconcave([1], -1)
+    # seq is i-logconcave when seq, L(seq), ..., L^i(seq) are all >= 0;
+    # iterated_l_first_negative looks at L^1, ..., L^i only
+    assert iterated_l_first_negative([2, 5, 1], 0) is None
+    assert iterated_l_first_negative([2, -5, 1], 0) is None
+    assert iterated_l_first_negative([1, 1, 3], 1) == (1, 1, -2)
+    assert iterated_l_first_negative([1, 4, 6, 4, 1], 3) is None
 
 
 def test_ratio_monotone_examples():
@@ -92,7 +92,7 @@ def test_rows_have_all_ordering_properties():
         row = coefficient_row(m).values
         assert is_unimodal(row)
         assert is_logconcave(row)
-        assert is_i_logconcave(row, 3)
+        assert min(row) >= 0 and iterated_l_first_negative(row, 3) is None
         if m >= 2:
             assert is_ratio_monotone(row)
 

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from quartint import tfunction
 from quartint.exact import binomial
+from quartint.hypergeometric import hyp2f1
+from quartint.polynomial import horner
 from quartint.tfunction import (
     T_LIMIT,
     bound_pair_check,
@@ -20,7 +22,6 @@ from quartint.tfunction import (
     t_integral,
     t_via_w,
     t_via_w_variant,
-    w_function,
     w_polynomial,
 )
 
@@ -143,9 +144,11 @@ def test_s_sum_specialisation_to_t():
 
 def test_w_polynomial_and_function():
     assert w_polynomial(1) == (1, 1, 1)
+    # W_m(x) is also the series 2F1(1/2, -1-m; -4m; 4x)
     for m in range(1, 61):
-        assert w_function(m, 0) == 1
-        w_function(m, Fraction(1, 2))  # self-checks sum form against series form
+        for x in (0, Fraction(1, 2)):
+            assert horner(w_polynomial(m), x) == hyp2f1(Fraction(1, 2), -1 - m, -4 * m, 4 * x)
+        assert horner(w_polynomial(m), 0) == 1
 
 
 def test_t_via_w_correction():
