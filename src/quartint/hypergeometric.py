@@ -41,9 +41,9 @@ def _validated_order(a: Fraction, b: Fraction, c: Fraction) -> int:
     if b.denominator != 1 or b > 0:
         raise NonTerminatingSeriesError(f"upper parameter b={b} is not a nonpositive integer")
     n = -int(b)
-    for j in range(n):
-        if c + j == 0:
-            raise SeriesPoleError(f"(c)_k vanishes at k={j + 1} before truncation {n} (c={c})")
+    # (c)_k = c (c+1) ... (c+k-1) first vanishes at k = 1 - c
+    if c.denominator == 1 and -n < c <= 0:
+        raise SeriesPoleError(f"(c)_k vanishes at k={1 - int(c)} before truncation {n} (c={c})")
     return n
 
 

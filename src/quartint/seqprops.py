@@ -62,13 +62,34 @@ def l_operator(seq: Sequence[Entry]) -> list[Entry]:
 
 def iterated_l_first_negative(seq: Sequence[Entry], depth: int) -> tuple[int, int, Entry] | None:
     """Apply L up to depth times; return (iteration, index, value) for the
-    first negative entry, or None if all iterates stay nonnegative."""
+    first negative entry, or None if all iterates stay nonnegative.
+
+    The iteration stops once a lemma of McNamara and Sagan (Adv. Appl. Math.
+    2010) proves the rest.  Let c be nonnegative, zero-padded as in
+    l_operator, with c_k^2 >= r c_{k-1} c_{k+1} at every k for some
+    r >= (3+sqrt 5)/2.  Then b = L(c) is nonnegative and satisfies the same
+    inequality, so every iterate of c is nonnegative.  (b_k >= (1-1/r) c_k^2
+    and 0 <= b_{k+-1} <= c_{k+-1}^2, so b_k^2 >= (r-1)^2 b_{k-1} b_{k+1}, and
+    (r-1)^2 >= r; the padding zeros satisfy every inequality.)
+
+    The test takes r = 8/3, which is sound since 8/3 > (3+sqrt 5)/2: once
+    b = L(c) has no negative entry, c >= 0 and 8 b_k >= 5 c_k^2 for every k
+    (that is, 3 c_k^2 >= 8 c_{k-1} c_{k+1}) return None.  It is exact, reuses
+    b, and runs after the negativity scan of b, so every witness is the one
+    the full iteration finds.  It is sufficient, not necessary: of the
+    coefficient rows m <= 120, m = 6, 30 and 63 pass it one iteration later
+    than the exact test with r = (3+sqrt 5)/2 would.
+    """
     current = list(seq)
+    nonnegative = all(value >= 0 for value in current)
     for iteration in range(1, depth + 1):
-        current = l_operator(current)
-        for index, value in enumerate(current):
+        image = l_operator(current)
+        for index, value in enumerate(image):
             if value < 0:
                 return iteration, index, value
+        if nonnegative and all(8 * b >= 5 * c * c for b, c in zip(image, current)):
+            return None
+        current, nonnegative = image, True
     return None
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavity, suites
+from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavity, seqprops, suites
 from quartint.coefficients import scaled_row
 from quartint.conjectures import (
     default_x_grid,
@@ -46,6 +46,24 @@ def test_failing_row_reports_the_fraction_row_witness(monkeypatch):
     (suite,) = suites.run_suite("ilogconcave", max_m=6, depth=5, jobs=1)
     assert not suite.passed
     assert (suite.counterexample.location, suite.counterexample.values) == (location, values)
+
+
+def test_rows_stop_iterating_once_certified(monkeypatch):
+    # row 60 is 8/3-factor log-concave at L^4, so L^5 is the last image
+    # computed; row 3 is already 8/3-factor log-concave itself
+    calls = []
+    real = seqprops.l_operator
+
+    def counting(seq):
+        calls.append(len(seq))
+        return real(seq)
+
+    monkeypatch.setattr(seqprops, "l_operator", counting)
+    assert row_first_negative(60, 7) is None
+    assert len(calls) == 5
+    calls.clear()
+    assert row_first_negative(3, 7) is None
+    assert calls == [4]
 
 
 def test_ilogconcave_scan_passes():

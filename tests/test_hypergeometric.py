@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from quartint.exact import pochhammer
 from quartint.hypergeometric import (
@@ -35,6 +35,23 @@ def test_pole_before_truncation_rejected():
     # (c)_k hits zero at k = 3 <= N = 3
     with pytest.raises(SeriesPoleError):
         hyp2f1(Fraction(1, 2), -3, -2, 1)
+
+
+@pytest.mark.parametrize("c", [0, -1, -2])
+def test_pole_at_or_before_truncation(c):
+    # b = -3: (c)_k first vanishes at k = 1 - c <= 3
+    with pytest.raises(SeriesPoleError, match=f"at k={1 - c} before truncation 3"):
+        hyp2f1(Fraction(1, 2), -3, c, 2)
+    with pytest.raises(SeriesPoleError, match=f"at k={1 - c} before truncation 3"):
+        hyp2f1_as_polynomial(Fraction(1, 2), -3, c)
+
+
+@pytest.mark.parametrize("c", [-3, -4, Fraction(-5, 2)])
+def test_no_pole_past_truncation(c):
+    # (c)_k for k <= 3 stays nonzero: the zero of (-3)_k is at k = 4
+    for z in (2, Fraction(-3, 7)):
+        assert hyp2f1(Fraction(1, 2), -3, c, z) == literal_hyp2f1(Fraction(1, 2), -3, Fraction(c), z)
+    assert len(hyp2f1_as_polynomial(Fraction(1, 2), -3, c)) == 4
 
 
 def test_polynomial_form():
@@ -89,7 +106,12 @@ def literal_hyp2f1(a, b, c, z):
     z=st.one_of(st.just(Fraction(0)), st.fractions(-10, 10, max_denominator=30)),
 )
 def test_hyp2f1_matches_literal_sum(a, b, c, z):
-    assume(all(c + j != 0 for j in range(-b)))
+    poles = [j + 1 for j in range(-b) if c + j == 0]
+    if poles:
+        # the closed-form pole check names the first k with (c)_k = 0
+        with pytest.raises(SeriesPoleError, match=f"at k={poles[0]} "):
+            hyp2f1(a, b, c, z)
+        return
     value = hyp2f1(a, b, c, z)
     assert value == literal_hyp2f1(a, b, c, z)
     assert value == horner(hyp2f1_as_polynomial(a, b, c), z)

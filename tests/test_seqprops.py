@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quartint.coefficients import coefficient_row, scaled_row
 from quartint.seqprops import (
@@ -76,6 +76,35 @@ def test_i_logconcave_examples():
     assert iterated_l_first_negative([2, -5, 1], 0) is None
     assert iterated_l_first_negative([1, 1, 3], 1) == (1, 1, -2)
     assert iterated_l_first_negative([1, 4, 6, 4, 1], 3) is None
+
+
+def literal_iterated_l_first_negative(seq, depth):
+    # the definition: apply L depth times and scan every iterate
+    current = list(seq)
+    for iteration in range(1, depth + 1):
+        current = l_operator(current)
+        for index, value in enumerate(current):
+            if value < 0:
+                return iteration, index, value
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+# L(-1, 0, 1) = (1, 1, 1) passes 8 L(c)_k >= 5 c_k^2, but c has a negative
+# entry and L^3(c) = (1, -1, 1)
+@example(seq=[-1, 0, 1], depth=3)
+@given(
+    seq=st.one_of(
+        st.lists(st.integers(-5, 40), min_size=1, max_size=8),
+        st.lists(st.fractions(min_value=-5, max_value=40, max_denominator=6), min_size=1, max_size=8),
+        st.lists(st.sampled_from([0, 1, 2, 5, 9]), min_size=1, max_size=8),
+    ),
+    depth=st.integers(0, 6),
+)
+def test_iterated_l_matches_the_literal_iteration(seq, depth):
+    # the early exit once an iterate is 8/3-factor log-concave must give
+    # exactly the verdict and witness of the full iteration
+    assert iterated_l_first_negative(seq, depth) == literal_iterated_l_first_negative(seq, depth)
 
 
 def test_ratio_monotone_examples():
