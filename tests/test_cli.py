@@ -255,6 +255,79 @@ def test_integral_csv(capsys):
     assert lines[1].startswith("0,0.0,")
 
 
+def _tvalues_json_row(m, t, approx, gap):
+    return f"""    {{
+      "m": {m},
+      "direct": "{t}",
+      "hypergeometric": "{t}",
+      "integral": "{t}",
+      "approx": {approx},
+      "limit_gap": {gap}
+    }}"""
+
+
+# The full stdout of each command, byte for byte.
+GOLDEN_STDOUT = {
+    ("tvalues", "--max-m", "3", "--format", "table"): """\
+T(1) = 1/4  ~ 0.250000000  gap 0.042893219
+T(2) = 1/4  ~ 0.250000000  gap 0.042893219
+T(3) = 67/264  ~ 0.253787879  gap 0.039105340
+""",
+    ("tvalues", "--max-m", "3", "--format", "csv"): """\
+m,direct,hypergeometric,integral,approx,limit_gap
+1,1/4,1/4,1/4,0.25,0.04289321881345243
+2,1/4,1/4,1/4,0.25,0.04289321881345243
+3,67/264,67/264,67/264,0.2537878787878788,0.03910534002557364
+""",
+    ("tvalues", "--max-m", "3", "--format", "json"): """\
+{
+  "schema_version": 1,
+  "command": "tvalues",
+  "limit": 0.2928932188134524,
+  "rows": [
+"""
+    + ",\n".join(
+        [
+            _tvalues_json_row(1, "1/4", 0.25, 0.04289321881345243),
+            _tvalues_json_row(2, "1/4", 0.25, 0.04289321881345243),
+            _tvalues_json_row(3, "67/264", 0.2537878787878788, 0.03910534002557364),
+        ]
+    )
+    + """
+  ]
+}
+""",
+    ("integral", "--m", "1", "--a", "1", "--tol", "1e-12", "--format", "json"): """\
+{
+  "m": 1,
+  "a": 1.0,
+  "numeric": 0.49087385212340373,
+  "closed_form": 0.49087385212340506,
+  "relative_error": 2.7140733281822015e-15,
+  "evaluations": 90
+}
+""",
+    ("integral", "--m", "1", "--a", "1", "--tol", "1e-12", "--format", "csv"): """\
+m,a,numeric,closed_form,relative_error,evaluations
+1,1.0,0.49087385212340373,0.49087385212340506,2.7140733281822015e-15,90
+""",
+    ("coeffs", "--m", "3", "--format", "table"): """\
+   0  77/16
+   1  43/4
+   2  35/4
+   3  5/2
+""",
+    ("coeffs", "--m", "3", "--format", "csv"): "77/16,43/4,35/4,5/2\n",
+    ("coeffs", "--m", "3", "--format", "json"): '["77/16", "43/4", "35/4", "5/2"]\n',
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_golden_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, GOLDEN_STDOUT[argv], "")
+
+
 def test_integral_divergent_is_usage_error(capsys):
     code, _, err = run(capsys, "integral", "--m", "1", "--a", "-2", "--tol", "1e-8")
     assert code == 2

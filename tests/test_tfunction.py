@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quartint import tfunction
+from quartint.cli import main
 from quartint.exact import binomial
 from quartint.hypergeometric import hyp2f1
 from quartint.polynomial import horner
@@ -220,7 +221,7 @@ def test_t_bundle():
     assert payload["approx"] == pytest.approx(67 / 264)
 
 
-def test_t_bundle_detects_disagreement(monkeypatch):
+def test_t_bundle_detects_disagreement(monkeypatch, capsys):
     monkeypatch.setattr(tfunction, "t_hypergeometric", lambda m: Fraction(0))
-    with pytest.raises(ArithmeticError):
-        t_bundle(2)
+    assert main(["tvalues", "--max-m", "2"]) == 3
+    assert "ArithmeticError" in capsys.readouterr().err
