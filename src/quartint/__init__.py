@@ -30,10 +30,6 @@ from .recurrence import (
     RecurrenceCoefficients,
     ac_limit,
     ac_ratio,
-    b_identity_check,
-    d_shift_check,
-    d_shift_positivity,
-    main_inequality_check,
     recurrence_residual,
 )
 from .reports import Counterexample, PropertyReport, RunReport, SCHEMA_VERSION
@@ -50,14 +46,11 @@ from .suites import scan_hyp_inequality, scan_infinite_logconcavity
 from .tfunction import (
     InequalityChain,
     T_LIMIT,
-    TValueBundle,
-    bound_pair_check,
     geometric_tail_bound,
     inequality_chain_check,
     integral_prefactor,
     limit_gap,
     s_sum,
-    t_bundle,
     t_direct,
     t_hypergeometric,
     t_integral,

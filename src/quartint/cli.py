@@ -16,6 +16,7 @@ Exit codes: 0 pass, 1 mathematical counterexample, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,12 +24,12 @@ import sys
 import traceback
 from fractions import Fraction
 
+from . import tfunction
 from .coefficients import coefficient_row
 from .exact import rational_str
 from .quadrature import QuadratureConvergenceError, evaluate_quartic_integral
 from .reports import SCHEMA_VERSION, RunReport, utc_now_iso
 from .suites import SUITES, run_suite, scan_hyp_inequality, scan_infinite_logconcavity
-from .tfunction import T_LIMIT, t_bundle
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -60,13 +61,13 @@ def _finite_float(text: str) -> float:
 
 
 def _jobs(text: str) -> int:
-    """Pool size from --jobs or QUARTINT_JOBS, clamped to the CPU count."""
+    """Pool size from --jobs, clamped to the CPU count."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"--jobs / QUARTINT_JOBS must be a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"--jobs must be a positive integer, got {text!r}")
     return min(value, os.cpu_count() or 1)
 
 
@@ -103,9 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-m", type=_positive_int, default=None)
     p_verify.add_argument("--max-n", type=_positive_int, default=None)
     p_verify.add_argument("--depth", type=_positive_int, default=3)
-    # A string default goes through _jobs too, so a bad QUARTINT_JOBS is a
-    # usage error like a bad --jobs.
-    p_verify.add_argument("--jobs", type=_jobs, default=os.environ.get("QUARTINT_JOBS", "1"))
+    p_verify.add_argument("--jobs", type=_jobs, default=1)
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
 
     p_scan = sub.add_parser("scan", help="counterexample scans for the open conjectures")
@@ -131,8 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coeffs(args) -> int:
-    row = coefficient_row(args.m)
-    strings = row.as_strings()
+    strings = [rational_str(v) for v in coefficient_row(args.m).values]
     if args.format == "csv":
         print(",".join(strings))
     elif args.format == "json":
@@ -189,32 +187,40 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_tvalues(args) -> int:
-    bundles = [t_bundle(m) for m in range(1, args.max_m + 1)]
+    """T(m) through the direct, hypergeometric and integral routes, with the
+    float limit gap; an ArithmeticError (exit 3) if any two routes disagree."""
+    rows = []
+    for m in range(1, args.max_m + 1):
+        direct, hyp, integral = tfunction.t_direct(m), tfunction.t_hypergeometric(m), tfunction.t_integral(m)
+        if not direct == hyp == integral:
+            raise ArithmeticError(f"T({m}) representations disagree: {direct}, {hyp}, {integral}")
+        rows.append(
+            {
+                "m": m,
+                "direct": rational_str(direct),
+                "hypergeometric": rational_str(hyp),
+                "integral": rational_str(integral),
+                "approx": float(direct),
+                "limit_gap": tfunction.limit_gap(m),
+            }
+        )
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "tvalues",
-            "limit": T_LIMIT,
-            "rows": [b.to_jsonable() for b in bundles],
-        }
+        payload = {"schema_version": SCHEMA_VERSION, "command": "tvalues", "limit": tfunction.T_LIMIT, "rows": rows}
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         print("m,direct,hypergeometric,integral,approx,limit_gap")
-        for b in bundles:
-            print(
-                f"{b.m},{rational_str(b.direct)},{rational_str(b.hypergeometric)},"
-                f"{rational_str(b.integral)},{float(b.direct)},{b.limit_gap}"
-            )
+        for row in rows:
+            print(",".join(map(str, row.values())))
     else:
-        for b in bundles:
-            print(f"T({b.m}) = {rational_str(b.direct)}  ~ {float(b.direct):.9f}  gap {b.limit_gap:.9f}")
+        for row in rows:
+            print(f"T({row['m']}) = {row['direct']}  ~ {row['approx']:.9f}  gap {row['limit_gap']:.9f}")
     return EXIT_PASS
 
 
 def _cmd_integral(args) -> int:
     result = evaluate_quartic_integral(args.m, args.a, args.tol)
     if args.format == "json":
-        print(json.dumps(result.to_jsonable(), indent=2))
+        print(json.dumps(dataclasses.asdict(result), indent=2))
     elif args.format == "csv":
         print("m,a,numeric,closed_form,relative_error,evaluations")
         print(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import binomial, rational_str
+from .exact import binomial
 from .polynomial import taylor_shift
 
 
@@ -49,9 +49,6 @@ class CoefficientRow:
             raise ValueError(f"row for m={self.m} must have {self.m + 1} entries")
         if any(v <= 0 for v in self.values):
             raise ValueError("coefficient rows are strictly positive")
-
-    def as_strings(self) -> list[str]:
-        return [rational_str(v) for v in self.values]
 
 
 _ROW_CHECKPOINT = 64

@@ -148,16 +148,6 @@ class QuadratureResult:
     relative_error: float
     evaluations: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "m": self.m,
-            "a": self.a,
-            "numeric": self.numeric,
-            "closed_form": self.closed_form,
-            "relative_error": self.relative_error,
-            "evaluations": self.evaluations,
-        }
-
 
 def evaluate_quartic_integral(m: int, a, tol: float, budget: int = 200_000) -> QuadratureResult:
     """Numeric value, closed form, and their relative error in one record."""

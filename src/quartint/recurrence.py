@@ -15,10 +15,9 @@ ingredients of the monotonicity argument for T.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Callable, NamedTuple
 
-from .polynomial import horner, taylor_shift
+from .polynomial import horner
 from .tfunction import t_direct
 
 
@@ -63,27 +62,6 @@ def recurrence_residual(n: int, t: Callable[[int], Fraction] | None = None) -> F
     return a * t(n) - b * t(n + 1) + c * t(n + 2) + d
 
 
-def b_identity_check() -> bool:
-    """b = a + c + d, coefficient by coefficient."""
-    return all(b == a + c + d for a, b, c, d in zip_longest(*CERTIFICATE, fillvalue=0))
-
-
-def d_shift_positivity() -> list[int]:
-    """Coefficient list of d(x+2), expanded exactly.
-
-    All eight entries are strictly positive, which is what makes d(n) >= 0
-    for n >= 2; d_shift_check() compares the list against the fixed
-    reference expansion.
-    """
-    return list(taylor_shift(CERTIFICATE.d, 2))
-
-
-def d_shift_check() -> tuple[bool, bool]:
-    """(all entries positive, matches the reference expansion)."""
-    coeffs = d_shift_positivity()
-    return all(c > 0 for c in coeffs), tuple(coeffs) == D_SHIFT_REFERENCE
-
-
 def ac_ratio(n: int) -> Fraction:
     """a(n)/c(n), exactly; c is positive for every n >= 1."""
     if n < 1:
@@ -95,14 +73,3 @@ def ac_ratio(n: int) -> Fraction:
 def ac_limit() -> Fraction:
     """Leading-coefficient ratio of a and c, reduced: 27/16."""
     return Fraction(CERTIFICATE.a[-1], CERTIFICATE.c[-1])
-
-
-def main_inequality_check(n: int) -> bool:
-    """a(n) (T(n) - T(n+1)) <= c(n) (T(n+1) - T(n+2)), the rearranged
-    recurrence once T < 1 and d >= 0 are known."""
-    if n < 1:
-        raise ValueError("main inequality needs n >= 1")
-    a_n, c_n = ac_values(n)
-    left = a_n * (t_direct(n) - t_direct(n + 1))
-    right = c_n * (t_direct(n + 1) - t_direct(n + 2))
-    return left <= right

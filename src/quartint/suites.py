@@ -15,11 +15,13 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import conjectures, recurrence, seqprops, tfunction
 from .coefficients import coefficient_row, delta_direct, scaled_row
-from .exact import rational_str
+from .exact import binomial, rational_str
+from .polynomial import taylor_shift
 from .reports import Counterexample, PropertyReport
 
 # None when an item holds; (location, values) or (location, values, fields)
@@ -111,7 +113,7 @@ def _row_witness(predicate: str, m: int) -> Witness:
     the rational row d(m) is built only for the report of a failure."""
     if getattr(seqprops, predicate)(scaled_row(m)):
         return None
-    return {"m": m}, {"row": ",".join(coefficient_row(m).as_strings())}
+    return {"m": m}, {"row": ",".join(map(rational_str, coefficient_row(m).values))}
 
 
 def _ilogconcave_witness(m: int, depth: int) -> Witness:
@@ -154,19 +156,19 @@ def _delta_signs_witness(m: int) -> Witness:
 
 
 def _chain_witness(m: int) -> Witness:
+    """The four inequalities of the chain at every 0 <= l < floor(m/2): the
+    left-hand sum below each of the three right-hand sides, and S_{m,l} < 1."""
     for ell in range(0, m // 2):
         chain = tfunction.inequality_chain_check(m, ell)
-        if not chain.all_hold():
-            return (
-                {"m": m, "ell": ell},
-                {
-                    "task1": str(chain.task1),
-                    "task2": str(chain.task2),
-                    "task3": str(chain.task3),
-                    "task4": str(chain.task4),
-                    "s_value": rational_str(chain.s_value),
-                },
-            )
+        tasks = (
+            chain.lhs < chain.rhs_full,
+            chain.lhs < chain.rhs_unweighted,
+            chain.lhs < chain.rhs_last_term,
+            chain.s_value < 1,
+        )
+        if not all(tasks):
+            values = {f"task{i}": str(holds) for i, holds in enumerate(tasks, start=1)}
+            return {"m": m, "ell": ell}, {**values, "s_value": rational_str(chain.s_value)}
     return None
 
 
@@ -202,9 +204,12 @@ def _t_bounds_witness(m: int, max_m: int) -> Witness:
 
 
 def _pair_witness(m: int, max_m: int) -> Witness:
+    """C(2r,r) C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, the induction step
+    behind T(m) < 1."""
     for r in range(2, m + 2):
-        if not tfunction.bound_pair_check(m, r):
-            return {"m": m, "r": r}, {}, {"range": f"2 <= r <= m+1, m <= {max_m}"}
+        lhs, rhs = binomial(2 * r, r) * binomial(m + 1, r), binomial(4 * m, r)
+        if lhs > rhs:
+            return {"m": m, "r": r}, {"lhs": str(lhs), "rhs": str(rhs)}, {"range": f"2 <= r <= m+1, m <= {max_m}"}
     return None
 
 
@@ -227,7 +232,11 @@ def _crosscheck_witness(m: int) -> Witness:
 
 
 def _b_identity_witness(_) -> Witness:
-    return None if recurrence.b_identity_check() else ({}, {"identity": "b != a + c + d"})
+    """b = a + c + d, coefficient by coefficient."""
+    for k, (a, b, c, d) in enumerate(zip_longest(*recurrence.CERTIFICATE, fillvalue=0)):
+        if b != a + c + d:
+            return {"k": k}, {"b": str(b), "a+c+d": str(a + c + d)}
+    return None
 
 
 def _memo(table: dict, fn: Callable, m: int):
@@ -256,10 +265,13 @@ def _residual_witness(item: tuple[str, int], max_n: int, memo: dict) -> Witness:
 
 
 def _d_shift_witness(_) -> Witness:
-    positive, matches = recurrence.d_shift_check()
-    if positive and matches:
+    """The coefficients of d(x+2), the Taylor shift of d by 2: all eight
+    strictly positive, which is what makes d(n) >= 0 for n >= 2, and equal
+    to the fixed reference expansion."""
+    shift = taylor_shift(recurrence.CERTIFICATE.d, 2)
+    if all(c > 0 for c in shift) and shift == recurrence.D_SHIFT_REFERENCE:
         return None
-    return {}, {"computed": str(recurrence.d_shift_positivity()), "reference": str(list(recurrence.D_SHIFT_REFERENCE))}
+    return {}, {"computed": str(list(shift)), "reference": str(list(recurrence.D_SHIFT_REFERENCE))}
 
 
 def _ac_ratio_witness(_) -> Witness:
@@ -278,9 +290,14 @@ def _ac_ratio_witness(_) -> Witness:
 
 
 def _main_inequality_witness(n: int, max_n: int) -> Witness:
-    if recurrence.main_inequality_check(n):
+    """a(n) (T(n) - T(n+1)) <= c(n) (T(n+1) - T(n+2)), the rearranged
+    recurrence once T < 1 and d >= 0 are known."""
+    a_n, c_n = recurrence.ac_values(n)
+    t = tfunction.t_direct
+    left, right = a_n * (t(n) - t(n + 1)), c_n * (t(n + 1) - t(n + 2))
+    if left <= right:
         return None
-    return {"n": n}, {}, {"range": f"2 <= n <= {max_n}"}
+    return {"n": n}, {"left": rational_str(left), "right": rational_str(right)}, {"range": f"2 <= n <= {max_n}"}
 
 
 def _t_step_witness(m: int) -> Witness | bool:
@@ -348,7 +365,7 @@ def _t_bounds(n: int, depth: int) -> list[tuple]:
 
 
 def _recurrence(n: int, depth: int) -> list[tuple]:
-    shift = recurrence.d_shift_positivity()
+    shift = taylor_shift(recurrence.CERTIFICATE.d, 2)
     return [
         ("recurrence-b-identity", "b = a + c + d as exact polynomials", _ONCE, _b_identity_witness),
         (

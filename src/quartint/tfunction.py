@@ -17,11 +17,11 @@ gaps, which involve sqrt 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .exact import binomial, rational_str
+from .exact import binomial
 from .hypergeometric import hyp2f1, hyp2f1_as_polynomial
 from .polynomial import derivative, horner
 
@@ -134,17 +134,7 @@ def t_via_w_variant(m: int) -> Fraction:
     At m = 1 this gives -3/4 where T(1) = 1/4; kept only so reports can show
     both values.
     """
-    w = w_polynomial(m)
-    half = Fraction(1, 2)
-    return half * horner(derivative(w), half) - horner(w, half)
-
-
-def bound_pair_check(m: int, r: int) -> bool:
-    """C(2r,r) C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, the induction step
-    behind T(m) < 1."""
-    if not 2 <= r <= m + 1:
-        raise ValueError(f"need 2 <= r <= m+1, got r={r}, m={m}")
-    return binomial(2 * r, r) * binomial(m + 1, r) <= binomial(4 * m, r)
+    return t_via_w(m) - 1
 
 
 def geometric_tail_bound(m: int) -> Fraction:
@@ -162,8 +152,7 @@ def geometric_tail_bound(m: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class InequalityChain:
+class InequalityChain(NamedTuple):
     """The four nested inequalities whose truth gives the positive-difference
     half of unimodality, strongest last.  All three right-hand sides bound the
     same left-hand sum; S_{m,l} is that sum normalised by the final bound."""
@@ -175,25 +164,6 @@ class InequalityChain:
     rhs_unweighted: int
     rhs_last_term: int
     s_value: Fraction
-
-    @property
-    def task1(self) -> bool:
-        return self.lhs < self.rhs_full
-
-    @property
-    def task2(self) -> bool:
-        return self.lhs < self.rhs_unweighted
-
-    @property
-    def task3(self) -> bool:
-        return self.lhs < self.rhs_last_term
-
-    @property
-    def task4(self) -> bool:
-        return self.s_value < 1
-
-    def all_hold(self) -> bool:
-        return self.task1 and self.task2 and self.task3 and self.task4
 
 
 def inequality_chain_check(m: int, ell: int) -> InequalityChain:
@@ -238,34 +208,3 @@ def limit_gap(m: int) -> float:
     """(2 - sqrt 2)/2 - T(m), in floating point; positive and shrinking as
     T(m) climbs toward the limit."""
     return T_LIMIT - float(t_direct(m))
-
-
-@dataclass(frozen=True)
-class TValueBundle:
-    """T(m) through every exact route plus the float limit gap."""
-
-    m: int
-    direct: Fraction
-    hypergeometric: Fraction
-    integral: Fraction
-    limit_gap: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "m": self.m,
-            "direct": rational_str(self.direct),
-            "hypergeometric": rational_str(self.hypergeometric),
-            "integral": rational_str(self.integral),
-            "approx": float(self.direct),
-            "limit_gap": self.limit_gap,
-        }
-
-
-def t_bundle(m: int) -> TValueBundle:
-    """All representations of T(m); raises if any two disagree."""
-    direct = t_direct(m)
-    hyp = t_hypergeometric(m)
-    integral = t_integral(m)
-    if not direct == hyp == integral:
-        raise ArithmeticError(f"T({m}) representations disagree: {direct}, {hyp}, {integral}")
-    return TValueBundle(m, direct, hyp, integral, limit_gap(m))

@@ -9,6 +9,7 @@ import functools
 import math
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -22,13 +23,8 @@ from quartint.hypergeometric import (
     pochhammer_ratio_bound_check,
 )
 from quartint.quadrature import closed_form, evaluate_quartic_integral
-from quartint.recurrence import (
-    ac_limit,
-    b_identity_check,
-    d_shift_check,
-    d_shift_positivity,
-    recurrence_residual,
-)
+from quartint.polynomial import taylor_shift
+from quartint.recurrence import CERTIFICATE, D_SHIFT_REFERENCE, ac_limit, recurrence_residual
 from quartint.seqprops import (
     is_logconcave,
     is_ratio_monotone,
@@ -143,18 +139,21 @@ def test_c08_s_monotone():
 def test_c09_inequality_chain():
     for m in range(2, 101):
         for ell in range(0, m // 2):
-            assert inequality_chain_check(m, ell).all_hold(), (m, ell)
+            chain = inequality_chain_check(m, ell)
+            for rhs in (chain.rhs_full, chain.rhs_unweighted, chain.rhs_last_term):
+                assert chain.lhs < rhs, (m, ell)
+            assert chain.s_value < 1, (m, ell)
 
 
 @criterion(10, "recurrence certificate")
 def test_c10_recurrence_certificate():
     start = time.perf_counter()
-    assert b_identity_check()
+    assert all(b == a + c + d for a, b, c, d in zip_longest(*CERTIFICATE, fillvalue=0))
     for n in range(1, 101):
         assert recurrence_residual(n) == 0, n
-    coeffs = d_shift_positivity()
+    coeffs = taylor_shift(CERTIFICATE.d, 2)
     assert all(c > 0 for c in coeffs)
-    assert d_shift_check() == (True, True)
+    assert coeffs == D_SHIFT_REFERENCE
     assert coeffs[0] == 814627800 and coeffs[-1] == 1858560
     assert ac_limit() == Fraction(27, 16)
     assert time.perf_counter() - start < 60.0

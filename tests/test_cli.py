@@ -88,21 +88,15 @@ def test_verify_with_jobs(capsys):
     assert "overall: pass" in out
 
 
-def test_jobs_default_from_environment(capsys, monkeypatch):
+@pytest.mark.parametrize("env_jobs", ["2", "abc"])
+def test_jobs_environment_variable_is_ignored(capsys, monkeypatch, env_jobs):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # --jobs is clamped to the CPU count
-    monkeypatch.setenv("QUARTINT_JOBS", "2")
+    monkeypatch.setenv("QUARTINT_JOBS", env_jobs)
     code, out, _ = run(
         capsys, "verify", "--property", "unimodal", "--max-m", "8", "--format", "json"
     )
     assert code == 0
-    assert json.loads(out)["config"]["jobs"] == 2
-
-
-def test_invalid_jobs_environment_is_usage_error(monkeypatch):
-    monkeypatch.setenv("QUARTINT_JOBS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--property", "unimodal", "--max-m", "3"])
-    assert exc.value.code == 2
+    assert json.loads(out)["config"]["jobs"] == 1
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):
@@ -111,8 +105,6 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     assert cli._jobs("1000000") == 3
     assert cli._jobs("2") == 2
     assert build_parser().parse_args(["verify", "--all", "--jobs", "1000000"]).jobs == 3
-    monkeypatch.setenv("QUARTINT_JOBS", "1000000")
-    assert build_parser().parse_args(["verify", "--all"]).jobs == 3
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._jobs("1000000") == 1
     for bad in ("0", "-4", "abc", ""):
@@ -407,33 +399,26 @@ bad_tol = st.one_of(st.floats(max_value=0.0, allow_nan=False).map(repr), NONFINI
 bad_count = st.one_of(st.integers(max_value=0).map(str), st.sampled_from(["1.5", "2e3", ""]), LETTERS)
 bad_jobs = st.one_of(st.integers(max_value=0).map(str), st.sampled_from(["1.5", ""]), LETTERS)
 
-# (argv, QUARTINT_JOBS or None)
 malformed_invocations = st.one_of(
-    malformed_grids.map(lambda g: (["scan", "hypineq", "--max-m", "2", f"--x-grid={g}"], None)),
-    bad_a.map(lambda a: (["integral", "--m", "1", f"--a={a}"], None)),
-    bad_tol.map(lambda t: (["integral", "--m", "1", "--a", "1", f"--tol={t}"], None)),
+    malformed_grids.map(lambda g: ["scan", "hypineq", "--max-m", "2", f"--x-grid={g}"]),
+    bad_a.map(lambda a: ["integral", "--m", "1", f"--a={a}"]),
+    bad_tol.map(lambda t: ["integral", "--m", "1", "--a", "1", f"--tol={t}"]),
     st.tuples(
         st.sampled_from([["verify", "--property", "unimodal"], ["scan", "ilogconcave"], ["tvalues"]]), bad_count
-    ).map(lambda t: ([*t[0], f"--max-m={t[1]}"], None)),
-    bad_jobs.map(lambda j: (["verify", "--property", "unimodal", "--max-m", "2", f"--jobs={j}"], None)),
-    bad_jobs.map(lambda j: (["verify", "--property", "unimodal", "--max-m", "2"], j)),
+    ).map(lambda t: [*t[0], f"--max-m={t[1]}"]),
+    bad_jobs.map(lambda j: ["verify", "--property", "unimodal", "--max-m", "2", f"--jobs={j}"]),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(malformed_invocations)
-def test_malformed_values_exit_with_usage_error(invocation):
-    argv, env_jobs = invocation
+def test_malformed_values_exit_with_usage_error(argv):
     pools = []
-    environ = {} if env_jobs is None else {"QUARTINT_JOBS": env_jobs}
     with (
-        mock.patch.dict(os.environ, environ),
         mock.patch.object(concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pools.append(a)),
         contextlib.redirect_stdout(io.StringIO()),
         contextlib.redirect_stderr(io.StringIO()),
     ):
-        if env_jobs is None:
-            os.environ.pop("QUARTINT_JOBS", None)
         try:
             code = main(argv)
         except SystemExit as exc:

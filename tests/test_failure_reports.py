@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from quartint import coefficients, recurrence, tfunction
+from quartint import coefficients, recurrence, suites, tfunction
 from quartint.exact import rational_str
 from quartint.suites import run_suite
 
@@ -85,8 +85,10 @@ def test_integral_prefactor_bound_failure(monkeypatch):
 
 
 def test_binomial_pair_bound_failure(monkeypatch):
-    doctor(monkeypatch, tfunction, "bound_pair_check", (7, 4), lambda real, m, r: False)
-    expected = [T_BOUNDS, failing("binomial-pair-bound", "2 <= r <= m+1, m <= 12", {"m": 7, "r": 4}, {})]
+    # C(8,4) C(8,4) = 4900 against C(28,4) = 20475, doctored to 4899
+    doctor(monkeypatch, suites, "binomial", (28, 4), lambda real, n, k: 4899)
+    values = {"lhs": "4900", "rhs": "4899"}
+    expected = [T_BOUNDS, failing("binomial-pair-bound", "2 <= r <= m+1, m <= 12", {"m": 7, "r": 4}, values)]
     assert content(run_suite("t-bounds", max_m=12)) == expected
 
 
@@ -119,10 +121,30 @@ def test_recurrence_passes():
     assert content(run_suite("recurrence", max_n=10)) == RECURRENCE
 
 
+def doctor_certificate(monkeypatch, **shifts):
+    """Add shifts[p][k] to coefficient k of each named polynomial p."""
+    fields = {}
+    for name, shift in shifts.items():
+        coeffs = list(getattr(recurrence.CERTIFICATE, name))
+        for k, delta in shift.items():
+            coeffs[k] += delta
+        fields[name] = tuple(coeffs)
+    monkeypatch.setattr(recurrence, "CERTIFICATE", recurrence.CERTIFICATE._replace(**fields))
+
+
+def halted_residual(n, residual):
+    range_desc = "1 <= n <= 10 (halted at first nonzero, T from t_direct)"
+    return failing("recurrence-residual", range_desc, {"n": n}, {"residual": rational_str(residual)})
+
+
 def test_recurrence_b_identity_failure(monkeypatch):
-    monkeypatch.setattr(recurrence, "b_identity_check", lambda: False)
-    report = failing("recurrence-b-identity", RECURRENCE[0]["range"], {}, {"identity": "b != a + c + d"})
-    assert content(run_suite("recurrence", max_n=10)) == recurrence_with(0, report)
+    # k = 8 lies above the degree of d; the residual moves by -n^8 T(n+1),
+    # which is -T(2) = -1/4 at n = 1
+    doctor_certificate(monkeypatch, b={8: 1})
+    values = {"b": "187269121", "a+c+d": "187269120"}
+    expected = recurrence_with(0, failing("recurrence-b-identity", RECURRENCE[0]["range"], {"k": 8}, values))
+    expected[1] = halted_residual(1, Fraction(-1, 4))
+    assert content(run_suite("recurrence", max_n=10)) == expected
 
 
 def test_recurrence_residual_failure(monkeypatch):
@@ -138,16 +160,38 @@ def test_recurrence_residual_failure(monkeypatch):
 
 
 def test_recurrence_d_shift_failure(monkeypatch):
-    computed = [*recurrence.D_SHIFT_REFERENCE[:-1], 1858561]
-    monkeypatch.setattr(recurrence, "d_shift_positivity", lambda: list(computed))
+    computed = list(recurrence.D_SHIFT_REFERENCE)
+    reference = [*computed[:-1], 1858561]
+    monkeypatch.setattr(recurrence, "D_SHIFT_REFERENCE", tuple(reference))
     report = failing(
         "recurrence-d-shift",
         RECURRENCE[2]["range"],
         {},
-        {"computed": str(computed), "reference": str(list(recurrence.D_SHIFT_REFERENCE))},
-        ["constant term 814627800, leading term 1858561"],
+        {"computed": str(computed), "reference": str(reference)},
+        ["constant term 814627800, leading term 1858560"],
     )
     assert content(run_suite("recurrence", max_n=10)) == recurrence_with(2, report)
+
+
+def test_recurrence_d_shift_positivity_failure(monkeypatch):
+    # d(0) and b(0) drop by 10^9, so b = a + c + d still holds; d(x+2) then
+    # starts at d(2) = 814627800 - 10^9 < 0, and the reference is made to
+    # match, so only positivity fails.  The residual moves by
+    # -10^9 (1 - T(n+1)), which is -3/4 10^9 at n = 1.
+    drop = 10**9
+    doctor_certificate(monkeypatch, b={0: -drop}, d={0: -drop})
+    computed = [814627800 - drop, *recurrence.D_SHIFT_REFERENCE[1:]]
+    monkeypatch.setattr(recurrence, "D_SHIFT_REFERENCE", tuple(computed))
+    report = failing(
+        "recurrence-d-shift",
+        RECURRENCE[2]["range"],
+        {},
+        {"computed": str(computed), "reference": str(computed)},
+        ["constant term -185372200, leading term 1858560"],
+    )
+    expected = recurrence_with(2, report)
+    expected[1] = halted_residual(1, Fraction(-3 * drop, 4))
+    assert content(run_suite("recurrence", max_n=10)) == expected
 
 
 @pytest.mark.parametrize(
@@ -167,9 +211,15 @@ def test_recurrence_ac_ratio_failure(monkeypatch, name, at, value, flags):
 
 
 def test_recurrence_main_inequality_failure(monkeypatch):
-    doctor(monkeypatch, recurrence, "main_inequality_check", (6,), lambda real, n: False)
-    report = failing("recurrence-main-inequality", "2 <= n <= 10", {"n": 6}, {})
-    assert content(run_suite("recurrence", max_n=10)) == recurrence_with(4, report)
+    # T(8) = T(7): the inequality holds at n = 6 with right side 0 and fails
+    # at n = 7 with left side 0; the residual first moves at n = 6, by
+    # c(6) (T(7) - T(8))
+    t7, t8, t9 = (tfunction.t_direct(m) for m in (7, 8, 9))
+    doctor_t(monkeypatch, 8, lambda real: t7)
+    values = {"left": "0", "right": rational_str(recurrence.ac_values(7)[1] * (t7 - t9))}
+    expected = recurrence_with(4, failing("recurrence-main-inequality", "2 <= n <= 10", {"n": 7}, values))
+    expected[1] = halted_residual(6, recurrence.ac_values(6)[1] * (t7 - t8))
+    assert content(run_suite("recurrence", max_n=10)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,16 @@
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
 from quartint import recurrence
-from quartint.polynomial import horner
+from quartint.polynomial import horner, taylor_shift
 from quartint.recurrence import (
     CERTIFICATE,
     D_SHIFT_REFERENCE,
     ac_limit,
     ac_ratio,
     ac_values,
-    b_identity_check,
-    d_shift_check,
-    d_shift_positivity,
-    main_inequality_check,
     recurrence_residual,
 )
 from quartint.suites import run_suite
@@ -30,7 +27,7 @@ def test_certificate_shape():
 
 
 def test_b_identity():
-    assert b_identity_check()
+    assert all(b == a + c + d for a, b, c, d in zip_longest(*CERTIFICATE, fillvalue=0))
     # spot checks on the extreme coefficients
     assert 7195230 + 3265920 - 799470 == 9661680
     assert 9732096 + 5767168 == 15499264
@@ -42,7 +39,9 @@ def test_b_identity_sees_every_coefficient(monkeypatch, k):
     b = list(CERTIFICATE.b)
     b[k] += 1
     monkeypatch.setattr(recurrence, "CERTIFICATE", CERTIFICATE._replace(b=tuple(b)))
-    assert not b_identity_check()
+    report = run_suite("recurrence", max_n=2)[0]
+    assert report.property == "recurrence-b-identity"
+    assert report.counterexample.location == {"k": k}
 
 
 def test_residual_at_one_from_frozen_values():
@@ -71,13 +70,12 @@ def test_residuals_vanish_with_integral_oracle():
 
 
 def test_d_shift_expansion():
-    coeffs = d_shift_positivity()
+    coeffs = taylor_shift(CERTIFICATE.d, 2)
     assert coeffs[0] == 814627800
     assert coeffs[-1] == 1858560
     assert len(coeffs) == 8
     assert all(c > 0 for c in coeffs)
-    assert tuple(coeffs) == D_SHIFT_REFERENCE
-    assert d_shift_check() == (True, True)
+    assert coeffs == D_SHIFT_REFERENCE
 
 
 def test_ac_ratio_and_limit():
@@ -107,7 +105,8 @@ def test_integer_evaluation_matches_polynomials():
 
 def test_main_inequality():
     for n in range(2, 201):
-        assert main_inequality_check(n)
+        a_n, c_n = ac_values(n)
+        assert a_n * (t_direct(n) - t_direct(n + 1)) <= c_n * (t_direct(n + 1) - t_direct(n + 2)), n
 
 
 def test_monotonicity_report():

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -9,15 +10,14 @@ from quartint.cli import main
 from quartint.exact import binomial
 from quartint.hypergeometric import hyp2f1
 from quartint.polynomial import horner
+from quartint.suites import run_suite
 from quartint.tfunction import (
     T_LIMIT,
-    bound_pair_check,
     geometric_tail_bound,
     inequality_chain_check,
     integral_prefactor,
     limit_gap,
     s_sum,
-    t_bundle,
     t_direct,
     t_hypergeometric,
     t_integral,
@@ -62,6 +62,11 @@ def literal_geometric_tail(m):
 
 def chain_fields(chain):
     return chain.lhs, chain.rhs_full, chain.rhs_unweighted, chain.rhs_last_term
+
+
+def chain_holds(chain):
+    """All four inequalities of the chain."""
+    return all(chain.lhs < rhs for rhs in chain_fields(chain)[1:]) and chain.s_value < 1
 
 
 def test_t_direct_matches_literal_sum():
@@ -158,14 +163,13 @@ def test_t_via_w_correction():
 
 
 def test_bound_pair():
-    assert bound_pair_check(2, 3)  # 20 <= 56
+    assert binomial(6, 3) * binomial(3, 3) == 20 <= binomial(8, 3) == 56  # (m, r) = (2, 3)
     for m in range(1, 61):
-        for r in range(2, m + 2):
-            assert bound_pair_check(m, r)
         # the r = 2 margin is 5m(m-1)
         assert binomial(4 * m, 2) - binomial(4, 2) * binomial(m + 1, 2) == 5 * m * (m - 1)
-    with pytest.raises(ValueError):
-        bound_pair_check(3, 1)
+    report = run_suite("t-bounds", max_m=60)[1]
+    assert (report.property, report.passed) == ("binomial-pair-bound", True)
+    assert report.range == "C(2r,r)C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, m <= 60"
 
 
 def test_geometric_tail_bound():
@@ -185,16 +189,16 @@ def test_inequality_chain_hand_values():
     chain = inequality_chain_check(2, 0)
     assert chain.lhs == 6
     assert chain.rhs_last_term == 24
-    assert chain.all_hold()
+    assert chain_holds(chain)
     chain = inequality_chain_check(4, 1)
     assert chain.s_value == Fraction(1, 4)
-    assert chain.all_hold()
+    assert chain_holds(chain)
 
 
 def test_inequality_chain_sweep():
     for m in range(2, 31):
         for ell in range(0, m // 2):
-            assert inequality_chain_check(m, ell).all_hold()
+            assert chain_holds(inequality_chain_check(m, ell))
 
 
 def test_inequality_chain_domain():
@@ -212,13 +216,12 @@ def test_limit_gap():
     assert all(a > b for a, b in zip(gaps[1:], gaps[2:]))
 
 
-def test_t_bundle():
-    bundle = t_bundle(3)
-    assert bundle.direct == Fraction(67, 264)
-    assert bundle.hypergeometric == bundle.integral == bundle.direct
-    payload = bundle.to_jsonable()
-    assert payload["direct"] == "67/264"
-    assert payload["approx"] == pytest.approx(67 / 264)
+def test_t_bundle(capsys):
+    assert main(["tvalues", "--max-m", "3", "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][2]
+    assert row["m"] == 3
+    assert row["direct"] == row["hypergeometric"] == row["integral"] == "67/264"
+    assert row["approx"] == pytest.approx(67 / 264)
 
 
 def test_t_bundle_detects_disagreement(monkeypatch, capsys):
