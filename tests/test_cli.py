@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -13,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartint import cli, conjectures
+from quartint import cli, conjectures, recurrence, tfunction
 from quartint.cli import build_parser, main
 from quartint.reports import SCHEMA_VERSION
 from quartint.tfunction import T_LIMIT
@@ -318,6 +319,132 @@ m,a,numeric,closed_form,relative_error,evaluations
 def test_golden_stdout(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, GOLDEN_STDOUT[argv], "")
+
+
+def _without_times(out):
+    """stdout with the time fields masked: started, finished and elapsed in
+    JSON, the [seconds] column in the table."""
+    out = re.sub(r'"(started|finished|elapsed)": [^,\n]+', r'"\1": T', out)
+    return re.sub(r"\[\d+\.\d\ds\]", "[T]", out)
+
+
+def _doctor_failing_runs(monkeypatch):
+    """T(5) = 1, and the hypineq margin -1/7 at (m, x) = (3, 1)."""
+    real_t, real_margin = tfunction.t_direct, conjectures.hyp_inequality_margin
+    fake_t = lambda m: Fraction(1) if m == 5 else real_t(m)  # noqa: E731
+    monkeypatch.setattr(tfunction, "t_direct", fake_t)
+    monkeypatch.setattr(recurrence, "t_direct", fake_t)
+    monkeypatch.setattr(
+        conjectures, "hyp_inequality_margin", lambda m, x: Fraction(-1, 7) if (m, x) == (3, 1) else real_margin(m, x)
+    )
+
+
+VERIFY_T_BOUNDS = ("verify", "--property", "t-bounds", "--max-m", "12")
+SCAN_HYPINEQ = ("scan", "hypineq", "--max-m", "3", "--x-grid", "0.5:1:0.5")
+
+# The full stdout of one failing verify and one failing scan, time fields
+# masked.
+GOLDEN_FAILING_STDOUT = {
+    (*VERIFY_T_BOUNDS, "--format", "json"): """\
+{
+  "schema_version": 1,
+  "command": "verify",
+  "config": {
+    "properties": [
+      "t-bounds"
+    ],
+    "max_m": 12,
+    "max_n": null,
+    "depth": 3,
+    "jobs": 1
+  },
+  "results": [
+    {
+      "property": "t-below-one",
+      "range": "1 <= m <= 12",
+      "verdict": "fail",
+      "counterexample": {
+        "location": {
+          "m": 5
+        },
+        "values": {
+          "T": "1"
+        }
+      },
+      "elapsed": T,
+      "notes": []
+    },
+    {
+      "property": "binomial-pair-bound",
+      "range": "C(2r,r)C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, m <= 12",
+      "verdict": "pass",
+      "counterexample": null,
+      "elapsed": T,
+      "notes": []
+    }
+  ],
+  "overall": "fail",
+  "started": T,
+  "finished": T
+}
+""",
+    (*VERIFY_T_BOUNDS, "--format", "table"): """\
+fail  t-below-one                   1 <= m <= 12  [T]
+      counterexample at {'m': 5}: {'T': '1'}
+pass  binomial-pair-bound           C(2r,r)C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, m <= 12  [T]
+overall: FAIL
+""",
+    (*SCAN_HYPINEQ, "--format", "json"): """\
+{
+  "schema_version": 1,
+  "command": "scan",
+  "config": {
+    "kind": "hypineq",
+    "max_m": 3,
+    "x_grid": [
+      "1/2",
+      "1"
+    ]
+  },
+  "results": [
+    {
+      "property": "hyp-inequality-scan",
+      "range": "2 <= m <= 3, 2 grid points",
+      "verdict": "fail",
+      "counterexample": {
+        "location": {
+          "m": 3,
+          "x": "1"
+        },
+        "values": {
+          "margin": "-1/7"
+        }
+      },
+      "elapsed": T,
+      "notes": [
+        "smallest margin -1/7 at m=3, x=1"
+      ]
+    }
+  ],
+  "overall": "fail",
+  "started": T,
+  "finished": T
+}
+""",
+    (*SCAN_HYPINEQ, "--format", "table"): """\
+fail  hyp-inequality-scan           2 <= m <= 3, 2 grid points  [T]
+      note: smallest margin -1/7 at m=3, x=1
+      counterexample at {'m': 3, 'x': '1'}: {'margin': '-1/7'}
+overall: FAIL
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_FAILING_STDOUT), ids=" ".join)
+def test_golden_failing_stdout(capsys, monkeypatch, argv):
+    _doctor_failing_runs(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, _without_times(out), err) == (1, GOLDEN_FAILING_STDOUT[argv], "")
 
 
 def test_integral_divergent_is_usage_error(capsys):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from quartint.reports import SCHEMA_VERSION, Counterexample, PropertyReport, RunReport, utc_now_iso
+from quartint import cli
+from quartint.reports import SCHEMA_VERSION, Counterexample, PropertyReport
 
 
 def test_failing_report_requires_counterexample():
@@ -30,26 +31,35 @@ def test_passing_report_json():
     }
 
 
-def test_run_report_overall_and_round_trip():
+def _verify(monkeypatch, capsys, results, fmt):
+    """cli.main on a verify run whose one suite returns ``results``."""
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: list(results))
+    code = cli.main(["verify", "--property", "unimodal", "--format", fmt])
+    return code, capsys.readouterr().out
+
+
+def test_run_report_overall_and_round_trip(monkeypatch, capsys):
     ok = PropertyReport(property="a", range="r", passed=True)
     bad = PropertyReport(
         property="b", range="r", passed=False, counterexample=Counterexample({}, {"w": "1"})
     )
-    started = utc_now_iso()
-    finished = utc_now_iso()
-    passing = RunReport("verify", {"k": 1}, (ok,), started, finished)
-    failing = RunReport("verify", {"k": 1}, (ok, bad), started, finished)
-    assert passing.overall_passed
-    assert not failing.overall_passed
-
-    payload = json.loads(failing.to_json())
+    code, out = _verify(monkeypatch, capsys, [ok], "json")
+    assert code == 0
+    assert json.loads(out)["overall"] == "pass"
+    code, out = _verify(monkeypatch, capsys, [ok, bad], "json")
+    assert code == 1
+    payload = json.loads(out)
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["overall"] == "fail"
+    assert payload["results"] == [ok.to_jsonable(), bad.to_jsonable()]
     assert payload["results"][1]["counterexample"]["values"] == {"w": "1"}
     assert payload["started"] <= payload["finished"]
+    code, out = _verify(monkeypatch, capsys, [ok, bad], "table")
+    assert code == 1
+    assert out.endswith("overall: FAIL\n")
 
 
-def test_a_result_without_a_verdict_is_not_a_pass():
-    report = RunReport("verify", {}, (object(),), utc_now_iso(), utc_now_iso())
-    with pytest.raises(AttributeError):
-        report.overall_passed
+def test_a_result_without_a_verdict_is_not_a_pass(monkeypatch, capsys):
+    for fmt in ("json", "table"):
+        code, _ = _verify(monkeypatch, capsys, [object()], fmt)
+        assert code == 3, fmt
