@@ -6,7 +6,7 @@ counterexample scans for the two open conjectures about the family.
 
 from .coefficients import CoefficientRow, coefficient_row, delta_direct, scaled_row
 from .conjectures import default_x_grid, hyp_inequality_margin
-from .exact import binomial, pochhammer, rational_str
+from .exact import binomial, rational_str
 from .hypergeometric import (
     HypergeometricError,
     NonTerminatingSeriesError,
@@ -32,7 +32,7 @@ from .recurrence import (
     ac_ratio,
     recurrence_residual,
 )
-from .reports import Counterexample, PropertyReport, RunReport, SCHEMA_VERSION
+from .reports import Counterexample, PropertyReport, SCHEMA_VERSION
 from .seqprops import (
     is_logconcave,
     is_ratio_monotone,
@@ -55,7 +55,6 @@ from .tfunction import (
     t_hypergeometric,
     t_integral,
     t_via_w,
-    t_via_w_variant,
     w_polynomial,
 )
 

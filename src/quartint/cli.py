@@ -28,7 +28,7 @@ from . import tfunction
 from .coefficients import coefficient_row
 from .exact import rational_str
 from .quadrature import QuadratureConvergenceError, evaluate_quartic_integral
-from .reports import SCHEMA_VERSION, RunReport, utc_now_iso
+from .reports import SCHEMA_VERSION, utc_now_iso
 from .suites import SUITES, run_suite, scan_hyp_inequality, scan_infinite_logconcavity
 
 EXIT_PASS = 0
@@ -149,21 +149,8 @@ def _cmd_verify(args) -> int:
         results.extend(
             run_suite(name, max_m=args.max_m, max_n=args.max_n, depth=args.depth, jobs=args.jobs)
         )
-    report = RunReport(
-        command="verify",
-        config={
-            "properties": names,
-            "max_m": args.max_m,
-            "max_n": args.max_n,
-            "depth": args.depth,
-            "jobs": args.jobs,
-        },
-        results=tuple(results),
-        started=started,
-        finished=utc_now_iso(),
-    )
-    _emit_run_report(report, args.format)
-    return EXIT_PASS if report.overall_passed else EXIT_COUNTEREXAMPLE
+    config = {"properties": names, "max_m": args.max_m, "max_n": args.max_n, "depth": args.depth, "jobs": args.jobs}
+    return _emit_run("verify", config, results, started, args.format)
 
 
 def _cmd_scan(args) -> int:
@@ -175,15 +162,7 @@ def _cmd_scan(args) -> int:
         grid = _parse_grid(args.x_grid)
         result = scan_hyp_inequality(args.max_m, grid)
         config = {"kind": args.kind, "max_m": args.max_m, "x_grid": [rational_str(x) for x in grid]}
-    report = RunReport(
-        command="scan",
-        config=config,
-        results=(result,),
-        started=started,
-        finished=utc_now_iso(),
-    )
-    _emit_run_report(report, args.format)
-    return EXIT_PASS if report.overall_passed else EXIT_COUNTEREXAMPLE
+    return _emit_run("scan", config, [result], started, args.format)
 
 
 def _cmd_tvalues(args) -> int:
@@ -236,17 +215,30 @@ def _cmd_integral(args) -> int:
     return EXIT_PASS
 
 
-def _emit_run_report(report: RunReport, fmt: str) -> None:
+def _emit_run(command: str, config: dict, results: list, started: str, fmt: str) -> int:
+    """Print the run report, as the JSON envelope or a table; exit 0 when
+    every result passed and 1 otherwise."""
+    passed = all(r.passed for r in results)
     if fmt == "json":
-        print(report.to_json())
-        return
-    for r in report.results:
-        print(f"{r.verdict():4s}  {r.property:28s}  {r.range}  [{r.elapsed:.2f}s]")
-        for note in r.notes:
-            print(f"      note: {note}")
-        if r.counterexample is not None:
-            print(f"      counterexample at {r.counterexample.location}: {r.counterexample.values}")
-    print(f"overall: {'pass' if report.overall_passed else 'FAIL'}")
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "config": config,
+            "results": [r.to_jsonable() for r in results],
+            "overall": "pass" if passed else "fail",
+            "started": started,
+            "finished": utc_now_iso(),
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        for r in results:
+            print(f"{r.verdict():4s}  {r.property:28s}  {r.range}  [{r.elapsed:.2f}s]")
+            for note in r.notes:
+                print(f"      note: {note}")
+            if r.counterexample is not None:
+                print(f"      counterexample at {r.counterexample.location}: {r.counterexample.values}")
+        print(f"overall: {'pass' if passed else 'FAIL'}")
+    return EXIT_PASS if passed else EXIT_COUNTEREXAMPLE
 
 
 def main(argv: list[str] | None = None) -> int:

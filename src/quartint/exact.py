@@ -1,5 +1,5 @@
-"""Exact integer and rational building blocks: binomials, rising factorials,
-and the canonical "p/q" string form used in reports.
+"""Exact integer and rational building blocks: binomials and the canonical
+"p/q" string form used in reports.
 
 Everything here is arbitrary precision and never rounds.
 """
@@ -19,17 +19,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def pochhammer(x: Fraction | int, k: int) -> Fraction:
-    """Rising factorial x (x+1) ... (x+k-1); the empty product (k = 0) is 1."""
-    if k < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    x = Fraction(x)
-    out = Fraction(1)
-    for i in range(k):
-        out *= x + i
-    return out
 
 
 def rational_str(q: Fraction | int) -> str:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import pochhammer
-
 
 class HypergeometricError(ValueError):
     """Base for invalid terminating-series requests."""
@@ -86,35 +84,25 @@ def pochhammer_ratio_bound_check(m: int) -> bool:
     for 1 <= k <= m-1.
 
     This is the bound (1-m)_k/(2-4m)_k <= 3^(-k) behind the integrand
-    envelope.
+    envelope.  The ratio is coefficient k of 2F1(1, 1-m; 2-4m; z), and
+    b_0 = 1.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    prev = Fraction(1)
-    for k in range(1, m):
-        b_k = 3**k * Fraction(pochhammer(Fraction(1 - m), k), pochhammer(Fraction(2 - 4 * m), k))
-        if not (0 < b_k <= 1 and b_k <= prev):
-            return False
-        prev = b_k
-    return True
+    b = [3**k * ratio for k, ratio in enumerate(hyp2f1_as_polynomial(1, 1 - m, 2 - 4 * m))]
+    return all(0 < later <= earlier for earlier, later in zip(b, b[1:]))
 
 
 def companion_ratio_bound_violations(m: int) -> list[int]:
     """All k in 0..m+1 where (-1-m)_k / (-4m)_k exceeds 3^(-k).
 
-    The bound holds for every m >= 3; at m = 2 it fails at exactly k = 1
-    (the ratio is 3/8 > 1/3), which callers surface rather than hide.
+    The ratio is coefficient k of 2F1(1, -1-m; -4m; z).  The bound holds
+    for every m >= 3; at m = 2 it fails at exactly k = 1 (the ratio is
+    3/8 > 1/3), which callers surface rather than hide.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    bad = []
-    ratio = Fraction(1)
-    for k in range(0, m + 2):
-        if k > 0:
-            ratio *= Fraction(-1 - m + (k - 1), -4 * m + (k - 1))
-        if ratio > Fraction(1, 3**k):
-            bad.append(k)
-    return bad
+    return [k for k, ratio in enumerate(hyp2f1_as_polynomial(1, -1 - m, -4 * m)) if 3**k * ratio > 1]
 
 
 def envelope_bound_check(m: int, t) -> bool:

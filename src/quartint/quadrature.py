@@ -27,7 +27,11 @@ class DivergentIntegralError(ValueError):
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """The error target was not reached within the evaluation budget."""
+    """The error target was not reached within BUDGET evaluations."""
+
+
+# The most integrand evaluations that one adaptive integration may spend.
+BUDGET = 200_000
 
 
 # 15-point Kronrod nodes with the embedded 7-point Gauss rule on [-1, 1];
@@ -70,7 +74,7 @@ def _panel(f, lo: float, hi: float) -> tuple[float, float]:
     return kronrod, err
 
 
-def _adaptive(f, lo: float, hi: float, tol: float, budget: int) -> tuple[float, float, int]:
+def _adaptive(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
     """Refine the worst panel until the summed error estimate is at most tol
     times the value (a relative tolerance; the integrands here are positive);
     returns (value, error estimate, evaluations)."""
@@ -81,7 +85,7 @@ def _adaptive(f, lo: float, hi: float, tol: float, budget: int) -> tuple[float, 
     counter = 1
     total_err = err
     while total_err > tol * abs(value):
-        if evaluations + 30 > budget:
+        if evaluations + 30 > BUDGET:
             raise QuadratureConvergenceError(
                 f"error estimate {total_err:.3e} still above relative tol {tol:.3e} "
                 f"of value {value:.3e} after {evaluations} evaluations"
@@ -99,7 +103,7 @@ def _adaptive(f, lo: float, hi: float, tol: float, budget: int) -> tuple[float, 
     return value, total_err, evaluations
 
 
-def _integrate(m: int, a: float, tol: float, budget: int) -> tuple[float, float, int]:
+def _integrate(m: int, a: float, tol: float) -> tuple[float, float, int]:
     if m < 0:
         raise ValueError("m must be nonnegative")
     if not a > -1:
@@ -119,8 +123,8 @@ def _integrate(m: int, a: float, tol: float, budget: int) -> tuple[float, float,
         return x ** (4 * m + 2) * (x2 * x2 + 2.0 * a * x2 + 1.0) ** -power
 
     # Both parts are positive, so a relative tol met on each is met on the sum.
-    v1, e1, n1 = _adaptive(head, 0.0, 1.0, tol, budget)
-    v2, e2, n2 = _adaptive(tail, 0.0, 1.0, tol, budget)
+    v1, e1, n1 = _adaptive(head, 0.0, 1.0, tol)
+    v2, e2, n2 = _adaptive(tail, 0.0, 1.0, tol)
     return v1 + v2, e1 + e2, n1 + n2
 
 
@@ -149,9 +153,9 @@ class QuadratureResult:
     evaluations: int
 
 
-def evaluate_quartic_integral(m: int, a, tol: float, budget: int = 200_000) -> QuadratureResult:
+def evaluate_quartic_integral(m: int, a, tol: float) -> QuadratureResult:
     """Numeric value, closed form, and their relative error in one record."""
-    numeric, _, evaluations = _integrate(m, float(a), tol, budget)
+    numeric, _, evaluations = _integrate(m, float(a), tol)
     exact = closed_form(m, a)
     rel = abs(numeric - exact) / abs(exact)
     return QuadratureResult(m, float(a), numeric, exact, rel, evaluations)

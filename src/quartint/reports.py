@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 SCHEMA_VERSION = 1
@@ -19,9 +18,6 @@ class Counterexample:
 
     location: dict
     values: dict
-
-    def to_jsonable(self) -> dict:
-        return {"location": dict(self.location), "values": dict(self.values)}
 
 
 @dataclass(frozen=True)
@@ -48,36 +44,8 @@ class PropertyReport:
             "property": self.property,
             "range": self.range,
             "verdict": self.verdict(),
-            "counterexample": None if self.counterexample is None else self.counterexample.to_jsonable(),
+            "counterexample": None if self.counterexample is None else asdict(self.counterexample),
             "elapsed": self.elapsed,
             "notes": list(self.notes),
         }
 
-
-@dataclass(frozen=True)
-class RunReport:
-    """One CLI invocation: echoed config, per-item results, overall verdict."""
-
-    command: str
-    config: dict
-    results: tuple
-    started: str
-    finished: str
-
-    @property
-    def overall_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "config": dict(self.config),
-            "results": [r.to_jsonable() for r in self.results],
-            "overall": "pass" if self.overall_passed else "fail",
-            "started": self.started,
-            "finished": self.finished,
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_jsonable(), indent=indent)

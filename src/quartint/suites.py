@@ -160,15 +160,9 @@ def _chain_witness(m: int) -> Witness:
     left-hand sum below each of the three right-hand sides, and S_{m,l} < 1."""
     for ell in range(0, m // 2):
         chain = tfunction.inequality_chain_check(m, ell)
-        tasks = (
-            chain.lhs < chain.rhs_full,
-            chain.lhs < chain.rhs_unweighted,
-            chain.lhs < chain.rhs_last_term,
-            chain.s_value < 1,
-        )
-        if not all(tasks):
-            values = {f"task{i}": str(holds) for i, holds in enumerate(tasks, start=1)}
-            return {"m": m, "ell": ell}, {**values, "s_value": rational_str(chain.s_value)}
+        if not (chain.lhs < min(chain.rhs_full, chain.rhs_unweighted, chain.rhs_last_term) and chain.s_value < 1):
+            values = {k: rational_str(v) for k, v in chain._asdict().items() if k not in ("m", "ell")}
+            return {"m": m, "ell": ell}, values
     return None
 
 
@@ -275,18 +269,20 @@ def _d_shift_witness(_) -> Witness:
 
 
 def _ac_ratio_witness(_) -> Witness:
-    limit_ok = recurrence.ac_limit() == Fraction(27, 16)
-    above_one = all(recurrence.ac_ratio(n) > 1 for n in range(2, 501))
-    near_limit = abs(recurrence.ac_ratio(1000) - Fraction(27, 16)) < Fraction(1, 100)
-    positivity = all(min(recurrence.ac_values(n)) > 0 for n in range(1, 1001))
-    if limit_ok and above_one and near_limit and positivity:
+    """a/c -> 27/16 from the leading coefficients; a(n), c(n) > 0 on
+    1..1000 and a(n)/c(n) > 1 on 2..500; a(1000)/c(1000) within 1/100 of
+    27/16.  A failure gives the first of these that fails."""
+    limit = recurrence.ac_limit()
+    if limit != Fraction(27, 16):
+        return {}, {"limit": rational_str(limit)}
+    for n in range(1, 1001):
+        a_n, c_n = recurrence.ac_values(n)
+        if a_n <= 0 or c_n <= 0 or (2 <= n <= 500 and recurrence.ac_ratio(n) <= 1):
+            return {"n": n}, {"a": str(a_n), "c": str(c_n)}
+    ratio = recurrence.ac_ratio(1000)
+    if abs(ratio - Fraction(27, 16)) < Fraction(1, 100):
         return None
-    return {}, {
-        "limit": rational_str(recurrence.ac_limit()),
-        "ratio_above_one": str(above_one),
-        "near_limit": str(near_limit),
-        "positivity": str(positivity),
-    }
+    return {"n": 1000}, {"ratio": rational_str(ratio)}
 
 
 def _main_inequality_witness(n: int, max_n: int) -> Witness:
@@ -467,7 +463,7 @@ SUITES: dict[str, tuple[int, str, Callable[[int, int], list[tuple]]]] = {
             _crosscheck_witness,
             (
                 "identity used: T(m) = [x W'(x) - W(x) + 1] at x = 1/2; "
-                f"the variant W'(1/2)/2 - W(1/2) gives {rational_str(tfunction.t_via_w_variant(1))} at m = 1 "
+                f"the variant W'(1/2)/2 - W(1/2) gives {rational_str(tfunction.t_via_w(1) - 1)} at m = 1 "
                 f"where T(1) = {rational_str(tfunction.t_direct(1))}",
             ),
         ),

@@ -119,22 +119,13 @@ def t_via_w(m: int) -> Fraction:
     """T(m) = x W'(x) - W(x) + 1 at x = 1/2, with the exact polynomial
     derivative.
 
-    The superficially similar combination W'(1/2)/2 - W(1/2) (see
-    t_via_w_variant) does not reproduce T(m); this corrected form does, for
-    every m, and the two are reported together so the difference is visible.
+    The superficially similar combination W'(1/2)/2 - W(1/2), which is
+    t_via_w(m) - 1, does not reproduce T(m): at m = 1 it gives -3/4 where
+    T(1) = 1/4.  t-crosscheck notes both values.
     """
     w = w_polynomial(m)
     half = Fraction(1, 2)
     return half * horner(derivative(w), half) - horner(w, half) + 1
-
-
-def t_via_w_variant(m: int) -> Fraction:
-    """(1/2) W'(1/2) - W(1/2), the uncorrected combination.
-
-    At m = 1 this gives -3/4 where T(1) = 1/4; kept only so reports can show
-    both values.
-    """
-    return t_via_w(m) - 1
 
 
 def geometric_tail_bound(m: int) -> Fraction:

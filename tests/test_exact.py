@@ -1,10 +1,10 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quartint.exact import binomial, pochhammer, rational_str
+from quartint.exact import binomial, rational_str
 
 
 def test_binomial_values():
@@ -27,36 +27,16 @@ def test_binomial_pascal_rule():
 
 
 def test_generalized_binomial_extends_comb():
-    # C(n, k) = (-1)^k (-n)_k / k!, which extends comb to negative n
+    # C(n, k) = (-1)^k (-n)_k / k!, which extends comb to negative n; the
+    # rising factorial (-n)_k is the literal product
     def choose(n, k):
-        return (-1) ** k * pochhammer(-n, k) / factorial(k)
+        return (-1) ** k * prod((-n + i for i in range(k)), start=Fraction(1)) / factorial(k)
 
     for n in range(0, 12):
         for k in range(0, n + 1):
             assert choose(n, k) == comb(n, k)
     assert choose(-1, 2) == 1
     assert choose(-2, 3) == -4
-
-
-def test_pochhammer_values():
-    assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
-    assert pochhammer(Fraction(7, 3), 0) == 1
-    assert pochhammer(0, 4) == 0
-
-
-def test_pochhammer_half_closed_form():
-    for r in range(0, 31):
-        assert pochhammer(Fraction(1, 2), r) == Fraction(factorial(2 * r), 4**r * factorial(r))
-
-
-def test_pochhammer_negative_order_rejected():
-    with pytest.raises(ValueError):
-        pochhammer(Fraction(1, 2), -1)
-
-
-@given(st.fractions(), st.integers(min_value=0, max_value=30))
-def test_pochhammer_recurrence(x, k):
-    assert pochhammer(x, k + 1) == pochhammer(x, k) * (x + k)
 
 
 @given(st.fractions())

@@ -194,19 +194,22 @@ def test_recurrence_d_shift_positivity_failure(monkeypatch):
     assert content(run_suite("recurrence", max_n=10)) == expected
 
 
+A_17, C_17 = "2280091501574172000", "1290210221229048000"  # a(17), c(17)
+
+
 @pytest.mark.parametrize(
     "name, at, value, flags",
     [
-        ("ac_ratio", (17,), lambda real, n: Fraction(1), ("False", "True", "True")),
-        ("ac_ratio", (1000,), lambda real, n: Fraction(2), ("True", "False", "True")),
-        ("ac_values", (999,), lambda real, n: (5, -1), ("True", "True", "False")),
+        # flags: the location and values of the first failing sub-check
+        ("ac_ratio", (17,), lambda real, n: Fraction(1), ({"n": 17}, {"a": A_17, "c": C_17})),
+        ("ac_ratio", (1000,), lambda real, n: Fraction(2), ({"n": 1000}, {"ratio": "2"})),
+        ("ac_values", (999,), lambda real, n: (5, -1), ({"n": 999}, {"a": "5", "c": "-1"})),
+        ("ac_limit", (), lambda real: Fraction(2), ({}, {"limit": "2"})),
     ],
 )
 def test_recurrence_ac_ratio_failure(monkeypatch, name, at, value, flags):
     doctor(monkeypatch, recurrence, name, at, value)
-    above_one, near_limit, positivity = flags
-    values = {"limit": "27/16", "ratio_above_one": above_one, "near_limit": near_limit, "positivity": positivity}
-    report = failing("recurrence-ac-ratio", RECURRENCE[3]["range"], {}, values)
+    report = failing("recurrence-ac-ratio", RECURRENCE[3]["range"], *flags)
     assert content(run_suite("recurrence", max_n=10)) == recurrence_with(3, report)
 
 
@@ -279,6 +282,26 @@ def test_limit_gap_decrease_failure(monkeypatch):
         failing("limit-gap", GAP_RANGE, {"m": 5}, {"gap": "1e-09", "next": repr(gap(6))}, [LIMIT_NOTE]),
     ]
     assert content(run_suite("monotone-t", max_m=20)) == expected
+
+
+# ---------------------------------------------------------------------------
+# inequality-chain
+
+
+def test_inequality_chain_failure(monkeypatch):
+    # lhs raised to rhs_last_term at (m, l) = (7, 2): only lhs < rhs_last_term fails
+    raise_lhs = lambda real, m, ell: real(m, ell)._replace(lhs=256256)  # noqa: E731
+    doctor(monkeypatch, tfunction, "inequality_chain_check", (7, 2), raise_lhs)
+    values = {
+        "lhs": "256256",
+        "rhs_full": "604032",
+        "rhs_unweighted": "347776",
+        "rhs_last_term": "256256",
+        "s_value": "153/1232",
+    }
+    range_desc = "all (m, l) with 0 <= l < floor(m/2), m <= 10"
+    expected = [failing("inequality-chain", range_desc, {"m": 7, "ell": 2}, values)]
+    assert content(run_suite("inequality-chain", max_m=10)) == expected
 
 
 # ---------------------------------------------------------------------------

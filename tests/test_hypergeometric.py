@@ -1,11 +1,10 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quartint.exact import pochhammer
 from quartint.hypergeometric import (
     NonTerminatingSeriesError,
     SeriesPoleError,
@@ -16,6 +15,11 @@ from quartint.hypergeometric import (
     pochhammer_ratio_bound_check,
 )
 from quartint.polynomial import derivative, horner
+
+
+def pochhammer(x, k):
+    """The rising factorial x (x+1) ... (x+k-1), as the literal product."""
+    return prod((x + i for i in range(k)), start=Fraction(1))
 
 
 def test_terminating_values():
@@ -157,6 +161,9 @@ def test_contiguous_relation():
 def test_pochhammer_ratio_bound():
     for m in range(2, 41):
         assert pochhammer_ratio_bound_check(m)
+        # the check reads (1-m)_k / (2-4m)_k off the series coefficients
+        ratios = tuple(pochhammer(1 - m, k) / pochhammer(2 - 4 * m, k) for k in range(m))
+        assert hyp2f1_as_polynomial(1, 1 - m, 2 - 4 * m) == ratios
 
 
 def test_companion_ratio_bound_single_known_exception():
@@ -164,6 +171,10 @@ def test_companion_ratio_bound_single_known_exception():
     assert companion_ratio_bound_violations(2) == [1]
     for m in range(3, 41):
         assert companion_ratio_bound_violations(m) == []
+    for m in range(1, 41):
+        # the violations are read off the series coefficients (-1-m)_k / (-4m)_k
+        ratios = tuple(pochhammer(-1 - m, k) / pochhammer(-4 * m, k) for k in range(m + 2))
+        assert hyp2f1_as_polynomial(1, -1 - m, -4 * m) == ratios
 
 
 def test_envelope_bound_on_grid():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quartint import quadrature
 from quartint.coefficients import coefficient_row
 from quartint.polynomial import horner
 from quartint.quadrature import (
@@ -63,9 +64,10 @@ def test_divergent_and_domain_errors():
         evaluate_quartic_integral(1, 1.0, 0.0)
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(quadrature, "BUDGET", 600)
     with pytest.raises(QuadratureConvergenceError):
-        evaluate_quartic_integral(2, 1.0, 1e-30, budget=600)
+        evaluate_quartic_integral(2, 1.0, 1e-30)
 
 
 def test_result_record():

@@ -9,7 +9,7 @@ from quartint import tfunction
 from quartint.cli import main
 from quartint.exact import binomial
 from quartint.hypergeometric import hyp2f1
-from quartint.polynomial import horner
+from quartint.polynomial import derivative, horner
 from quartint.suites import run_suite
 from quartint.tfunction import (
     T_LIMIT,
@@ -22,7 +22,6 @@ from quartint.tfunction import (
     t_hypergeometric,
     t_integral,
     t_via_w,
-    t_via_w_variant,
     w_polynomial,
 )
 
@@ -159,7 +158,9 @@ def test_w_polynomial_and_function():
 
 def test_t_via_w_correction():
     assert t_via_w(1) == Fraction(1, 4)
-    assert t_via_w_variant(1) == Fraction(-3, 4)
+    # the uncorrected variant W'(1/2)/2 - W(1/2), which t-crosscheck notes
+    w, half = w_polynomial(1), Fraction(1, 2)
+    assert half * horner(derivative(w), half) - horner(w, half) == t_via_w(1) - 1 == Fraction(-3, 4)
 
 
 def test_bound_pair():
