@@ -1,7 +1,6 @@
 from fractions import Fraction
 from math import comb, factorial, prod
 
-import pytest
 from hypothesis import given, strategies as st
 
 from quartint.exact import binomial, rational_str
