@@ -125,6 +125,7 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch, error):
     monkeypatch.setattr(cli, "run_suite", broken)
     code, _, err = run(capsys, "verify", "--property", "unimodal", "--max-m", "3")
     assert code == 3
+    assert "Traceback (most recent call last)" in err
     assert "internal error" in err
 
 

@@ -1,4 +1,6 @@
 import json
+import re
+from datetime import datetime
 
 import pytest
 
@@ -63,3 +65,13 @@ def test_a_result_without_a_verdict_is_not_a_pass(monkeypatch, capsys):
     for fmt in ("json", "table"):
         code, _ = _verify(monkeypatch, capsys, [object()], fmt)
         assert code == 3, fmt
+
+
+def test_run_timestamps_are_iso_8601_utc(capsys):
+    assert cli.main(["verify", "--property", "unimodal", "--max-m", "3", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for key in ("started", "finished"):
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00", payload[key]), payload[key]
+    started, finished = (datetime.fromisoformat(payload[key]) for key in ("started", "finished"))
+    assert started.utcoffset().total_seconds() == 0
+    assert started <= finished
