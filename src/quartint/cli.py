@@ -16,12 +16,10 @@ Exit codes: 0 pass, 1 mathematical counterexample, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-import traceback
 from fractions import Fraction
 
 from . import tfunction
@@ -199,7 +197,7 @@ def _cmd_tvalues(args) -> int:
 def _cmd_integral(args) -> int:
     result = evaluate_quartic_integral(args.m, args.a, args.tol)
     if args.format == "json":
-        print(json.dumps(dataclasses.asdict(result), indent=2))
+        print(json.dumps(result._asdict(), indent=2))
     elif args.format == "csv":
         print("m,a,numeric,closed_form,relative_error,evaluations")
         print(
@@ -261,7 +259,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except Exception as exc:
         # Any other failure is a fault of the program, never a counterexample:
-        # exit 1 is reserved for a mathematical verdict.
+        # exit 1 is reserved for a mathematical verdict.  traceback is
+        # imported only here, off the start-up path of every run.
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

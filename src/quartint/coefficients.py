@@ -29,26 +29,19 @@ internal error, never a wrong row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import binomial
 from .polynomial import taylor_shift
 
 
-@dataclass(frozen=True)
-class CoefficientRow:
+class CoefficientRow(NamedTuple):
     """One full row (d_0(m), ..., d_m(m)); every entry is strictly positive."""
 
     m: int
     values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.m + 1:
-            raise ValueError(f"row for m={self.m} must have {self.m + 1} entries")
-        if any(v <= 0 for v in self.values):
-            raise ValueError("coefficient rows are strictly positive")
 
 
 _ROW_CHECKPOINT = 64
@@ -76,11 +69,16 @@ def _next_row(row: tuple[int, ...], m: int) -> tuple[int, ...]:
 
 
 def coefficient_row(m: int) -> CoefficientRow:
-    """All of (d_0(m), ..., d_m(m)) in one shot."""
+    """All of (d_0(m), ..., d_m(m)) in one shot.  A row of the wrong length
+    or with an entry that is not positive is an ArithmeticError, an internal
+    error like an inexact step of the recurrence."""
     if m < 0:
         raise ValueError("m must be nonnegative")
+    row = _scaled_row(m)
+    if len(row) != m + 1 or any(b <= 0 for b in row):
+        raise ArithmeticError(f"row for m={m} must have {m + 1} strictly positive entries")
     scale = 4**m
-    return CoefficientRow(m, tuple(Fraction(b, scale) for b in _scaled_row(m)))
+    return CoefficientRow(m, tuple(Fraction(b, scale) for b in row))
 
 
 def scaled_row(m: int) -> tuple[int, ...]:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coefficients import scaled_row
 from .polynomial import horner
@@ -143,8 +143,7 @@ def closed_form(m: int, a) -> float:
     return float(scaled) * math.pi / (2.0**1.5 * math.sqrt(a_exact + 1))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     m: int
     a: float
     numeric: float

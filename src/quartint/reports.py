@@ -2,29 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
+import time
+from typing import NamedTuple
 
 SCHEMA_VERSION = 1
 
 
 def utc_now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    """The current UTC time as datetime.isoformat gives it, e.g.
+    2026-01-02T03:04:05.678901+00:00 (no fraction when it is zero)."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """Where a property failed and the exact witnesses, rationals as strings."""
 
     location: dict
     values: dict
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    """Outcome of one property sweep.  A failing report always carries a
-    counterexample."""
-
+class _PropertyReportFields(NamedTuple):
     property: str
     range: str
     passed: bool
@@ -32,9 +31,18 @@ class PropertyReport:
     elapsed: float = 0.0
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class PropertyReport(_PropertyReportFields):
+    """Outcome of one property sweep.  A failing report always carries a
+    counterexample."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.passed and self.counterexample is None:
             raise ValueError("failing report must carry a counterexample")
+        return self
 
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
@@ -44,8 +52,7 @@ class PropertyReport:
             "property": self.property,
             "range": self.range,
             "verdict": self.verdict(),
-            "counterexample": None if self.counterexample is None else asdict(self.counterexample),
+            "counterexample": None if self.counterexample is None else self.counterexample._asdict(),
             "elapsed": self.elapsed,
             "notes": list(self.notes),
         }
-

@@ -561,3 +561,19 @@ def test_importing_the_cli_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_a_run_loads_no_module_it_does_not_use():
+    # dataclasses (with inspect), datetime and traceback cost every process
+    # start-up time; the pool module is imported only by a sweep on a pool
+    unused = ["dataclasses", "inspect", "datetime", "traceback", "concurrent.futures.process"]
+    code = (
+        "import sys, quartint.cli\n"
+        f"unused = {unused!r}\n"
+        "print([m for m in unused if m in sys.modules])\n"
+        "assert quartint.cli.main(['coeffs', '--m', '0']) == 0\n"
+        "print([m for m in unused if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["[]", "1", "[]"]

@@ -161,3 +161,13 @@ def test_an_inexact_step_is_an_internal_error(cold_rows, monkeypatch, capsys):
     coefficients._scaled_row.cache_clear()
     assert main(["coeffs", "--m", "65"]) == 3
     assert "inexact division" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["coeffs", "--m", "3"], ["verify", "--property", "unimodal", "--max-m", "3"]])
+def test_a_row_with_a_zero_entry_is_an_internal_error(cold_rows, monkeypatch, capsys, argv):
+    real = coefficients._scaled_row
+    monkeypatch.setattr(coefficients, "_scaled_row", lambda m: (real(m)[0], 0, *real(m)[2:]) if m == 3 else real(m))
+    with pytest.raises(ArithmeticError, match="m=3"):
+        coefficient_row(3)
+    assert main(argv) == 3
+    assert "strictly positive" in capsys.readouterr().err
