@@ -8,17 +8,18 @@ Each revision is exported with ``git archive`` into its own directory, so
 both sides run the same way from a clean tree.  Then, for each side in
 turn (the side that goes first alternates from one pair to the next):
 
-- start-up: ``--startup-runs`` cold ``quartint coeffs --m 0`` processes
+- start-up: ``STARTUP_RUNS`` cold ``quartint coeffs --m 0`` processes
   (the benchmark's set-up probe; its output must be ``1``), and as many
   fresh interpreters that time ``import quartint.cli`` in process and
   count the modules it loads;
-- workloads: ``--pairs`` runs of ``perfbench/run.py --trace 0`` per
-  workload, each with its own seed and ``--seconds``.
+- workloads: ``PAIRS`` runs of ``perfbench/run.py --trace 0`` per
+  workload, each with its own seed and the ``run_seconds`` that
+  ``BENCHMARK.json`` sets.
 
 The output file holds the medians and quartiles of each side, the number
 of pairs the change won, the per-invocation medians and every run's
-metrics.  Run it from the root of a checkout; it uses only the standard
-library.
+metrics; the quartiles are those of ``perfbench/compare.py``.  Run it from
+the root of a checkout; it uses only the standard library.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from compare import BENCHMARK, quartiles  # noqa: E402
+
+STARTUP_RUNS = 21
+PAIRS = 10  # the fewest pairs that can show a gain (9 of 10 must win)
+SECONDS = json.loads(BENCHMARK.read_text())["run_seconds"]
 WORKLOADS = ("conjecture-scans", "verify-all", "row-sweeps")
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 SIDES = ("parent", "change")
@@ -118,7 +125,7 @@ def compare(parent: list[float], change: list[float]) -> dict:
     and the number of pairs (paired by run order) that the change won."""
     summary = {}
     for side, values in zip(SIDES, (parent, change)):
-        q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        q1, median, q3 = quartiles(values)
         summary |= {f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3}
     summary["change_vs_parent"] = summary["change_median"] / summary["parent_median"] - 1
     summary["pairs_change_better"] = sum(c < p for p, c in zip(parent, change))
@@ -133,7 +140,6 @@ def command(args: argparse.Namespace) -> str:
     say where files go, so they are left out."""
     return (
         f"python3 scripts/bench_pairs.py {args.parent_rev} {args.change_rev} --out FILE "
-        f"--startup-runs {args.startup_runs} --pairs {args.pairs} --seconds {args.seconds} "
         f"--first-seed {args.first_seed} --workloads {' '.join(args.workloads)}"
     )
 
@@ -152,9 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent_rev")
     parser.add_argument("change_rev")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--startup-runs", type=int, default=21)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--workdir", type=Path, default=None, help="where the two trees go (default: a temp dir)")
@@ -177,14 +180,14 @@ def main(argv: list[str] | None = None) -> int:
         for side in SIDES:
             cold_coeffs(trees[side])
         cold, inproc, modules = defaultdict(list), defaultdict(list), {}
-        for _, order in orders(args.startup_runs):
+        for _, order in orders(STARTUP_RUNS):
             for side in order:
                 cold[side].append(cold_coeffs(trees[side]))
                 probe = import_probe(trees[side])
                 inproc[side].append(probe["import_s"])
                 modules[side] = probe["modules"]
         result["startup"] = {
-            "runs": args.startup_runs,
+            "runs": STARTUP_RUNS,
             "cold_coeffs_m0_s": compare(cold["parent"], cold["change"]),
             "import_quartint_cli_s": compare(inproc["parent"], inproc["change"]),
             "modules_loaded_by_import": {side: len(modules[side]) for side in SIDES},
@@ -196,9 +199,9 @@ def main(argv: list[str] | None = None) -> int:
         result["workloads"], result["records"] = {}, defaultdict(list)
         for workload in args.workloads:
             runs = defaultdict(list)
-            for i, order in orders(args.pairs):
+            for i, order in orders(PAIRS):
                 for side in order:
-                    record = perfbench_run(trees[side], workload, seed + i, args.seconds)
+                    record = perfbench_run(trees[side], workload, seed + i, SECONDS)
                     runs[side].append(record)
                     result["records"][workload].append(
                         {"side": side, "seed": seed + i, "correct": record["correct"],
@@ -206,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
                          **{m: record["metrics"][m]["value"] for m in METRICS}}
                     )
                     print(f"{workload} pair {i} {side}: wall_s {record['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
-            summary = {"seeds": list(range(seed, seed + args.pairs)), "seconds": args.seconds}
+            summary = {"seeds": list(range(seed, seed + PAIRS)), "seconds": SECONDS}
             for metric in METRICS:
                 summary[metric] = compare(*([r["metrics"][metric]["value"] for r in runs[side]] for side in SIDES))
             summary["correct"] = all(r["correct"] for side in SIDES for r in runs[side])
@@ -220,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
                             walls[key].append(wall)
                 summary["invocation_wall_s_median"][side] = {k: statistics.median(v) for k, v in sorted(walls.items())}
             result["workloads"][workload] = summary
-            seed += args.pairs
+            seed += PAIRS
     finally:
         shutil.rmtree(work)
     args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -38,7 +38,8 @@ from .polynomial import taylor_shift
 
 
 class CoefficientRow(NamedTuple):
-    """One full row (d_0(m), ..., d_m(m)); every entry is strictly positive."""
+    """One full row (d_0(m), ..., d_m(m)).  coefficient_row() guarantees that
+    every entry is strictly positive; the type itself does not check it."""
 
     m: int
     values: tuple[Fraction, ...]

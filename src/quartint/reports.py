@@ -44,6 +44,9 @@ class PropertyReport(_PropertyReportFields):
             raise ValueError("failing report must carry a counterexample")
         return self
 
+    # _replace builds through _make; going through __new__ keeps the check there too.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 

@@ -20,6 +20,15 @@ def test_failing_report_requires_counterexample():
     assert report.verdict() == "fail"
 
 
+def test_replace_keeps_the_counterexample_check():
+    report = PropertyReport(property="p", range="r", passed=True)
+    with pytest.raises(ValueError):
+        report._replace(passed=False)
+    with pytest.raises(ValueError):
+        PropertyReport._make(("p", "r", False))
+    assert report._replace(elapsed=1.5) == PropertyReport("p", "r", True, elapsed=1.5)
+
+
 def test_passing_report_json():
     report = PropertyReport(property="p", range="m <= 5", passed=True, elapsed=0.5, notes=("hi",))
     payload = report.to_jsonable()
