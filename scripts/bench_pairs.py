@@ -8,10 +8,10 @@ Each revision is exported with ``git archive`` into its own directory, so
 both sides run the same way from a clean tree.  Then, for each side in
 turn (the side that goes first alternates from one pair to the next):
 
-- start-up: ``STARTUP_RUNS`` cold ``quartint coeffs --m 0`` processes
-  (the benchmark's set-up probe; its output must be ``1``), and as many
-  fresh interpreters that time ``import quartint.cli`` in process and
-  count the modules it loads;
+- start-up: ``STARTUP_RUNS`` fresh interpreters that time
+  ``import quartint.cli`` in process and count the modules it loads (the
+  cold start-up of a whole CLI process is the ``setup_s`` of every
+  workload record below);
 - workloads: ``PAIRS`` runs of ``perfbench/run.py --trace 0`` per
   workload, each with its own seed and the ``run_seconds`` that
   ``BENCHMARK.json`` sets.
@@ -33,7 +33,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -80,18 +79,6 @@ def pinned_env(tree: Path) -> dict[str, str]:
         "PYTHONNOUSERSITE": "1",
         "LC_ALL": "C",
     }
-
-
-def cold_coeffs(tree: Path) -> float:
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "quartint.cli", "coeffs", "--m", "0"],
-        env=pinned_env(tree), cwd=tree, capture_output=True, text=True, stdin=subprocess.DEVNULL,
-    )
-    wall = time.perf_counter() - start
-    if done.returncode != 0 or done.stdout.strip() != "1":
-        raise SystemExit(f"bench_pairs: coeffs --m 0 in {tree} gave exit {done.returncode}: {done.stdout!r}")
-    return wall
 
 
 def import_probe(tree: Path) -> dict:
@@ -168,27 +155,25 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: work / side for side in SIDES}
         commits = {side: export(rev, trees[side]) for side, rev in zip(SIDES, (args.parent_rev, args.change_rev))}
         result = {
-            "what": f"scripts/bench_pairs.py {args.parent_rev} {args.change_rev}: cold start-up and the "
-            f"perfbench workloads of both commits, as alternating pairs",
+            "what": f"scripts/bench_pairs.py {args.parent_rev} {args.change_rev}: the import of quartint.cli "
+            f"and the perfbench workloads of both commits, as alternating pairs",
             "command": command(args),
             "host": host(),
             "loadavg_at_start": list(os.getloadavg()),
             "commits": commits,
         }
 
-        # start-up: one discarded warm-up per side writes the .pyc files
+        # start-up: one discarded probe per side writes the .pyc files
         for side in SIDES:
-            cold_coeffs(trees[side])
-        cold, inproc, modules = defaultdict(list), defaultdict(list), {}
+            import_probe(trees[side])
+        inproc, modules = defaultdict(list), {}
         for _, order in orders(STARTUP_RUNS):
             for side in order:
-                cold[side].append(cold_coeffs(trees[side]))
                 probe = import_probe(trees[side])
                 inproc[side].append(probe["import_s"])
                 modules[side] = probe["modules"]
         result["startup"] = {
             "runs": STARTUP_RUNS,
-            "cold_coeffs_m0_s": compare(cold["parent"], cold["change"]),
             "import_quartint_cli_s": compare(inproc["parent"], inproc["change"]),
             "modules_loaded_by_import": {side: len(modules[side]) for side in SIDES},
             "modules_only_at_parent": sorted(set(modules["parent"]) - set(modules["change"])),

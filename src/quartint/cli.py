@@ -142,6 +142,11 @@ def _cmd_coeffs(args) -> int:
 def _cmd_verify(args) -> int:
     started = utc_now_iso()
     names = sorted(SUITES) if args.all else [args.property]
+    if args.property is not None:
+        knob = SUITES[args.property][1]
+        unread = "max_n" if knob == "max_m" else "max_m"
+        if getattr(args, unread) is not None:
+            raise ValueError(f"{args.property} reads --{knob.replace('_', '-')}, not --{unread.replace('_', '-')}")
     results = []
     for name in names:
         results.extend(

@@ -27,8 +27,11 @@ def row_first_negative(m: int, depth: int) -> tuple[int, int, Fraction] | None:
     L is iterated on the integer row b(m) = 4^m d(m); a negative entry v of
     L^j(b) is the entry v / 4^(m 2^j) of L^j(d(m)) (see l_operator).  The
     iteration stops early once the lemma restated in iterated_l_first_negative
-    shows that every later iterate is nonnegative.
+    shows that every later iterate is nonnegative.  Depth 0 would check
+    nothing, so it is a ValueError.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     hit = iterated_l_first_negative(scaled_row(m), depth)
     if hit is None:
         return None

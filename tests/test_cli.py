@@ -298,12 +298,12 @@ m,direct,hypergeometric,integral,approx,limit_gap
   "numeric": 0.49087385212340373,
   "closed_form": 0.49087385212340506,
   "relative_error": 2.7140733281822015e-15,
-  "evaluations": 90
+  "evaluations": 45
 }
 """,
     ("integral", "--m", "1", "--a", "1", "--tol", "1e-12", "--format", "csv"): """\
 m,a,numeric,closed_form,relative_error,evaluations
-1,1.0,0.49087385212340373,0.49087385212340506,2.7140733281822015e-15,90
+1,1.0,0.49087385212340373,0.49087385212340506,2.7140733281822015e-15,45
 """,
     ("coeffs", "--m", "3", "--format", "table"): """\
    0  77/16
@@ -484,11 +484,34 @@ def test_integral_convergence_failure_is_internal_error(capsys):
     assert "tol" in err
 
 
-@pytest.mark.parametrize("m, a", [("200", "100"), ("300", "-0.9"), ("400", "4")])
+@pytest.mark.parametrize("m, a", [("200", "100"), ("300", "-0.9"), ("400", "4"), ("180", "-0.99")])
 def test_integral_large_m(capsys, m, a):
     code, out, _ = run(capsys, "integral", "--m", m, "--a", a, "--format", "json")
     assert code == 0
     assert json.loads(out)["relative_error"] < 1e-10
+
+
+@pytest.mark.parametrize("m, a", [("200", "-0.99"), ("400", "-0.999"), ("180", "-0.99002")])
+def test_integral_beyond_float_range_is_stated_error(capsys, m, a):
+    # the value at (200, -0.99) is about 1e401; at (180, -0.99002) it is
+    # about 1e306, but the panel sums overflow to inf
+    code, out, err = run(capsys, "integral", "--m", m, "--a", a)
+    assert (code, out) == (3, "")
+    assert "float range" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (("--property", "recurrence", "--max-m", "5"), "--max-n"),
+        (("--property", "unimodal", "--max-n", "5"), "--max-m"),
+    ],
+)
+def test_verify_limit_the_suite_does_not_read_is_usage_error(capsys, argv, read):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert f"reads {read}" in err
 
 
 def test_verify_empty_range_is_usage_error(capsys):

@@ -73,6 +73,12 @@ def test_ilogconcave_scan_passes():
     assert "depth 5" in report.range
 
 
+def test_depth_zero_scan_is_an_error():
+    # depth 0 applies L to no row, so a pass would have checked nothing
+    with pytest.raises(ValueError, match="depth"):
+        scan_infinite_logconcavity(10, 0)
+
+
 def test_hyp_margin_positive_on_small_grid():
     for m in range(2, 16):
         for x in (Fraction(1, 2), Fraction(3, 4), 1, 2, 5):

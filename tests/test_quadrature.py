@@ -70,6 +70,26 @@ def test_budget_exhaustion(monkeypatch):
         evaluate_quartic_integral(2, 1.0, 1e-30)
 
 
+def test_one_folded_run_on_the_unit_interval(monkeypatch):
+    # the x -> 1/x image of [1, inf) is folded into the integrand on [0, 1],
+    # so the whole integral is one adaptive run
+    calls = []
+    real = quadrature._adaptive
+
+    def recording(f, lo, hi, tol):
+        calls.append((lo, hi))
+        return real(f, lo, hi, tol)
+
+    monkeypatch.setattr(quadrature, "_adaptive", recording)
+    evaluate_quartic_integral(3, 0.5, 1e-10)
+    assert calls == [(0.0, 1.0)]
+
+
+def test_closed_form_receives_the_exact_argument():
+    # "-0.9" is the rational -9/10, not the float nearest to it
+    assert evaluate_quartic_integral(5, "-0.9", 1e-10).closed_form == closed_form(5, Fraction(-9, 10))
+
+
 def test_result_record():
     result = evaluate_quartic_integral(1, 1.0, 1e-12)
     assert (result.m, result.a) == (1, 1.0)

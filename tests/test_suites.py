@@ -50,6 +50,11 @@ def test_ilogconcave_suite_uses_depth():
     assert "depth 4" in report.range
 
 
+def test_ilogconcave_suite_rejects_depth_zero():
+    with pytest.raises(ValueError, match="depth"):
+        run_suite("ilogconcave", max_m=10, depth=0)
+
+
 def test_ratio_monotone_suite():
     assert single(run_suite("ratio-monotone", max_m=40)).passed
     with pytest.raises(ValueError):
