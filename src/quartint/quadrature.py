@@ -27,7 +27,7 @@ class DivergentIntegralError(ValueError):
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """The error target was not reached within BUDGET evaluations, or the value exceeds the float range."""
+    """The error target was not met within BUDGET evaluations, or the value or integrand overflows a float."""
 
 
 # The most integrand evaluations that the integral may spend.
