@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Before-and-after numbers for two commits: process start-up and the
-benchmark's workloads, run as alternating pairs.
+"""Before-and-after numbers for two commits: process start-up, the exact
+T-route kernels and the benchmark's workloads, run as alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT_REV CHANGE_REV --out BENCH_N.json
 
@@ -12,6 +12,8 @@ turn (the side that goes first alternates from one pair to the next):
   ``import quartint.cli`` in process and count the modules it loads (the
   cold start-up of a whole CLI process is the ``setup_s`` of every
   workload record below);
+- kernels: one fresh interpreter that runs each kernel of
+  ``KERNEL_PROBE`` ``KERNEL_RUNS`` times in process and keeps the median;
 - workloads: ``PAIRS`` runs of ``perfbench/run.py --trace 0`` per
   workload, each with its own seed and the ``run_seconds`` that
   ``BENCHMARK.json`` sets.
@@ -59,6 +61,28 @@ import json
 print(json.dumps({"import_s": elapsed, "modules": new}))
 """
 
+# Times the exact T routes in process: the median of KERNEL_RUNS runs of each.
+KERNEL_RUNS = 5
+KERNEL_PROBE = f"""
+import json, statistics, time
+from quartint import tfunction
+kernels = {{
+    "t_integral(1..100)": lambda: [tfunction.t_integral(m) for m in range(1, 101)],
+    "t_via_w(1..100)": lambda: [tfunction.t_via_w(m) for m in range(1, 101)],
+    "t_hypergeometric(1..100)": lambda: [tfunction.t_hypergeometric(m) for m in range(1, 101)],
+    "t_integral(2000)": lambda: tfunction.t_integral(2000),
+}}
+medians = {{}}
+for name, kernel in kernels.items():
+    times = []
+    for _ in range({KERNEL_RUNS}):
+        start = time.perf_counter()
+        kernel()
+        times.append(time.perf_counter() - start)
+    medians[name] = statistics.median(times)
+print(json.dumps(medians))
+"""
+
 
 def export(rev: str, dest: Path) -> str:
     """Write the tree of ``rev`` to ``dest``; return its full commit id."""
@@ -81,9 +105,10 @@ def pinned_env(tree: Path) -> dict[str, str]:
     }
 
 
-def import_probe(tree: Path) -> dict:
+def probe(tree: Path, code: str) -> dict:
+    """The JSON that ``code`` prints, run in a fresh interpreter on ``tree``."""
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], env=pinned_env(tree), cwd=tree, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=pinned_env(tree), cwd=tree, capture_output=True, text=True, check=True
     )
     return json.loads(done.stdout)
 
@@ -155,8 +180,8 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: work / side for side in SIDES}
         commits = {side: export(rev, trees[side]) for side, rev in zip(SIDES, (args.parent_rev, args.change_rev))}
         result = {
-            "what": f"scripts/bench_pairs.py {args.parent_rev} {args.change_rev}: the import of quartint.cli "
-            f"and the perfbench workloads of both commits, as alternating pairs",
+            "what": f"scripts/bench_pairs.py {args.parent_rev} {args.change_rev}: the import of quartint.cli, "
+            f"the exact T-route kernels and the perfbench workloads of both commits, as alternating pairs",
             "command": command(args),
             "host": host(),
             "loadavg_at_start": list(os.getloadavg()),
@@ -165,19 +190,27 @@ def main(argv: list[str] | None = None) -> int:
 
         # start-up: one discarded probe per side writes the .pyc files
         for side in SIDES:
-            import_probe(trees[side])
+            probe(trees[side], IMPORT_PROBE)
         inproc, modules = defaultdict(list), {}
         for _, order in orders(STARTUP_RUNS):
             for side in order:
-                probe = import_probe(trees[side])
-                inproc[side].append(probe["import_s"])
-                modules[side] = probe["modules"]
+                imported = probe(trees[side], IMPORT_PROBE)
+                inproc[side].append(imported["import_s"])
+                modules[side] = imported["modules"]
         result["startup"] = {
             "runs": STARTUP_RUNS,
             "import_quartint_cli_s": compare(inproc["parent"], inproc["change"]),
             "modules_loaded_by_import": {side: len(modules[side]) for side in SIDES},
             "modules_only_at_parent": sorted(set(modules["parent"]) - set(modules["change"])),
             "modules_only_at_change": sorted(set(modules["change"]) - set(modules["parent"])),
+        }
+
+        kernels = {side: probe(trees[side], KERNEL_PROBE) for side in SIDES}
+        result["kernels"] = {
+            "runs": KERNEL_RUNS,
+            **{name: {f"{side}_median_s": kernels[side][name] for side in SIDES}
+               | {"change_vs_parent": kernels["change"][name] / kernels["parent"][name] - 1}
+               for name in kernels["parent"]},
         }
 
         seed = args.first_seed

@@ -15,6 +15,7 @@ from .hypergeometric import (
     envelope_bound_check,
     hyp2f1,
     hyp2f1_as_polynomial,
+    hyp2f1_first_moment,
     pochhammer_ratio_bound_check,
 )
 from .polynomial import derivative, horner, taylor_shift

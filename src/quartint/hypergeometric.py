@@ -16,6 +16,11 @@ the exact term ratio
         = (alpha + k da)(b+k) zeta dc / ((gamma + k dc)(k+1) dz da),
 
 carrying one integer numerator and denominator and reducing once at the end.
+The first moment
+
+    int_0^x t 2F1(a, b; c; t) dt = (x^2/2) 3F2(a, b, 2; c, 3; x)
+
+is summed the same way, with the term ratio r_k (k+2)/(k+3).
 """
 
 from __future__ import annotations
@@ -45,27 +50,40 @@ def _validated_order(a: Fraction, b: Fraction, c: Fraction) -> int:
     return n
 
 
-def _term_ratios(a: Fraction, b: Fraction, c: Fraction, n: int) -> list[tuple[int, int]]:
-    """Integer pairs (p_k, q_k) with p_k / q_k = (a+k)(b+k) / ((c+k)(k+1))
+def _term_ratios(a: Fraction, b: Fraction, c: Fraction, z: Fraction, n: int) -> list[tuple[int, int]]:
+    """Integer pairs (p_k, q_k) with p_k / q_k = r_k = (a+k)(b+k) z / ((c+k)(k+1))
     for 0 <= k < n; q_k != 0 once _validated_order has passed."""
     alpha, da = a.numerator, a.denominator
     gamma, dc = c.numerator, c.denominator
     b = int(b)
-    return [((alpha + k * da) * (b + k) * dc, (gamma + k * dc) * (k + 1) * da) for k in range(n)]
+    p_scale, q_scale = z.numerator * dc, z.denominator * da
+    return [((alpha + k * da) * (b + k) * p_scale, (gamma + k * dc) * (k + 1) * q_scale) for k in range(n)]
+
+
+def _nested_sum(ratios: list[tuple[int, int]]) -> tuple[int, int]:
+    """Numerator and denominator of 1 + r_0 (1 + r_1 (... (1 + r_{n-1}))),
+    unreduced, for r_k = p_k / q_k."""
+    num = den = 1
+    for p, q in reversed(ratios):
+        num = q * den + p * num
+        den *= q
+    return num, den
 
 
 def hyp2f1(a, b, c, z) -> Fraction:
     """Exact value of the terminating series 2F1(a, b; c; z), summed over one
     common denominator (see the module docstring)."""
     a, b, c, z = Fraction(a), Fraction(b), Fraction(c), Fraction(z)
-    n = _validated_order(a, b, c)
-    zeta, dz = z.numerator, z.denominator
-    num = den = 1
-    for p, q in reversed(_term_ratios(a, b, c, n)):
-        q *= dz
-        num = q * den + p * zeta * num
-        den *= q
-    return Fraction(num, den)
+    return Fraction(*_nested_sum(_term_ratios(a, b, c, z, _validated_order(a, b, c))))
+
+
+def hyp2f1_first_moment(a, b, c, x) -> Fraction:
+    """Exact value of int_0^x t 2F1(a, b; c; t) dt = (x^2/2) 3F2(a, b, 2; c, 3; x),
+    summed over one common denominator like hyp2f1."""
+    a, b, c, x = Fraction(a), Fraction(b), Fraction(c), Fraction(x)
+    ratios = _term_ratios(a, b, c, x, _validated_order(a, b, c))
+    num, den = _nested_sum([(p * (k + 2), q * (k + 3)) for k, (p, q) in enumerate(ratios)])
+    return x * x * Fraction(num, 2 * den)
 
 
 def hyp2f1_as_polynomial(a, b, c) -> tuple[Fraction, ...]:
@@ -74,7 +92,7 @@ def hyp2f1_as_polynomial(a, b, c) -> tuple[Fraction, ...]:
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     n = _validated_order(a, b, c)
     coeffs = [Fraction(1)]
-    for p, q in _term_ratios(a, b, c, n):
+    for p, q in _term_ratios(a, b, c, Fraction(1), n):
         coeffs.append(coeffs[-1] * Fraction(p, q))
     return tuple(coeffs)
 

@@ -7,8 +7,14 @@ form:
 The improper range is folded onto the unit interval: x -> 1/x maps [1, inf)
 onto (0, 1] with x^(4m+2) times the integrand, so the numeric side is one
 adaptive Gauss-Kronrod run of (1 + x^(4m+2)) / (x^4 + 2 a x^2 + 1)^(m+1) on
-[0, 1].  The closed form keeps P_m(a) exact until the final float
-conversion, which keeps quadrature error separated from coefficient error.
+[0, 1].  For a > 1 the integrand falls from its peak at x = 0 within a
+width of about a^(-1/2): a first panel on [0, 1] can miss it, and panel
+values that small defeat the error estimate of _panel, which is scaled for
+values of order one.  So the run is made in u = a^(1/2) x on
+[0, a^(1/2)], starting from the panels split at u = 1, 2, 4, ...; for
+a <= 1 it is the run on [0, 1], evaluation for evaluation.  The closed
+form keeps P_m(a) exact until the final float conversion, which keeps
+quadrature error separated from coefficient error.
 """
 
 from __future__ import annotations
@@ -77,13 +83,25 @@ def _panel(f, lo: float, hi: float) -> tuple[float, float]:
 def _adaptive(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
     """Refine the worst panel until the summed error estimate is at most tol
     times the value (a relative tolerance; the integrands here are positive);
-    returns (value, error estimate, evaluations)."""
-    value, err = _panel(f, lo, hi)
-    evaluations = 15
+    returns (value, error estimate, evaluations).  The first panels end at
+    lo + 1, lo + 2, lo + 4, ... below hi and at hi: one panel when
+    hi - lo <= 1."""
+    points, step = [lo], 1.0
+    while step < hi - lo:
+        points.append(lo + step)
+        step *= 2
+    points.append(hi)
     # max-heap on error via negation; counter breaks ties deterministically
-    heap = [(-err, 0, lo, hi, value, err)]
-    counter = 1
-    total_err = err
+    heap = []
+    value = total_err = 0.0
+    for counter, (a, b) in enumerate(zip(points, points[1:])):
+        v, e = _panel(f, a, b)
+        heap.append((-e, counter, a, b, v, e))
+        value += v
+        total_err += e
+    heapq.heapify(heap)
+    evaluations = 15 * len(heap)
+    counter = len(heap)
     while total_err > tol * abs(value):
         if evaluations + 30 > BUDGET:
             raise QuadratureConvergenceError(
@@ -136,15 +154,21 @@ def evaluate_quartic_integral(m: int, a, tol: float) -> QuadratureResult:
     if not tol > 0:
         raise ValueError("tol must be positive")
 
-    def folded(x: float) -> float:
+    scale = a_float**-0.5 if a_float > 1 else 1.0
+
+    def folded(u: float) -> float:
+        x = scale * u
         x2 = x * x
         return (1.0 + x ** (4 * m + 2)) * (x2 * x2 + 2.0 * a_float * x2 + 1.0) ** -(m + 1)
 
     try:
-        numeric, _, evaluations = _adaptive(folded, 0.0, 1.0, tol)
+        numeric, _, evaluations = _adaptive(folded, 0.0, 1.0 / scale, tol)
+        numeric *= scale
         exact = closed_form(m, a)
     except OverflowError:
         numeric = math.inf
-    if not math.isfinite(numeric):  # panel sums can overflow to inf without an OverflowError
+    # panel sums can overflow to inf without an OverflowError, and the
+    # positive integrand reads 0 once its denominator overflows
+    if not (math.isfinite(numeric) and numeric > 0):
         raise QuadratureConvergenceError(f"the integral at m = {m}, a = {a_float} or its integrand exceeds the float range")
     return QuadratureResult(m, a_float, numeric, exact, abs(numeric - exact) / abs(exact), evaluations)

@@ -233,14 +233,7 @@ def _b_identity_witness(_) -> Witness:
     return None
 
 
-def _memo(table: dict, fn: Callable, m: int):
-    """fn(m), kept in ``table``."""
-    if m not in table:
-        table[m] = fn(m)
-    return table[m]
-
-
-def _residual_witness(item: tuple[str, int], max_n: int, memo: dict) -> Witness:
+def _residual_witness(item: tuple[str, int], max_n: int) -> Witness:
     """The residual at n with T from the oracle t_direct or t_integral.
 
     The t_integral pass shares no code with the t_direct kernel, so the
@@ -250,8 +243,7 @@ def _residual_witness(item: tuple[str, int], max_n: int, memo: dict) -> Witness:
     if oracle == "t_direct":
         residual = recurrence.recurrence_residual(n)
     else:
-        # T(n+1) and T(n+2) recur at n+1, so this run keeps them in memo
-        residual = recurrence.recurrence_residual(n, t=partial(_memo, memo, tfunction.t_integral))
+        residual = recurrence.recurrence_residual(n, t=tfunction.t_integral)
     if residual == 0:
         return None
     halted = f"1 <= n <= {max_n} (halted at first nonzero, T from {oracle})"
@@ -368,7 +360,7 @@ def _recurrence(n: int, depth: int) -> list[tuple]:
             "recurrence-residual",
             f"a(n)T(n) - b(n)T(n+1) + c(n)T(n+2) + d(n) = 0 for 1 <= n <= {n}",
             [(oracle, k) for oracle in ("t_direct", "t_integral") for k in range(1, n + 1)],
-            partial(_residual_witness, max_n=n, memo={}),
+            partial(_residual_witness, max_n=n),
         ),
         (
             "recurrence-d-shift",

@@ -10,8 +10,13 @@ together with the partial sums S_{m,l}, the four-stage inequality chain they
 normalise, the r-term bounds behind T(m) < 1, and float diagnostics for the
 limit (2 - sqrt 2)/2.
 
-Every route is exact rational arithmetic; the only floats here are the limit
-gaps, which involve sqrt 2.
+Every route is exact rational arithmetic, summed in integers over one
+common denominator and reduced to a Fraction once at the end: the direct
+sum through its own term ratio (t_direct); the two series through hyp2f1;
+the integral through hyp2f1_first_moment, the same nested sum with the
+term ratio times (k+2)/(k+3); and the weighted sum from the integer
+coefficients of F W, F = (4m)!/(3m-1)!, evaluated at 2 in reverse.  The
+only floats here are the limit gaps, which involve sqrt 2.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import binomial
-from .hypergeometric import hyp2f1, hyp2f1_as_polynomial
+from .hypergeometric import hyp2f1, hyp2f1_first_moment
 from .polynomial import derivative, horner
 
 # Limit of T(m), and the early incorrect guess 1 - ln 2 kept as a second
@@ -89,14 +94,11 @@ def t_hypergeometric(m: int) -> Fraction:
 
 
 def t_integral(m: int) -> Fraction:
-    """T(m) from the integral route, with the degree-(m-1) integrand
-    integrated term by term so the identity stays exact."""
+    """T(m) from the integral route: the prefactor times the exact first
+    moment of the degree-(m-1) integrand over [0, 2]."""
     if m < 1:
         raise ValueError("t_integral requires m >= 1")
-    integrand = hyp2f1_as_polynomial(Fraction(5, 2), 1 - m, 2 - 4 * m)
-    # int_0^2 t * sum c_k t^k dt = sum c_k 2^(k+2) / (k+2)
-    value = sum(c * Fraction(2 ** (k + 2), k + 2) for k, c in enumerate(integrand))
-    return integral_prefactor(m) * value
+    return integral_prefactor(m) * hyp2f1_first_moment(Fraction(5, 2), 1 - m, 2 - 4 * m, 2)
 
 
 def integral_prefactor(m: int) -> Fraction:
@@ -106,26 +108,44 @@ def integral_prefactor(m: int) -> Fraction:
     return Fraction(3 * (m + 1), 16 * (4 * m - 1))
 
 
-def w_polynomial(m: int) -> tuple[Fraction, ...]:
-    """The coefficients of W_m(x) = sum_{r=0}^{m+1} C(2r,r) C(m+1,r) / C(4m,r) x^r."""
+def w_polynomial(m: int) -> tuple[int, ...]:
+    """The integer coefficients F w_r of F W_m(x), where
+    W_m(x) = sum_{r=0}^{m+1} C(2r,r) C(m+1,r) / C(4m,r) x^r and
+    F = (4m)! / (3m-1)! = 3m (3m+1) ... 4m.
+
+    F w_r = C(2r,r) C(m+1,r) r! (4m-r)! / (3m-1)! is an integer for r <= m+1.
+    It is made from F w_0 = F by the term ratio
+
+        w_{r+1}/w_r = 2(2r+1)(m+1-r) / ((r+1)(4m-r)),
+
+    and a division that leaves a remainder is an ArithmeticError.
+    """
     if m < 1:
         raise ValueError("w_polynomial requires m >= 1")
-    return tuple(
-        Fraction(binomial(2 * r, r) * binomial(m + 1, r), binomial(4 * m, r)) for r in range(m + 2)
-    )
+    coeffs = [math.prod(range(3 * m, 4 * m + 1))]
+    for r in range(m + 1):
+        value, remainder = divmod(coeffs[-1] * 2 * (2 * r + 1) * (m + 1 - r), (r + 1) * (4 * m - r))
+        if remainder:
+            raise ArithmeticError(f"W polynomial: inexact division at m={m}, r={r + 1}")
+        coeffs.append(value)
+    return tuple(coeffs)
 
 
 def t_via_w(m: int) -> Fraction:
     """T(m) = x W'(x) - W(x) + 1 at x = 1/2, with the exact polynomial
     derivative.
 
+    With the integer coefficients g = F W of w_polynomial, 2^(m+1) F times
+    x W'(x) and W(x) at x = 1/2 are the reversed tuples of g' and g
+    evaluated at 2, so the sum is over the one denominator F 2^(m+1).
+
     The superficially similar combination W'(1/2)/2 - W(1/2), which is
     t_via_w(m) - 1, does not reproduce T(m): at m = 1 it gives -3/4 where
     T(1) = 1/4.  t-crosscheck notes both values.
     """
-    w = w_polynomial(m)
-    half = Fraction(1, 2)
-    return half * horner(derivative(w), half) - horner(w, half) + 1
+    g = w_polynomial(m)
+    scale = g[0] << (m + 1)  # g_0 = F
+    return Fraction(horner(derivative(g)[::-1], 2) - horner(g[::-1], 2) + scale, scale)
 
 
 def geometric_tail_bound(m: int) -> Fraction:

@@ -491,10 +491,18 @@ def test_integral_large_m(capsys, m, a):
     assert json.loads(out)["relative_error"] < 1e-10
 
 
-@pytest.mark.parametrize("m, a", [("200", "-0.99"), ("400", "-0.999"), ("180", "-0.99002")])
+@pytest.mark.parametrize("m, a", [("3", "1e12"), ("5", "1e300")])
+def test_integral_large_a(capsys, m, a):
+    code, out, _ = run(capsys, "integral", "--m", m, "--a", a, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["relative_error"] <= 1e-10
+
+
+@pytest.mark.parametrize("m, a", [("200", "-0.99"), ("400", "-0.999"), ("180", "-0.99002"), ("3", "1e308")])
 def test_integral_beyond_float_range_is_stated_error(capsys, m, a):
     # the value at (200, -0.99) is about 1e401; at (180, -0.99002) it is
-    # about 1e306, but the panel sums overflow to inf
+    # about 1e306, but the panel sums overflow to inf; at a = 1e308 the
+    # denominator of the integrand overflows, so the integrand reads 0
     code, out, err = run(capsys, "integral", "--m", m, "--a", a)
     assert (code, out) == (3, "")
     assert "float range" in err

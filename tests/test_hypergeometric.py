@@ -12,6 +12,7 @@ from quartint.hypergeometric import (
     envelope_bound_check,
     hyp2f1,
     hyp2f1_as_polynomial,
+    hyp2f1_first_moment,
     pochhammer_ratio_bound_check,
 )
 from quartint.polynomial import derivative, horner
@@ -119,6 +120,31 @@ def test_hyp2f1_matches_literal_sum(a, b, c, z):
     value = hyp2f1(a, b, c, z)
     assert value == literal_hyp2f1(a, b, c, z)
     assert value == horner(hyp2f1_as_polynomial(a, b, c), z)
+
+
+@given(
+    a=st.integers(-12, 12).map(lambda k: Fraction(k, 2)),
+    n=st.integers(0, 25),
+    c=st.one_of(st.integers(-120, 10).map(Fraction), st.fractions(-50, 50, max_denominator=12)),
+    x=st.fractions(-10, 10, max_denominator=30),
+)
+def test_first_moment_matches_termwise_integral(a, n, c, x):
+    if any(c + j == 0 for j in range(n)):
+        with pytest.raises(SeriesPoleError):
+            hyp2f1_first_moment(a, -n, c, x)
+        return
+    # int_0^x t sum c_k t^k dt = sum c_k x^(k+2) / (k+2)
+    termwise = sum(coeff * x ** (k + 2) / (k + 2) for k, coeff in enumerate(hyp2f1_as_polynomial(a, -n, c)))
+    assert hyp2f1_first_moment(a, -n, c, x) == termwise
+
+
+def test_first_moment_values():
+    # b = 0: the integrand is t, so the moment is x^2 / 2
+    assert hyp2f1_first_moment(Fraction(5, 2), 0, -2, 2) == 2
+    # m = 2 integrand 1 + 5t/12: 2 + (5/12)(8/3)
+    assert hyp2f1_first_moment(Fraction(5, 2), -1, -6, 2) == Fraction(28, 9)
+    with pytest.raises(NonTerminatingSeriesError):
+        hyp2f1_first_moment(1, Fraction(1, 2), 3, 1)
 
 
 def assert_derivative_relation(a, b, c):

@@ -85,6 +85,28 @@ def test_one_folded_run_on_the_unit_interval(monkeypatch):
     assert calls == [(0.0, 1.0)]
 
 
+@pytest.mark.parametrize("m, a", [(3, 1e12), (5, 1e300), (200, 1e48)])
+def test_large_a_finds_the_peak_at_zero(m, a):
+    # the peak at x = 0 has width about a^(-1/2); a single first panel on
+    # [0, 1] reported relative error 1.0 at (3, 1e12) and 0.0 at (5, 1e300)
+    result = evaluate_quartic_integral(m, a, 1e-10)
+    assert result.relative_error <= 1e-10
+
+
+def test_large_a_runs_on_geometric_panels(monkeypatch):
+    calls = []
+    real = quadrature._panel
+
+    def recording(f, lo, hi):
+        calls.append((lo, hi))
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panel", recording)
+    evaluate_quartic_integral(3, 1e12, 1e-10)
+    # u = 10^6 x on [0, 10^6], first split at u = 1, 2, 4, ..., 2^19
+    assert calls[:21] == [(0.0, 1.0), *((2.0**k, 2.0 ** (k + 1)) for k in range(19)), (2.0**19, 1e6)]
+
+
 def test_closed_form_receives_the_exact_argument():
     # "-0.9" is the rational -9/10, not the float nearest to it
     assert evaluate_quartic_integral(5, "-0.9", 1e-10).closed_form == closed_form(5, Fraction(-9, 10))

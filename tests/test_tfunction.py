@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from quartint import tfunction
 from quartint.cli import main
 from quartint.exact import binomial
-from quartint.hypergeometric import hyp2f1
+from quartint.hypergeometric import hyp2f1, hyp2f1_as_polynomial
 from quartint.polynomial import derivative, horner
 from quartint.suites import run_suite
 from quartint.tfunction import (
@@ -55,6 +56,29 @@ def literal_chain(m, ell):
     return lhs, rhs_full, rhs_unweighted, 2**m * binomial(2 * m, m + ell)
 
 
+def literal_t_integral(m):
+    """The prefactor times int_0^2 t sum c_k t^k dt = sum c_k 2^(k+2) / (k+2),
+    over the Fraction coefficients of the integrand series."""
+    integrand = hyp2f1_as_polynomial(Fraction(5, 2), 1 - m, 2 - 4 * m)
+    return integral_prefactor(m) * sum(c * Fraction(2 ** (k + 2), k + 2) for k, c in enumerate(integrand))
+
+
+def literal_w(m):
+    """The Fraction coefficients C(2r,r) C(m+1,r) / C(4m,r) of W_m."""
+    return tuple(Fraction(binomial(2 * r, r) * binomial(m + 1, r), binomial(4 * m, r)) for r in range(m + 2))
+
+
+def literal_t_via_w(m):
+    """x W'(x) - W(x) + 1 at x = 1/2, on the Fraction coefficients."""
+    w, half = literal_w(m), Fraction(1, 2)
+    return half * horner(derivative(w), half) - horner(w, half) + 1
+
+
+def w_scale(m):
+    """F = (4m)! / (3m-1)!, which makes the coefficients of W_m integers."""
+    return math.prod(range(3 * m, 4 * m + 1))
+
+
 def literal_geometric_tail(m):
     return sum(Fraction(r - 1, 2**r) for r in range(2, m + 2))
 
@@ -75,6 +99,20 @@ def test_t_direct_matches_literal_sum():
 
 def test_t_direct_matches_integral_route_at_2000():
     assert t_direct(2000) == t_integral(2000)
+
+
+def test_integral_and_w_routes_match_literal_forms():
+    for m in range(1, 61):
+        assert t_integral(m) == literal_t_integral(m)
+        assert t_via_w(m) == literal_t_via_w(m)
+        assert w_polynomial(m) == tuple(w_scale(m) * c for c in literal_w(m))
+
+
+def test_w_polynomial_inexact_division_is_arithmetic_error(monkeypatch):
+    # with F = 1 in place of 6 * 7 * 8, F w_1 = 6/8 is not an integer
+    monkeypatch.setattr(tfunction, "math", SimpleNamespace(prod=lambda factors: 1))
+    with pytest.raises(ArithmeticError, match="inexact division at m=2, r=1"):
+        w_polynomial(2)
 
 
 def test_s_sum_and_chain_match_literal_sums():
@@ -135,7 +173,7 @@ def test_t_integral_small():
 
 
 def test_representations_agree():
-    for m in range(1, 31):
+    for m in range(1, 201):
         direct = t_direct(m)
         assert t_hypergeometric(m) == direct
         assert t_integral(m) == direct
@@ -148,18 +186,18 @@ def test_s_sum_specialisation_to_t():
 
 
 def test_w_polynomial_and_function():
-    assert w_polynomial(1) == (1, 1, 1)
-    # W_m(x) is also the series 2F1(1/2, -1-m; -4m; 4x)
+    assert w_polynomial(1) == (12, 12, 12)  # F = 3 * 4 and W_1 = 1 + x + x^2
+    # F W_m(x) is also F times the series 2F1(1/2, -1-m; -4m; 4x)
     for m in range(1, 61):
         for x in (0, Fraction(1, 2)):
-            assert horner(w_polynomial(m), x) == hyp2f1(Fraction(1, 2), -1 - m, -4 * m, 4 * x)
-        assert horner(w_polynomial(m), 0) == 1
+            assert horner(w_polynomial(m), x) == w_scale(m) * hyp2f1(Fraction(1, 2), -1 - m, -4 * m, 4 * x)
+        assert horner(w_polynomial(m), 0) == w_scale(m)
 
 
 def test_t_via_w_correction():
     assert t_via_w(1) == Fraction(1, 4)
     # the uncorrected variant W'(1/2)/2 - W(1/2), which t-crosscheck notes
-    w, half = w_polynomial(1), Fraction(1, 2)
+    w, half = literal_w(1), Fraction(1, 2)
     assert half * horner(derivative(w), half) - horner(w, half) == t_via_w(1) - 1 == Fraction(-3, 4)
 
 
