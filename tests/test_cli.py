@@ -491,8 +491,11 @@ def test_integral_large_m(capsys, m, a):
     assert json.loads(out)["relative_error"] < 1e-10
 
 
-@pytest.mark.parametrize("m, a", [("3", "1e12"), ("5", "1e300")])
+@pytest.mark.parametrize("m, a", [("3", "1e12"), ("5", "1e300"), ("200", "1e48")])
 def test_integral_large_a(capsys, m, a):
+    # the peak at x = 0 has width about a^(-1/2): one first panel on [0, 1]
+    # gave relative error 1.0 at (3, 1e12) and numeric 0.0 at (5, 1e300),
+    # and first panels split at a^(-1/2) 2^k in x left 1.2e-3 at (200, 1e48)
     code, out, _ = run(capsys, "integral", "--m", m, "--a", a, "--format", "json")
     assert code == 0
     assert json.loads(out)["relative_error"] <= 1e-10
