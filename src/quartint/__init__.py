@@ -5,7 +5,7 @@ counterexample scans for the two open conjectures about the family.
 """
 
 from .coefficients import CoefficientRow, coefficient_row, delta_direct, scaled_row
-from .conjectures import default_x_grid, hyp_inequality_margin
+from .conjectures import hyp_inequality_margin
 from .exact import binomial, rational_str
 from .hypergeometric import (
     HypergeometricError,

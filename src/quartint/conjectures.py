@@ -15,11 +15,6 @@ from .hypergeometric import hyp2f1
 from .seqprops import iterated_l_first_negative
 
 
-def default_x_grid() -> tuple[Fraction, ...]:
-    """x = 1/2, 3/4, ..., 5 (step 1/4)."""
-    return tuple(Fraction(1, 2) + Fraction(i, 4) for i in range(19))
-
-
 def row_first_negative(m: int, depth: int) -> tuple[int, int, Fraction] | None:
     """First negative entry of L^j(d(m)), 1 <= j <= depth, as (iteration,
     index, value), or None if all iterates stay nonnegative.

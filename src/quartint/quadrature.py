@@ -159,7 +159,7 @@ def evaluate_quartic_integral(m: int, a, tol: float) -> QuadratureResult:
     def folded(u: float) -> float:
         x = scale * u
         x2 = x * x
-        return (1.0 + x ** (4 * m + 2)) * (x2 * x2 + 2.0 * a_float * x2 + 1.0) ** -(m + 1)
+        return (1.0 + x ** (4 * m + 2)) * (x2 * x2 + 2.0 * (a_float * x2) + 1.0) ** -(m + 1)
 
     try:
         numeric, _, evaluations = _adaptive(folded, 0.0, 1.0 / scale, tol)

@@ -2,12 +2,13 @@
 
 Every property is a record (name, range, items, witness[, notes[, summary]])
 that _sweep checks: it calls witness(item) for each item in order and
-reports the first failure with its exact witnesses.  The witnesses are pure
-module-level functions, so a sweep can fan out across a process pool, and
-the reported counterexample is always the first one in item order, however
-the items are partitioned.  --jobs is the most processes a sweep uses: only
-the records in POOLED, whose items cost enough to pay for the pool's start
-and its workers' cold caches, get a pool; every other record runs serially.
+reports the first failure with its exact witnesses, under the record's own
+name, range and notes.  The witnesses are pure module-level functions, so a
+sweep can fan out across a process pool, and the reported counterexample is
+always the first one in item order, however the items are partitioned.
+--jobs is the most processes a sweep uses: only the records in POOLED, whose
+items cost enough to pay for the pool's start and its workers' cold caches,
+get a pool; every other record runs serially.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .exact import binomial, rational_str
 from .polynomial import taylor_shift
 from .reports import Counterexample, PropertyReport
 
-# None when an item holds; (location, values) or (location, values, fields)
-# when it fails.
+# None when an item holds; (location, values) when it fails.
 Witness = Optional[tuple]
 
 # The items of a record that checks a single fact.
@@ -33,10 +33,11 @@ _ONCE = (None,)
 
 # The records that sweep on a process pool when --jobs allows it: a cold run of
 # each is faster on two processes than on one, at its default range and at
-# max-m 150.  Every other record is slower on a pool at one of the two or at
-# both, because its items take microseconds to a few milliseconds and the
-# pool's start costs more than it saves.
-POOLED = frozenset({"inequality-chain", "t-crosscheck"})
+# max-m 150.  Every other record, t-crosscheck too since its T routes sum in
+# integers, is slower on a pool at one of the two or at both, because its
+# items take microseconds to a few milliseconds and the pool's start costs
+# more than it saves.
+POOLED = frozenset({"inequality-chain"})
 
 
 def _results(witness: Callable, items: Sequence, jobs: int) -> Iterator:
@@ -69,12 +70,11 @@ def _sweep(
     """Check one property over ``items`` and report it.
 
     witness(item) returns None when the item holds, or a failure
-    (location, values); a third element, a dict of report fields, lets the
-    failing report name a narrower property, range or notes.  The sweep
-    stops at the first failure.  Any other result is an observation of an
-    item that holds: when every item holds, summary(list of (item,
-    observation)) gives notes that follow ``notes``.  An empty range is a
-    ValueError, because a pass that checked nothing is no pass.
+    (location, values).  The sweep stops at the first failure and reports
+    it with the record's own name, range and notes.  Any other result is an
+    observation of an item that holds: when every item holds, summary(list
+    of (item, observation)) gives notes that follow ``notes``.  An empty
+    range is a ValueError, because a pass that checked nothing is no pass.
     """
     start = time.perf_counter()
     items = list(items)
@@ -85,15 +85,7 @@ def _sweep(
     try:
         for item, result in zip(items, results):
             if isinstance(result, tuple):
-                location, values, *fields = result
-                report = {"property": name, "range": range_desc, "notes": notes}
-                report.update(*fields)
-                return PropertyReport(
-                    **report,
-                    passed=False,
-                    counterexample=Counterexample(location, values),
-                    elapsed=time.perf_counter() - start,
-                )
+                return PropertyReport(name, range_desc, False, Counterexample(*result), time.perf_counter() - start, notes)
             if result is not None:
                 seen.append((item, result))
     finally:
@@ -180,30 +172,32 @@ def _s_monotone_witness(m: int) -> Witness:
     return None
 
 
-def _t_bounds_witness(m: int, max_m: int) -> Witness:
+def _t_bounds_witness(m: int) -> Witness:
+    """T < 1 from m = 1, and the three bounds from m = 2; a failure names
+    the first bound that fails at m."""
     t = tfunction.t_direct(m)
     if not t < 1:
-        return {"m": m}, {"T": rational_str(t)}, {"property": "t-below-one", "range": f"1 <= m <= {max_m}"}
-    if m < 2:
+        bound, values = "t-below-one", {"T": rational_str(t)}
+    elif m < 2:
         return None
-    if not t <= Fraction(27, 28):
-        name, values = "t-below-27-28", {"T": rational_str(t)}
-    elif not t < (bound := tfunction.geometric_tail_bound(m)):
-        name, values = "t-below-geometric-tail", {"T": rational_str(t), "bound": rational_str(bound)}
+    elif not t <= Fraction(27, 28):
+        bound, values = "t-below-27-28", {"T": rational_str(t)}
+    elif not t < (tail := tfunction.geometric_tail_bound(m)):
+        bound, values = "t-below-geometric-tail", {"T": rational_str(t), "bound": rational_str(tail)}
     elif not (prefactor := tfunction.integral_prefactor(m)) <= Fraction(9, 112):
-        name, values = "integral-prefactor-bound", {"prefactor": rational_str(prefactor)}
+        bound, values = "integral-prefactor-bound", {"prefactor": rational_str(prefactor)}
     else:
         return None
-    return {"m": m}, values, {"property": name, "range": f"2 <= m <= {max_m}"}
+    return {"m": m, "bound": bound}, values
 
 
-def _pair_witness(m: int, max_m: int) -> Witness:
+def _pair_witness(m: int) -> Witness:
     """C(2r,r) C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, the induction step
     behind T(m) < 1."""
     for r in range(2, m + 2):
         lhs, rhs = binomial(2 * r, r) * binomial(m + 1, r), binomial(4 * m, r)
         if lhs > rhs:
-            return {"m": m, "r": r}, {"lhs": str(lhs), "rhs": str(rhs)}, {"range": f"2 <= r <= m+1, m <= {max_m}"}
+            return {"m": m, "r": r}, {"lhs": str(lhs), "rhs": str(rhs)}
     return None
 
 
@@ -213,15 +207,11 @@ def _crosscheck_witness(m: int) -> Witness:
         "hypergeometric": tfunction.t_hypergeometric(m),
         "integral": tfunction.t_integral(m),
         "via_w": tfunction.t_via_w(m),
+        "s_sum(2m, m-1)": tfunction.s_sum(2 * m, m - 1),
     }
     for route, value in routes.items():
         if value != direct:
             return {"m": m, "route": route}, {"direct": rational_str(direct), route: rational_str(value)}
-    if tfunction.s_sum(2 * m, m - 1) != direct:
-        return (
-            {"m": m, "route": "s_sum(2m, m-1)"},
-            {"direct": rational_str(direct), "s_sum": rational_str(tfunction.s_sum(2 * m, m - 1))},
-        )
     return None
 
 
@@ -233,7 +223,7 @@ def _b_identity_witness(_) -> Witness:
     return None
 
 
-def _residual_witness(item: tuple[str, int], max_n: int) -> Witness:
+def _residual_witness(item: tuple[str, int]) -> Witness:
     """The residual at n with T from the oracle t_direct or t_integral.
 
     The t_integral pass shares no code with the t_direct kernel, so the
@@ -246,8 +236,7 @@ def _residual_witness(item: tuple[str, int], max_n: int) -> Witness:
         residual = recurrence.recurrence_residual(n, t=tfunction.t_integral)
     if residual == 0:
         return None
-    halted = f"1 <= n <= {max_n} (halted at first nonzero, T from {oracle})"
-    return {"n": n}, {"residual": rational_str(residual)}, {"range": halted}
+    return {"n": n, "oracle": oracle}, {"residual": rational_str(residual)}
 
 
 def _d_shift_witness(_) -> Witness:
@@ -277,7 +266,7 @@ def _ac_ratio_witness(_) -> Witness:
     return {"n": 1000}, {"ratio": rational_str(ratio)}
 
 
-def _main_inequality_witness(n: int, max_n: int) -> Witness:
+def _main_inequality_witness(n: int) -> Witness:
     """a(n) (T(n) - T(n+1)) <= c(n) (T(n+1) - T(n+2)), the rearranged
     recurrence once T < 1 and d >= 0 are known."""
     a_n, c_n = recurrence.ac_values(n)
@@ -285,31 +274,33 @@ def _main_inequality_witness(n: int, max_n: int) -> Witness:
     left, right = a_n * (t(n) - t(n + 1)), c_n * (t(n + 1) - t(n + 2))
     if left <= right:
         return None
-    return {"n": n}, {"left": rational_str(left), "right": rational_str(right)}, {"range": f"2 <= n <= {max_n}"}
+    return {"n": n}, {"left": rational_str(left), "right": rational_str(right)}
 
 
-def _t_step_witness(m: int) -> Witness | bool:
-    """A failure if T(m) > T(m+1); True (an observation) if they are equal."""
+def _t_step_witness(m: int) -> Witness:
+    """A failure unless T(m) < T(m+1): T is strictly increasing for m >= 2."""
     t_m, t_next = tfunction.t_direct(m), tfunction.t_direct(m + 1)
-    if t_m > t_next:
-        return {"m": m}, {"T(m)": str(t_m), "T(m+1)": str(t_next)}
-    return True if t_m == t_next else None
+    if t_m < t_next:
+        return None
+    return {"m": m}, {"T(m)": str(t_m), "T(m+1)": str(t_next)}
 
 
 def _strictness(seen: list) -> tuple[str, ...]:
-    non_strict = [m for m, _ in seen]
-    if non_strict:
-        return (f"non-strict steps at m in {non_strict}",)
     return ("every step 2 <= m < max_m is strictly increasing",)
 
 
 def _limit_gap_witness(item: tuple[str, int]) -> Witness:
+    """The gap (2 - sqrt 2)/2 - T(m) in exact integers.  With T(m) = p/q
+    reduced, the gap is positive iff 1 - T(m) > 1/sqrt 2, that is iff
+    q > p and 2(q - p)^2 > q^2; it decreases from m to m+1 iff
+    T(m) < T(m+1)."""
     test, m = item
-    gap = tfunction.limit_gap(m)
+    t = tfunction.t_direct(m)
     if test == "positive":
-        return ({"m": m}, {"gap": repr(gap)}) if gap <= 0 else None
-    nxt = tfunction.limit_gap(m + 1)
-    return None if gap > nxt else ({"m": m}, {"gap": repr(gap), "next": repr(nxt)})
+        p, q = t.numerator, t.denominator
+        return None if q > p and 2 * (q - p) ** 2 > q * q else ({"m": m}, {"T": rational_str(t)})
+    nxt = tfunction.t_direct(m + 1)
+    return None if t < nxt else ({"m": m}, {"T(m)": rational_str(t), "T(m+1)": rational_str(nxt)})
 
 
 def _margin_witness(point: tuple[int, Fraction]) -> Witness | Fraction:
@@ -319,16 +310,12 @@ def _margin_witness(point: tuple[int, Fraction]) -> Witness | Fraction:
     margin = conjectures.hyp_inequality_margin(m, x)
     if margin > 0:
         return margin
-    return {"m": m, "x": rational_str(x)}, {"margin": rational_str(margin)}, {"notes": (_margin_note(point, margin),)}
-
-
-def _margin_note(point: tuple[int, Fraction], margin: Fraction) -> str:
-    m, x = point
-    return f"smallest margin {rational_str(margin)} at m={m}, x={rational_str(x)}"
+    return {"m": m, "x": rational_str(x)}, {"margin": rational_str(margin)}
 
 
 def _smallest_margin(seen: list) -> tuple[str, ...]:
-    return (_margin_note(*min(seen, key=lambda s: s[1])),)
+    (m, x), margin = min(seen, key=lambda s: s[1])
+    return (f"smallest margin {rational_str(margin)} at m={m}, x={rational_str(x)}",)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +328,13 @@ def _t_bounds(n: int, depth: int) -> list[tuple]:
             "t-bounds",
             f"T < 1 on 1 <= m <= {n}; T <= 27/28, T < 1-(m+2)/2^(m+1), prefactor <= 9/112 on 2 <= m",
             range(1, n + 1),
-            partial(_t_bounds_witness, max_m=n),
+            _t_bounds_witness,
         ),
         (
             "binomial-pair-bound",
             f"C(2r,r)C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, m <= {pair_max}",
             range(1, pair_max + 1),
-            partial(_pair_witness, max_m=pair_max),
+            _pair_witness,
         ),
     ]
 
@@ -360,7 +347,7 @@ def _recurrence(n: int, depth: int) -> list[tuple]:
             "recurrence-residual",
             f"a(n)T(n) - b(n)T(n+1) + c(n)T(n+2) + d(n) = 0 for 1 <= n <= {n}",
             [(oracle, k) for oracle in ("t_direct", "t_integral") for k in range(1, n + 1)],
-            partial(_residual_witness, max_n=n),
+            _residual_witness,
         ),
         (
             "recurrence-d-shift",
@@ -379,7 +366,7 @@ def _recurrence(n: int, depth: int) -> list[tuple]:
             "recurrence-main-inequality",
             f"a(n)(T(n)-T(n+1)) <= c(n)(T(n+1)-T(n+2)) for 2 <= n <= {n}",
             range(2, n + 1),
-            partial(_main_inequality_witness, max_n=n),
+            _main_inequality_witness,
         ),
     ]
 
@@ -499,10 +486,10 @@ def scan_infinite_logconcavity(max_m: int, depth: int) -> PropertyReport:
     )
 
 
-def scan_hyp_inequality(max_m: int, x_grid: Sequence = conjectures.default_x_grid()) -> PropertyReport:
+def scan_hyp_inequality(max_m: int, x_grid: Sequence) -> PropertyReport:
     """The margin at every (m, x) with 2 <= m <= max_m and x in the grid,
-    stopping at the first that is not positive; the note gives the smallest
-    margin seen."""
+    stopping at the first that is not positive; a pass notes the smallest
+    margin."""
     if any(x < Fraction(1, 2) for x in x_grid):
         raise ValueError("x grid entries must be >= 1/2")
     return _sweep(

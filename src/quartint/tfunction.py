@@ -16,7 +16,8 @@ sum through its own term ratio (t_direct); the two series through hyp2f1;
 the integral through hyp2f1_first_moment, the same nested sum with the
 term ratio times (k+2)/(k+3); and the weighted sum from the integer
 coefficients of F W, F = (4m)!/(3m-1)!, evaluated at 2 in reverse.  The
-only floats here are the limit gaps, which involve sqrt 2.
+only floats here are the limit gaps shown by tvalues, which involve
+sqrt 2.
 """
 
 from __future__ import annotations
@@ -216,6 +217,6 @@ def inequality_chain_check(m: int, ell: int) -> InequalityChain:
 
 
 def limit_gap(m: int) -> float:
-    """(2 - sqrt 2)/2 - T(m), in floating point; positive and shrinking as
-    T(m) climbs toward the limit."""
+    """(2 - sqrt 2)/2 - T(m), in floating point, for display by tvalues;
+    the limit-gap record decides its sign and its decrease exactly."""
     return T_LIMIT - float(t_direct(m))

@@ -15,7 +15,6 @@ import pytest
 
 from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavity
 from quartint.coefficients import coefficient_row, delta_direct
-from quartint.conjectures import default_x_grid
 from quartint.exact import binomial
 from quartint.hypergeometric import (
     companion_ratio_bound_violations,
@@ -204,7 +203,8 @@ def test_c13_quadrature():
 def test_c14_conjecture_scans(monkeypatch):
     report = scan_infinite_logconcavity(40, 5)
     assert report.passed, report
-    report = scan_hyp_inequality(40, default_x_grid())
+    grid = tuple(Fraction(2 + i, 4) for i in range(19))  # x = 1/2, 3/4, ..., 5
+    report = scan_hyp_inequality(40, grid)
     assert report.passed, report
     # counterexample plumbing: a failing margin must surface exact witnesses
     monkeypatch.setattr(

@@ -5,20 +5,11 @@ import pytest
 from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavity, seqprops, suites
 from quartint.coefficients import scaled_row
 from quartint.conjectures import (
-    default_x_grid,
     hyp_inequality_margin,
     iterated_l_first_negative,
     row_first_negative,
 )
 from quartint.tfunction import t_direct
-
-
-def test_default_grid():
-    grid = default_x_grid()
-    assert grid[0] == Fraction(1, 2)
-    assert grid[-1] == 5
-    assert len(grid) == 19
-    assert all(b - a == Fraction(1, 4) for a, b in zip(grid, grid[1:]))
 
 
 def test_iterated_l_detects_negativity():
@@ -86,7 +77,7 @@ def test_hyp_margin_positive_on_small_grid():
 
 
 def test_hyp_scan_passes_and_records_margin():
-    report = scan_hyp_inequality(10)
+    report = scan_hyp_inequality(10, (Fraction(1, 2), 1, 5))
     assert report.passed
     assert any("smallest margin" in note for note in report.notes)
 
@@ -117,8 +108,8 @@ def test_hyp_scan_reports_counterexample_with_witnesses(monkeypatch):
     assert not report.passed
     assert report.counterexample.location == {"m": 4, "x": "3/4"}
     assert report.counterexample.values == {"margin": "-1/7"}
-    # the smallest margin up to the witness is the witness's own
-    assert report.notes == ("smallest margin -1/7 at m=4, x=3/4",)
+    # the margin is in the values, so a failing scan adds no note
+    assert report.notes == ()
 
 
 def test_half_point_equivalence():

@@ -2,16 +2,18 @@
 
 Each check below is made to fail by doctoring the kernel it calls, and the
 whole list of reports its suite returns is compared with the expected
-content: every field of the JSON report except the timing.
+content: every field of the JSON report except the timing.  A failing
+report keeps its record's property, range and notes; only the verdict and
+the counterexample change.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from quartint import coefficients, recurrence, suites, tfunction
+from quartint import coefficients, conjectures, recurrence, seqprops, suites, tfunction
 from quartint.exact import rational_str
-from quartint.suites import run_suite
+from quartint.suites import SUITES, run_suite
 
 
 def content(reports):
@@ -50,37 +52,38 @@ def doctor_t(monkeypatch, at, value):
 # ---------------------------------------------------------------------------
 # t-bounds
 
-T_BOUNDS = passing(
-    "t-bounds", "T < 1 on 1 <= m <= 12; T <= 27/28, T < 1-(m+2)/2^(m+1), prefactor <= 9/112 on 2 <= m"
-)
-PAIR_BOUND = passing("binomial-pair-bound", "C(2r,r)C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, m <= 12")
+T_BOUNDS_RANGE = "T < 1 on 1 <= m <= 12; T <= 27/28, T < 1-(m+2)/2^(m+1), prefactor <= 9/112 on 2 <= m"
+PAIR_RANGE = "C(2r,r)C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, m <= 12"
+T_BOUNDS = passing("t-bounds", T_BOUNDS_RANGE)
+PAIR_BOUND = passing("binomial-pair-bound", PAIR_RANGE)
+
+
+def t_bound_failure(m, bound, values):
+    return failing("t-bounds", T_BOUNDS_RANGE, {"m": m, "bound": bound}, values)
 
 
 def test_t_below_one_failure(monkeypatch):
     doctor_t(monkeypatch, 5, lambda real: Fraction(1))
-    expected = [failing("t-below-one", "1 <= m <= 12", {"m": 5}, {"T": "1"}), PAIR_BOUND]
+    expected = [t_bound_failure(5, "t-below-one", {"T": "1"}), PAIR_BOUND]
     assert content(run_suite("t-bounds", max_m=12)) == expected
 
 
 def test_t_below_27_28_failure(monkeypatch):
     doctor_t(monkeypatch, 6, lambda real: Fraction(27, 28) + Fraction(1, 1000))
-    expected = [failing("t-below-27-28", "2 <= m <= 12", {"m": 6}, {"T": "6757/7000"}), PAIR_BOUND]
+    expected = [t_bound_failure(6, "t-below-27-28", {"T": "6757/7000"}), PAIR_BOUND]
     assert content(run_suite("t-bounds", max_m=12)) == expected
 
 
 def test_t_below_geometric_tail_failure(monkeypatch):
     t4 = rational_str(tfunction.t_direct(4))
     doctor(monkeypatch, tfunction, "geometric_tail_bound", (4,), lambda real, m: tfunction.t_direct(m))
-    expected = [
-        failing("t-below-geometric-tail", "2 <= m <= 12", {"m": 4}, {"T": t4, "bound": t4}),
-        PAIR_BOUND,
-    ]
+    expected = [t_bound_failure(4, "t-below-geometric-tail", {"T": t4, "bound": t4}), PAIR_BOUND]
     assert content(run_suite("t-bounds", max_m=12)) == expected
 
 
 def test_integral_prefactor_bound_failure(monkeypatch):
     doctor(monkeypatch, tfunction, "integral_prefactor", (3,), lambda real, m: Fraction(1, 10))
-    expected = [failing("integral-prefactor-bound", "2 <= m <= 12", {"m": 3}, {"prefactor": "1/10"}), PAIR_BOUND]
+    expected = [t_bound_failure(3, "integral-prefactor-bound", {"prefactor": "1/10"}), PAIR_BOUND]
     assert content(run_suite("t-bounds", max_m=12)) == expected
 
 
@@ -88,7 +91,7 @@ def test_binomial_pair_bound_failure(monkeypatch):
     # C(8,4) C(8,4) = 4900 against C(28,4) = 20475, doctored to 4899
     doctor(monkeypatch, suites, "binomial", (28, 4), lambda real, n, k: 4899)
     values = {"lhs": "4900", "rhs": "4899"}
-    expected = [T_BOUNDS, failing("binomial-pair-bound", "2 <= r <= m+1, m <= 12", {"m": 7, "r": 4}, values)]
+    expected = [T_BOUNDS, failing("binomial-pair-bound", PAIR_RANGE, {"m": 7, "r": 4}, values)]
     assert content(run_suite("t-bounds", max_m=12)) == expected
 
 
@@ -132,9 +135,9 @@ def doctor_certificate(monkeypatch, **shifts):
     monkeypatch.setattr(recurrence, "CERTIFICATE", recurrence.CERTIFICATE._replace(**fields))
 
 
-def halted_residual(n, residual):
-    range_desc = "1 <= n <= 10 (halted at first nonzero, T from t_direct)"
-    return failing("recurrence-residual", range_desc, {"n": n}, {"residual": rational_str(residual)})
+def bad_residual(n, residual, oracle="t_direct"):
+    location = {"n": n, "oracle": oracle}
+    return failing("recurrence-residual", RECURRENCE[1]["range"], location, {"residual": rational_str(residual)})
 
 
 def test_recurrence_b_identity_failure(monkeypatch):
@@ -143,19 +146,14 @@ def test_recurrence_b_identity_failure(monkeypatch):
     doctor_certificate(monkeypatch, b={8: 1})
     values = {"b": "187269121", "a+c+d": "187269120"}
     expected = recurrence_with(0, failing("recurrence-b-identity", RECURRENCE[0]["range"], {"k": 8}, values))
-    expected[1] = halted_residual(1, Fraction(-1, 4))
+    expected[1] = bad_residual(1, Fraction(-1, 4))
     assert content(run_suite("recurrence", max_n=10)) == expected
 
 
 def test_recurrence_residual_failure(monkeypatch):
     doctor(monkeypatch, tfunction, "t_integral", (7,), lambda real, m: real(m) + Fraction(1, 2))
     residual = Fraction(recurrence.ac_values(5)[1], 2)  # c(5) (T(7) + 1/2 - T(7))
-    report = failing(
-        "recurrence-residual",
-        "1 <= n <= 10 (halted at first nonzero, T from t_integral)",
-        {"n": 5},
-        {"residual": rational_str(residual)},
-    )
+    report = bad_residual(5, residual, oracle="t_integral")
     assert content(run_suite("recurrence", max_n=10)) == recurrence_with(1, report)
 
 
@@ -190,7 +188,7 @@ def test_recurrence_d_shift_positivity_failure(monkeypatch):
         ["constant term -185372200, leading term 1858560"],
     )
     expected = recurrence_with(2, report)
-    expected[1] = halted_residual(1, Fraction(-3 * drop, 4))
+    expected[1] = bad_residual(1, Fraction(-3 * drop, 4))
     assert content(run_suite("recurrence", max_n=10)) == expected
 
 
@@ -220,8 +218,8 @@ def test_recurrence_main_inequality_failure(monkeypatch):
     t7, t8, t9 = (tfunction.t_direct(m) for m in (7, 8, 9))
     doctor_t(monkeypatch, 8, lambda real: t7)
     values = {"left": "0", "right": rational_str(recurrence.ac_values(7)[1] * (t7 - t9))}
-    expected = recurrence_with(4, failing("recurrence-main-inequality", "2 <= n <= 10", {"n": 7}, values))
-    expected[1] = halted_residual(6, recurrence.ac_values(6)[1] * (t7 - t8))
+    expected = recurrence_with(4, failing("recurrence-main-inequality", RECURRENCE[4]["range"], {"n": 7}, values))
+    expected[1] = bad_residual(6, recurrence.ac_values(6)[1] * (t7 - t8))
     assert content(run_suite("recurrence", max_n=10)) == expected
 
 
@@ -238,8 +236,12 @@ T_MONOTONE = passing("t-monotone", "2 <= m < 20", [BOUNDARY, "every step 2 <= m 
 LIMIT_GAP = passing("limit-gap", GAP_RANGE, [LIMIT_NOTE])
 
 
-def gap(m):
-    return tfunction.T_LIMIT - float(tfunction.t_direct(m))
+def step_failure(m, t_m, t_next):
+    return failing("t-monotone", "2 <= m < 20", {"m": m}, {"T(m)": str(t_m), "T(m+1)": str(t_next)}, [BOUNDARY])
+
+
+def gap_failure(m, values):
+    return failing("limit-gap", GAP_RANGE, {"m": m}, values, [LIMIT_NOTE])
 
 
 def test_monotone_t_passes():
@@ -247,41 +249,45 @@ def test_monotone_t_passes():
 
 
 def test_t_monotone_failure(monkeypatch):
-    t7 = tfunction.t_direct(8) + Fraction(1, 1000)
+    t7, t8 = tfunction.t_direct(8) + Fraction(1, 1000), tfunction.t_direct(8)
     doctor_t(monkeypatch, 7, lambda real: t7)
-    t8 = str(tfunction.t_direct(8))
-    expected = [
-        failing("t-monotone", "2 <= m < 20", {"m": 7}, {"T(m)": str(t7), "T(m+1)": t8}, [BOUNDARY]),
-        failing("limit-gap", GAP_RANGE, {"m": 7}, {"gap": repr(gap(7)), "next": repr(gap(8))}, [LIMIT_NOTE]),
-    ]
+    expected = [step_failure(7, t7, t8), gap_failure(7, {"T(m)": rational_str(t7), "T(m+1)": rational_str(t8)})]
     assert content(run_suite("monotone-t", max_m=20)) == expected
 
 
-def test_t_monotone_records_a_non_strict_step(monkeypatch):
-    doctor_t(monkeypatch, 9, lambda real: real(10))
-    expected = [
-        passing("t-monotone", "2 <= m < 20", [BOUNDARY, "non-strict steps at m in [9]"]),
-        failing("limit-gap", GAP_RANGE, {"m": 9}, {"gap": repr(gap(10)), "next": repr(gap(10))}, [LIMIT_NOTE]),
-    ]
-    assert content(run_suite("monotone-t", max_m=20)) == expected
+def test_t_monotone_fails_at_an_equal_step(monkeypatch):
+    # T is strictly increasing for m >= 2, so T(9) = T(10) is a failure
+    t10 = tfunction.t_direct(10)
+    doctor_t(monkeypatch, 9, lambda real: t10)
+    values = {"T(m)": rational_str(t10), "T(m+1)": rational_str(t10)}
+    assert content(run_suite("monotone-t", max_m=20)) == [step_failure(9, t10, t10), gap_failure(9, values)]
 
 
 def test_limit_gap_positivity_is_checked_before_decrease(monkeypatch):
-    # gap(3) = 1 breaks the decrease at m = 2, but the positivity pass over
-    # every m runs first and reports m = 9
-    real = tfunction.limit_gap
-    monkeypatch.setattr(tfunction, "limit_gap", lambda m: {3: 1.0, 9: -0.5}.get(m) or real(m))
-    expected = [T_MONOTONE, failing("limit-gap", GAP_RANGE, {"m": 9}, {"gap": "-0.5"}, [LIMIT_NOTE])]
+    # T(3) = 1/5 breaks the decrease at m = 2, but the positivity pass over
+    # every m runs first and reports T(9) = 1/2 above the limit
+    real = tfunction.t_direct
+    monkeypatch.setattr(tfunction, "t_direct", lambda m: {3: Fraction(1, 5), 9: Fraction(1, 2)}.get(m) or real(m))
+    expected = [step_failure(2, Fraction(1, 4), Fraction(1, 5)), gap_failure(9, {"T": "1/2"})]
     assert content(run_suite("monotone-t", max_m=20)) == expected
 
 
 def test_limit_gap_decrease_failure(monkeypatch):
-    doctor(monkeypatch, tfunction, "limit_gap", (5,), lambda real, m: 1e-9)
-    expected = [
-        T_MONOTONE,
-        failing("limit-gap", GAP_RANGE, {"m": 5}, {"gap": "1e-09", "next": repr(gap(6))}, [LIMIT_NOTE]),
-    ]
+    # T(5) = 29/100 stays below the limit 0.29289... but above T(6)
+    t6 = tfunction.t_direct(6)
+    doctor_t(monkeypatch, 5, lambda real: Fraction(29, 100))
+    values = {"T(m)": "29/100", "T(m+1)": rational_str(t6)}
+    expected = [step_failure(5, Fraction(29, 100), t6), gap_failure(5, values)]
     assert content(run_suite("monotone-t", max_m=20)) == expected
+
+
+@pytest.mark.parametrize("t20, passed", [(Fraction(70, 239), True), (Fraction(29, 99), False)])
+def test_limit_gap_sign_is_exact(monkeypatch, t20, passed):
+    # 70/239 and 29/99, convergents of 1 - 1/sqrt 2 = 0.292893..., lie
+    # 6e-6 below and 4e-5 above the limit; T(19) = 0.2793 stays below both
+    doctor_t(monkeypatch, 20, lambda real: t20)
+    expected = LIMIT_GAP if passed else gap_failure(20, {"T": rational_str(t20)})
+    assert content(run_suite("monotone-t", max_m=20)) == [T_MONOTONE, expected]
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +308,19 @@ def test_inequality_chain_failure(monkeypatch):
     range_desc = "all (m, l) with 0 <= l < floor(m/2), m <= 10"
     expected = [failing("inequality-chain", range_desc, {"m": 7, "ell": 2}, values)]
     assert content(run_suite("inequality-chain", max_m=10)) == expected
+
+
+# ---------------------------------------------------------------------------
+# t-crosscheck
+
+
+def test_t_crosscheck_s_sum_route_failure(monkeypatch):
+    # S(2m, m-1) off by 1/1000 at m = 3; the three T routes still agree
+    doctor(monkeypatch, tfunction, "s_sum", (6, 2), lambda real, m, ell: real(m, ell) + Fraction(1, 1000))
+    t3 = tfunction.t_direct(3)
+    values = {"direct": rational_str(t3), "s_sum(2m, m-1)": rational_str(t3 + Fraction(1, 1000))}
+    [report] = content(run_suite("t-crosscheck", max_m=5))
+    assert report["counterexample"] == {"location": {"m": 3, "route": "s_sum(2m, m-1)"}, "values": values}
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +364,71 @@ def test_delta_signs_failure_in_the_falling_half(monkeypatch, b_4, delta):
     doctor_row_5(monkeypatch, 4, b_4)
     expected = [failing("delta-signs", DELTA_RANGE, {"m": 5, "ell": 3}, {"delta": delta})]
     assert content(run_suite("delta-signs", max_m=8)) == expected
+
+
+# ---------------------------------------------------------------------------
+# one failure shape: every record, made to fail at its first item, keeps the
+# property, range and notes of its record
+
+_claimed = seqprops.minimum_claimed_value
+
+# property -> (owner, attribute, replacement) that fails the record's first item
+FIRST_ITEM_FAILS = {
+    "unimodal": (seqprops, "is_unimodal", lambda row: False),
+    "logconcave": (seqprops, "is_logconcave", lambda row: False),
+    "i-logconcave": (conjectures, "row_first_negative", lambda m, depth: (1, 0, Fraction(-1))),
+    "ratio-monotone": (seqprops, "is_ratio_monotone", lambda row: False),
+    # at m = 1 only: the notes are made at m = 2
+    "min-functional": (seqprops, "minimum_claimed_value", lambda m: _claimed(m) + (m == 1)),
+    "delta-signs": (suites, "scaled_row", lambda m: tuple(range(m + 1))),
+    "inequality-chain": (
+        tfunction,
+        "inequality_chain_check",
+        lambda m, ell: tfunction.InequalityChain(m, ell, 1, 0, 0, 0, Fraction(1)),
+    ),
+    "s-monotone": (tfunction, "s_sum", lambda m, ell: Fraction(1)),
+    "t-bounds": (tfunction, "t_direct", lambda m: Fraction(1)),
+    "binomial-pair-bound": (suites, "binomial", lambda n, k: 2),
+    "t-crosscheck": (tfunction, "t_hypergeometric", lambda m: Fraction(-1)),
+    "recurrence-b-identity": (recurrence, "CERTIFICATE", recurrence.CERTIFICATE._replace(b=(0,))),
+    "recurrence-residual": (recurrence, "recurrence_residual", lambda n, t=None: Fraction(1)),
+    "recurrence-d-shift": (recurrence, "D_SHIFT_REFERENCE", ()),
+    "recurrence-ac-ratio": (recurrence, "ac_limit", lambda: Fraction(2)),
+    "recurrence-main-inequality": (recurrence, "ac_values", lambda n: (-1, 1)),
+    "t-monotone": (tfunction, "t_direct", lambda m: Fraction(1, 4)),
+    "limit-gap": (tfunction, "t_direct", lambda m: Fraction(1)),
+    "infinite-logconcavity-scan": (conjectures, "row_first_negative", lambda m, depth: (1, 0, Fraction(-1))),
+    "hyp-inequality-scan": (conjectures, "hyp_inequality_margin", lambda m, x: Fraction(0)),
+}
+
+SHAPE_LIMIT = 4
+SCANS = {
+    "infinite-logconcavity-scan": lambda: [suites.scan_infinite_logconcavity(SHAPE_LIMIT, 3)],
+    "hyp-inequality-scan": lambda: [suites.scan_hyp_inequality(SHAPE_LIMIT, (Fraction(1, 2), 1))],
+}
+# (suite or scan, property, the notes of its record)
+RECORDS = [
+    (name, record[0], tuple(record[4]) if len(record) > 4 else ())
+    for name, (_, _, records) in SUITES.items()
+    for record in records(SHAPE_LIMIT, 3)
+] + [(name, name, ()) for name in SCANS]
+
+
+def report_of(suite, prop):
+    run = SCANS.get(suite) or (lambda: run_suite(suite, max_m=SHAPE_LIMIT, max_n=SHAPE_LIMIT))
+    return next(r for r in run() if r.property == prop)
+
+
+def test_every_record_can_be_made_to_fail():
+    assert sorted(prop for _, prop, _ in RECORDS) == sorted(FIRST_ITEM_FAILS)
+
+
+@pytest.mark.parametrize("suite, prop, notes", RECORDS, ids=[prop for _, prop, _ in RECORDS])
+def test_a_failing_report_keeps_its_records_property_range_and_notes(monkeypatch, suite, prop, notes):
+    passed = report_of(suite, prop)
+    monkeypatch.setattr(*FIRST_ITEM_FAILS[prop])
+    failed = report_of(suite, prop)
+    assert passed.passed and not failed.passed
+    assert (failed.property, failed.range, failed.notes) == (passed.property, passed.range, notes)
+    # a pass may add a summary after the record's notes, a failure never
+    assert passed.notes[: len(notes)] == notes

@@ -152,7 +152,7 @@ def test_parallel_matches_serial(pools):
 def test_only_the_costly_records_start_a_pool(pools, name):
     # every other record is cheaper serially than a pool's start
     assert all(r.passed for r in run_suite(name, max_m=6, max_n=6, jobs=2))
-    assert pools == ([2] if name in ("inequality-chain", "t-crosscheck") else [])
+    assert pools == ([2] if name == "inequality-chain" else [])
 
 
 def test_sweep_reports_first_counterexample(monkeypatch):
@@ -182,9 +182,8 @@ def test_recurrence_suite_halts_at_first_bad_residual(monkeypatch):
     reports = run_suite("recurrence", max_n=20)
     residual = next(r for r in reports if r.property == "recurrence-residual")
     assert not residual.passed
-    assert residual.counterexample.location == {"n": 9}
+    assert residual.counterexample.location == {"n": 9, "oracle": "t_direct"}
     assert residual.counterexample.values == {"residual": "1/3"}
-    assert "halted" in residual.range
     assert max(calls) == 9  # later n never evaluated
 
 
@@ -196,8 +195,7 @@ def test_recurrence_suite_checks_the_integral_oracle(monkeypatch):
     reports = run_suite("recurrence", max_n=20)
     residual = next(r for r in reports if r.property == "recurrence-residual")
     assert not residual.passed
-    assert residual.counterexample.location == {"n": 5}
-    assert "T from t_integral" in residual.range
+    assert residual.counterexample.location == {"n": 5, "oracle": "t_integral"}
 
 
 def test_no_default_range_is_empty():
