@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Before-and-after numbers for two commits: process start-up, the exact
-T-route kernels and the benchmark's workloads, run as alternating pairs.
+T-route and inequality-chain kernels and the benchmark's workloads, run as
+alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT_REV CHANGE_REV --out BENCH_N.json
 
@@ -61,16 +62,29 @@ import json
 print(json.dumps({"import_s": elapsed, "modules": new}))
 """
 
-# Times the exact T routes in process: the median of KERNEL_RUNS runs of each.
+# Times the exact T routes and the inequality chain in process: the median of
+# KERNEL_RUNS runs of each.  The cached kernels start cold on every run, the
+# chain with cold rows too, since it reads its right-hand sums off them.
 KERNEL_RUNS = 5
 KERNEL_PROBE = f"""
 import json, statistics, time
-from quartint import tfunction
+from quartint import coefficients, tfunction
+
+def t_direct_1_501():
+    tfunction.t_direct.cache_clear()
+    return [tfunction.t_direct(m) for m in range(1, 502)]
+
+def chain_150():
+    coefficients._scaled_row.cache_clear()
+    return [tfunction.inequality_chain_check(m, ell) for m in range(2, 151) for ell in range(m // 2)]
+
 kernels = {{
     "t_integral(1..100)": lambda: [tfunction.t_integral(m) for m in range(1, 101)],
     "t_via_w(1..100)": lambda: [tfunction.t_via_w(m) for m in range(1, 101)],
     "t_hypergeometric(1..100)": lambda: [tfunction.t_hypergeometric(m) for m in range(1, 101)],
     "t_integral(2000)": lambda: tfunction.t_integral(2000),
+    "t_direct(1..501)": t_direct_1_501,
+    "inequality_chain_check(m <= 150)": chain_150,
 }}
 medians = {{}}
 for name, kernel in kernels.items():
@@ -181,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         commits = {side: export(rev, trees[side]) for side, rev in zip(SIDES, (args.parent_rev, args.change_rev))}
         result = {
             "what": f"scripts/bench_pairs.py {args.parent_rev} {args.change_rev}: the import of quartint.cli, "
-            f"the exact T-route kernels and the perfbench workloads of both commits, as alternating pairs",
+            f"the exact T-route and chain kernels and the perfbench workloads of both commits, as alternating pairs",
             "command": command(args),
             "host": host(),
             "loadavg_at_start": list(os.getloadavg()),

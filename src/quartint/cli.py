@@ -59,14 +59,16 @@ def _finite_float(text: str) -> float:
 
 
 def _jobs(text: str) -> int:
-    """Pool size from --jobs, clamped to the CPU count."""
+    """Pool size from --jobs, clamped to the CPUs this process may run on:
+    its affinity mask where the platform has one, else the CPU count."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"--jobs must be a positive integer, got {text!r}")
-    return min(value, os.cpu_count() or 1)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(value, usable)
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:

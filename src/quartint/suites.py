@@ -31,12 +31,14 @@ Witness = Optional[tuple]
 # The items of a record that checks a single fact.
 _ONCE = (None,)
 
-# The records that sweep on a process pool when --jobs allows it: a cold run of
-# each is faster on two processes than on one, at its default range and at
-# max-m 150.  Every other record, t-crosscheck too since its T routes sum in
-# integers, is slower on a pool at one of the two or at both, because its
-# items take microseconds to a few milliseconds and the pool's start costs
-# more than it saves.
+# The records that sweep on a process pool when --jobs allows it.  A cold
+# inequality-chain run at max-m 150, as the row-sweeps benchmark makes it, took
+# 0.31 s on two processes and 0.33 s on one (8 of 11 alternating pairs), with
+# its right-hand sums read off the row; at its default range the two tie at
+# 0.18 s.  Every other record, t-crosscheck too since its T routes sum in
+# integers, is slower on a pool at its default range or at max-m 150 or both,
+# because its items take microseconds to a few milliseconds and the pool's
+# start costs more than it saves.
 POOLED = frozenset({"inequality-chain"})
 
 

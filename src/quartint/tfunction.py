@@ -1,23 +1,28 @@
 """The tail sum T(m) that settles unimodality of the coefficient rows,
-computed through four independent routes:
+computed through four exact routes:
 
   direct          T(m) = sum_{r=2}^{m+1} C(2r,r) C(m+1,r) (r-1) / (2^r C(4m,r))
   hypergeometric  T(m) = 1 - 2F1(1/2,-1-m;-4m;2) + (m+1)/(4m) 2F1(3/2,-m;1-4m;2)
   integral        T(m) = 3(m+1)/(16(4m-1)) * int_0^2 t 2F1(5/2,1-m;2-4m;t) dt
   weighted sum    T(m) = [x W'(x) - W(x) + 1] at x = 1/2
 
-together with the partial sums S_{m,l}, the four-stage inequality chain they
-normalise, the r-term bounds behind T(m) < 1, and float diagnostics for the
-limit (2 - sqrt 2)/2.
+Only the hypergeometric route and S(2m, m-1) are separate identities; the
+integral and weighted-sum routes add up exactly the terms of the direct
+sum, generated another way, so they check the code.  Also here: the
+partial sums S_{m,l}, the four-stage inequality chain they normalise, the
+r-term bounds behind T(m) < 1, and float diagnostics for the limit
+(2 - sqrt 2)/2.
 
 Every route is exact rational arithmetic, summed in integers over one
 common denominator and reduced to a Fraction once at the end: the direct
-sum through its own term ratio (t_direct); the two series through hyp2f1;
-the integral through hyp2f1_first_moment, the same nested sum with the
-term ratio times (k+2)/(k+3); and the weighted sum from the integer
+sum over its natural denominator 2^(m+1) C(4m, m+1), with integer terms
+made by their term ratio (t_direct); the two series through hyp2f1; the
+integral through hyp2f1_first_moment, the same nested sum with the term
+ratio times (k+2)/(k+3); and the weighted sum from the integer
 coefficients of F W, F = (4m)!/(3m-1)!, evaluated at 2 in reverse.  The
-only floats here are the limit gaps shown by tvalues, which involve
-sqrt 2.
+chain makes only the terms of its left side and reads both right-hand sums
+off the integer row b_l(m).  The only floats here are the limit gaps shown
+by tvalues, which involve sqrt 2.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from .coefficients import scaled_row
 from .exact import binomial
 from .hypergeometric import hyp2f1, hyp2f1_first_moment
 from .polynomial import derivative, horner
@@ -66,23 +72,26 @@ def s_sum(m: int, ell: int) -> Fraction:
 def t_direct(m: int) -> Fraction:
     """T(m) by its defining sum over t_r = C(2r,r) C(m+1,r) (r-1) / (2^r C(4m,r)).
 
-    Evaluated in the nested form T = t_2 (1 + rho_2 (1 + rho_3 (... (1 + rho_m))))
-    with t_2 = 3(m+1) / (8(4m-1)) and the exact term ratio
+    Since C(m+1,r)/C(4m,r) = C(4m-r, m+1-r)/C(4m, m+1), the sum is
+    N / (2^(m+1) C(4m, m+1)) with N = sum_{r=2}^{m+1} (r-1) g_r over the
+    integers g_r = C(2r,r) C(4m-r, m+1-r) 2^(m+1-r).  They are made from
+    g_2 = 6 C(4m-2, m-1) 2^(m-1) by the term ratio
 
-        rho_r = t_{r+1}/t_r = (2r+1)(m+1-r) r / ((r+1)(r-1)(4m-r)),
+        g_{r+1}/g_r = (2r+1)(m+1-r) / ((r+1)(4m-r)),
 
-    accumulated as an integer numerator and denominator and reduced once at
-    the end.  The tests compare it with the literal sum; t-crosscheck compares
-    it with the hypergeometric, integral and weighted-sum routes.
+    and a division that leaves a remainder is an ArithmeticError.  The
+    tests compare it with the literal sum; t-crosscheck compares it with the
+    hypergeometric, integral and weighted-sum routes.
     """
     if m < 1:
         raise ValueError("t_direct requires m >= 1")
-    num = den = 1
-    for r in range(m, 1, -1):
-        q = (r + 1) * (r - 1) * (4 * m - r)
-        num = q * den + (2 * r + 1) * (m + 1 - r) * r * num
-        den *= q
-    return Fraction(3 * (m + 1) * num, 8 * (4 * m - 1) * den)
+    num, g = 0, 6 * binomial(4 * m - 2, m - 1) << (m - 1)
+    for r in range(2, m + 2):
+        num += (r - 1) * g
+        g, remainder = divmod(g * ((2 * r + 1) * (m + 1 - r)), (r + 1) * (4 * m - r))
+        if remainder:
+            raise ArithmeticError(f"T direct sum: inexact division at m={m}, r={r + 1}")
+    return Fraction(num, binomial(4 * m, m + 1) << (m + 1))
 
 
 def t_hypergeometric(m: int) -> Fraction:
@@ -184,29 +193,39 @@ def inequality_chain_check(m: int, ell: int) -> InequalityChain:
     unweighted sum <= weighted sum) and that S_{m,l} is the normalised form
     of the strongest one.
 
-    The three sums share their terms t_k = 2^k C(2m-2k, m-k) C(m+k, m+l),
-    made in one pass over l <= k <= m from t_l = 2^l C(2m-2l, m-l) and the
-    term ratio
+    The sums share their terms t_k = 2^k C(2m-2k, m-k) C(m+k, m+l), and
+    with C = C(m+l, l) the identities C(m+k, m+l) C = C(m+k, m) C(k, l) and
+    k C(k, l) = l C(k, l) + (l+1) C(k, l+1) give, over l <= k <= m,
+
+        sum t_k = b_l / C,    sum (k-2l-1) t_k = (l+1)(b_{l+1} - b_l) / C,
+
+    in the integer row b of scaled_row(m).  So only t_l, ..., t_{2l+1} are
+    made, from t_l = 2^l C(2m-2l, m-l) by the term ratio
 
         t_{k+1} = t_k (m-k)(m+k+1) / ((2m-2k-1)(k+1-l)),
 
-    one small-factor multiply and one division per step, exact because both
-    sides are the integer t_{k+1}.  The tests compare all three sums with
-    their literal binomial sums; s_value comes from s_sum, computed
-    independently.
+    and lhs = sum_{k<=2l} (2l+1-k) t_k is the sum of their running prefix
+    sums.  Then rhs_unweighted = b_l/C - (t_l + ... + t_{2l+1}) and
+    rhs_full = lhs + (l+1)(b_{l+1} - b_l)/C, so lhs < rhs_full is exactly
+    b_{l+1} > b_l.  A division by C that leaves a remainder is an
+    ArithmeticError.  The tests compare all three sums with their literal
+    binomial sums; s_value comes from s_sum, computed independently.
     """
     if not 0 <= ell < m // 2:
         raise ValueError(f"need 0 <= ell < floor(m/2), got ell={ell}, m={m}")
-    lhs = rhs_full = rhs_unweighted = 0
+    lhs = head = 0
     term = binomial(2 * m - 2 * ell, m - ell) << ell
-    for k in range(ell, m + 1):
-        if k <= 2 * ell:
-            lhs += (2 * ell + 1 - k) * term
-        elif k > 2 * ell + 1:
-            rhs_full += (k - 2 * ell - 1) * term
-            rhs_unweighted += term
-        if k < m:
-            term = term * ((m - k) * (m + k + 1)) // ((2 * m - 2 * k - 1) * (k + 1 - ell))
+    for k in range(ell, 2 * ell + 1):
+        head += term
+        lhs += head
+        term = term * ((m - k) * (m + k + 1)) // ((2 * m - 2 * k - 1) * (k + 1 - ell))
+    head += term  # t_l + ... + t_{2l+1}
+    row, scale = scaled_row(m), binomial(m + ell, ell)
+    total, remainder = divmod(row[ell], scale)
+    step, step_remainder = divmod((ell + 1) * (row[ell + 1] - row[ell]), scale)
+    if remainder or step_remainder:
+        raise ArithmeticError(f"inequality chain: inexact division by C(m+l, l) at (m={m}, ell={ell})")
+    rhs_unweighted, rhs_full = total - head, lhs + step
     rhs_last_term = 2**m * binomial(2 * m, m + ell)
     s_value = s_sum(m, ell)
     if not rhs_last_term <= rhs_unweighted <= rhs_full:

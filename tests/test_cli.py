@@ -91,7 +91,8 @@ def test_verify_with_jobs(capsys):
 
 @pytest.mark.parametrize("env_jobs", ["2", "abc"])
 def test_jobs_environment_variable_is_ignored(capsys, monkeypatch, env_jobs):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # --jobs is clamped to the CPU count
+    # four usable CPUs, so an honoured QUARTINT_JOBS=2 would show as jobs 2
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setenv("QUARTINT_JOBS", env_jobs)
     code, out, _ = run(
         capsys, "verify", "--property", "unimodal", "--max-m", "8", "--format", "json"
@@ -101,11 +102,16 @@ def test_jobs_environment_variable_is_ignored(capsys, monkeypatch, env_jobs):
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):
-    # parsing only: no pool is started
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    # parsing only: no pool is started.  The affinity mask counts, not the
+    # CPUs of the machine that this process may not run on.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {2, 5, 7}, raising=False)
     assert cli._jobs("1000000") == 3
     assert cli._jobs("2") == 2
     assert build_parser().parse_args(["verify", "--all", "--jobs", "1000000"]).jobs == 3
+    # without an affinity mask, the CPU count
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._jobs("1000000") == 8
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._jobs("1000000") == 1
     for bad in ("0", "-4", "abc", ""):

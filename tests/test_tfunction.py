@@ -56,6 +56,11 @@ def literal_chain(m, ell):
     return lhs, rhs_full, rhs_unweighted, 2**m * binomial(2 * m, m + ell)
 
 
+def literal_b(m, ell):
+    """b_l(m) = sum_{k=l}^{m} 2^k C(2m-2k, m-k) C(m+k, m) C(k, l), term by term."""
+    return sum(2**k * binomial(2 * m - 2 * k, m - k) * binomial(m + k, m) * binomial(k, ell) for k in range(ell, m + 1))
+
+
 def literal_t_integral(m):
     """The prefactor times int_0^2 t sum c_k t^k dt = sum c_k 2^(k+2) / (k+2),
     over the Fraction coefficients of the integrand series."""
@@ -101,6 +106,25 @@ def test_t_direct_matches_integral_route_at_2000():
     assert t_direct(2000) == t_integral(2000)
 
 
+def test_t_direct_matches_hypergeometric_route_at_500():
+    # the 2F1 route is a separate identity; the integral route sums the same terms
+    assert t_direct(500) == t_hypergeometric(500)
+
+
+@pytest.fixture
+def cold_t():
+    t_direct.cache_clear()
+    yield
+    t_direct.cache_clear()
+
+
+def test_t_direct_inexact_division_is_arithmetic_error(cold_t, monkeypatch):
+    # with every binomial 1, g_2 = 6 * 2 and g_3 = 12 * 5 / 18 is not an integer
+    monkeypatch.setattr(tfunction, "binomial", lambda n, k: 1)
+    with pytest.raises(ArithmeticError, match="inexact division at m=2, r=3"):
+        t_direct(2)
+
+
 def test_integral_and_w_routes_match_literal_forms():
     for m in range(1, 61):
         assert t_integral(m) == literal_t_integral(m)
@@ -142,6 +166,26 @@ def test_chain_and_s_sum_match_literal_forms(m_ell):
     chain = inequality_chain_check(m, ell)
     assert chain_fields(chain) == literal_chain(m, ell)
     assert chain.s_value == s_sum(m, ell) == literal_s(m, ell)
+    # rhs_full - lhs is the row step, so lhs < rhs_full is exactly b_{l+1} > b_l
+    lhs, rhs_full = literal_chain(m, ell)[:2]
+    step = Fraction((ell + 1) * (literal_b(m, ell + 1) - literal_b(m, ell)), binomial(m + ell, ell))
+    assert rhs_full - lhs == step
+
+
+def test_chain_row_not_divisible_is_arithmetic_error(monkeypatch, capsys):
+    # b_1(10) + 1 leaves 1 (mod C(11, 1)), so (10, 0) passes and (10, 1) raises
+    real = tfunction.scaled_row
+
+    def doctored(m):
+        row = real(m)
+        return (row[0], row[1] + 1, *row[2:]) if m == 10 else row
+
+    monkeypatch.setattr(tfunction, "scaled_row", doctored)
+    inequality_chain_check(10, 0)
+    with pytest.raises(ArithmeticError, match=r"inexact division by C\(m\+l, l\) at \(m=10, ell=1\)"):
+        inequality_chain_check(10, 1)
+    assert main(["verify", "--property", "inequality-chain", "--max-m", "12"]) == 3
+    assert "(m=10, ell=1)" in capsys.readouterr().err
 
 
 def test_s_sum_values():
