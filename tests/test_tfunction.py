@@ -167,9 +167,8 @@ def test_chain_and_s_sum_match_literal_forms(m_ell):
     assert chain_fields(chain) == literal_chain(m, ell)
     assert chain.s_value == s_sum(m, ell) == literal_s(m, ell)
     # rhs_full - lhs is the row step, so lhs < rhs_full is exactly b_{l+1} > b_l
-    lhs, rhs_full = literal_chain(m, ell)[:2]
     step = Fraction((ell + 1) * (literal_b(m, ell + 1) - literal_b(m, ell)), binomial(m + ell, ell))
-    assert rhs_full - lhs == step
+    assert chain.rhs_full - chain.lhs == step
 
 
 def test_chain_row_not_divisible_is_arithmetic_error(monkeypatch, capsys):
