@@ -31,14 +31,14 @@ Witness = Optional[tuple]
 # The items of a record that checks a single fact.
 _ONCE = (None,)
 
-# The records that sweep on a process pool when --jobs allows it.  A cold
-# inequality-chain run at max-m 150, as the row-sweeps benchmark makes it, took
-# 0.31 s on two processes and 0.33 s on one (8 of 11 alternating pairs), with
-# its right-hand sums read off the row; at its default range the two tie at
-# 0.18 s.  Every other record, t-crosscheck too since its T routes sum in
-# integers, is slower on a pool at its default range or at max-m 150 or both,
-# because its items take microseconds to a few milliseconds and the pool's
-# start costs more than it saves.
+# The records that sweep on a process pool when --jobs allows it.  With the
+# chain deciding S < 1 from its own sums, a cold inequality-chain run took
+# 0.23-0.25 s serially and 0.28-0.32 s on two processes at max-m 150 (two
+# series of 10 alternating pairs: the pool lost 19 of 20), and 0.59-0.73 s
+# against 0.48-0.53 s at max-m 250 (the pool won 17 of 20), on a 2-CPU Xeon
+# VM.  Every other record, t-crosscheck too, is slower on a pool at its
+# default range or at max-m 150 or both: its items take microseconds to a
+# few milliseconds, and the pool's start costs more than it saves.
 POOLED = frozenset({"inequality-chain"})
 
 
@@ -150,13 +150,13 @@ def _delta_signs_witness(m: int) -> Witness:
 
 
 def _chain_witness(m: int) -> Witness:
-    """The four inequalities of the chain at every 0 <= l < floor(m/2): the
-    left-hand sum below each of the three right-hand sides, and S_{m,l} < 1."""
+    """The chain lhs < rhs_last_term <= rhs_unweighted <= rhs_full at every
+    0 <= l < floor(m/2).  Its first step is S_{m,l} < 1, decided here and
+    not through s_sum; the kernel only guards its exact divisions."""
     for ell in range(0, m // 2):
         chain = tfunction.inequality_chain_check(m, ell)
-        if not (chain.lhs < min(chain.rhs_full, chain.rhs_unweighted, chain.rhs_last_term) and chain.s_value < 1):
-            values = {k: rational_str(v) for k, v in chain._asdict().items() if k not in ("m", "ell")}
-            return {"m": m, "ell": ell}, values
+        if not chain.lhs < chain.rhs_last_term <= chain.rhs_unweighted <= chain.rhs_full:
+            return {"m": m, "ell": ell}, {k: str(v) for k, v in chain._asdict().items() if k not in ("m", "ell")}
     return None
 
 
@@ -226,16 +226,16 @@ def _b_identity_witness(_) -> Witness:
 
 
 def _residual_witness(item: tuple[str, int]) -> Witness:
-    """The residual at n with T from the oracle t_direct or t_integral.
+    """The residual at n with T from the oracle t_direct or t_hypergeometric.
 
-    The t_integral pass shares no code with the t_direct kernel, so the
-    certificate is not checked only against the code it certifies.
+    The 2F1 route is a separate identity, not the direct sum's terms made
+    another way, so the certificate is not checked only against its code.
     """
     oracle, n = item
     if oracle == "t_direct":
         residual = recurrence.recurrence_residual(n)
     else:
-        residual = recurrence.recurrence_residual(n, t=tfunction.t_integral)
+        residual = recurrence.recurrence_residual(n, t=tfunction.t_hypergeometric)
     if residual == 0:
         return None
     return {"n": n, "oracle": oracle}, {"residual": rational_str(residual)}
@@ -348,7 +348,7 @@ def _recurrence(n: int, depth: int) -> list[tuple]:
         (
             "recurrence-residual",
             f"a(n)T(n) - b(n)T(n+1) + c(n)T(n+2) + d(n) = 0 for 1 <= n <= {n}",
-            [(oracle, k) for oracle in ("t_direct", "t_integral") for k in range(1, n + 1)],
+            [(oracle, k) for oracle in ("t_direct", "t_hypergeometric") for k in range(1, n + 1)],
             _residual_witness,
         ),
         (

@@ -134,14 +134,24 @@ def test_c08_s_monotone():
         assert values[top] < 1, m
 
 
+def literal_s(m, ell):
+    """S_{m,l} term by term, from its defining binomial sum."""
+    return sum(
+        Fraction(
+            binomial(m - ell, m - k) * binomial(m + k, 2 * k) * (2 * ell + 1 - k),
+            binomial(2 * m, 2 * k) * 2 ** (m - k),
+        )
+        for k in range(ell, min(2 * ell, m) + 1)
+    )
+
+
 @criterion(9, "four-stage inequality chain")
 def test_c09_inequality_chain():
     for m in range(2, 101):
         for ell in range(0, m // 2):
             chain = inequality_chain_check(m, ell)
-            for rhs in (chain.rhs_full, chain.rhs_unweighted, chain.rhs_last_term):
-                assert chain.lhs < rhs, (m, ell)
-            assert chain.s_value < 1, (m, ell)
+            assert chain.lhs < chain.rhs_last_term <= chain.rhs_unweighted <= chain.rhs_full, (m, ell)
+            assert Fraction(chain.lhs, chain.rhs_last_term) == s_sum(m, ell) == literal_s(m, ell), (m, ell)
 
 
 @criterion(10, "recurrence certificate")

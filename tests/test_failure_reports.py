@@ -7,11 +7,13 @@ report keeps its record's property, range and notes; only the verdict and
 the counterexample change.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from quartint import coefficients, conjectures, recurrence, seqprops, suites, tfunction
+from quartint.cli import main
 from quartint.exact import rational_str
 from quartint.suites import SUITES, run_suite
 
@@ -151,9 +153,9 @@ def test_recurrence_b_identity_failure(monkeypatch):
 
 
 def test_recurrence_residual_failure(monkeypatch):
-    doctor(monkeypatch, tfunction, "t_integral", (7,), lambda real, m: real(m) + Fraction(1, 2))
+    doctor(monkeypatch, tfunction, "t_hypergeometric", (7,), lambda real, m: real(m) + Fraction(1, 2))
     residual = Fraction(recurrence.ac_values(5)[1], 2)  # c(5) (T(7) + 1/2 - T(7))
-    report = bad_residual(5, residual, oracle="t_integral")
+    report = bad_residual(5, residual, oracle="t_hypergeometric")
     assert content(run_suite("recurrence", max_n=10)) == recurrence_with(1, report)
 
 
@@ -294,20 +296,30 @@ def test_limit_gap_sign_is_exact(monkeypatch, t20, passed):
 # inequality-chain
 
 
+CHAIN_RANGE = "all (m, l) with 0 <= l < floor(m/2), m <= 10"
+
+
 def test_inequality_chain_failure(monkeypatch):
-    # lhs raised to rhs_last_term at (m, l) = (7, 2): only lhs < rhs_last_term fails
+    # lhs raised to rhs_last_term at (m, l) = (7, 2): only lhs < rhs_last_term,
+    # that is S_{7,2} < 1, fails
     raise_lhs = lambda real, m, ell: real(m, ell)._replace(lhs=256256)  # noqa: E731
     doctor(monkeypatch, tfunction, "inequality_chain_check", (7, 2), raise_lhs)
-    values = {
-        "lhs": "256256",
-        "rhs_full": "604032",
-        "rhs_unweighted": "347776",
-        "rhs_last_term": "256256",
-        "s_value": "153/1232",
-    }
-    range_desc = "all (m, l) with 0 <= l < floor(m/2), m <= 10"
-    expected = [failing("inequality-chain", range_desc, {"m": 7, "ell": 2}, values)]
+    values = {"lhs": "256256", "rhs_full": "604032", "rhs_unweighted": "347776", "rhs_last_term": "256256"}
+    expected = [failing("inequality-chain", CHAIN_RANGE, {"m": 7, "ell": 2}, values)]
     assert content(run_suite("inequality-chain", max_m=10)) == expected
+
+
+def test_inequality_chain_out_of_order_failure(monkeypatch, capsys):
+    # rhs_unweighted raised above rhs_full at (m, l) = (7, 2): S_{7,2} < 1
+    # still holds, but the right-hand sides no longer weaken in order
+    raise_unweighted = lambda real, m, ell: real(m, ell)._replace(rhs_unweighted=604033)  # noqa: E731
+    doctor(monkeypatch, tfunction, "inequality_chain_check", (7, 2), raise_unweighted)
+    values = {"lhs": "31824", "rhs_full": "604032", "rhs_unweighted": "604033", "rhs_last_term": "256256"}
+    expected = [failing("inequality-chain", CHAIN_RANGE, {"m": 7, "ell": 2}, values)]
+    assert content(run_suite("inequality-chain", max_m=10)) == expected
+    assert main(["verify", "--property", "inequality-chain", "--max-m", "10", "--format", "json"]) == 1
+    [report] = json.loads(capsys.readouterr().out)["results"]
+    assert report["counterexample"] == {"location": {"m": 7, "ell": 2}, "values": values}
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +396,7 @@ FIRST_ITEM_FAILS = {
     "inequality-chain": (
         tfunction,
         "inequality_chain_check",
-        lambda m, ell: tfunction.InequalityChain(m, ell, 1, 0, 0, 0, Fraction(1)),
+        lambda m, ell: tfunction.InequalityChain(m, ell, 1, 0, 0, 0),
     ),
     "s-monotone": (tfunction, "s_sum", lambda m, ell: Fraction(1)),
     "t-bounds": (tfunction, "t_direct", lambda m: Fraction(1)),

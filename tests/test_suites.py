@@ -187,15 +187,22 @@ def test_recurrence_suite_halts_at_first_bad_residual(monkeypatch):
     assert max(calls) == 9  # later n never evaluated
 
 
-def test_recurrence_suite_checks_the_integral_oracle(monkeypatch):
-    from fractions import Fraction
-
-    real = suites.tfunction.t_integral
-    monkeypatch.setattr(suites.tfunction, "t_integral", lambda m: real(m) + Fraction(m == 7, 2))
+def test_recurrence_suite_checks_the_hypergeometric_oracle(monkeypatch):
+    real = suites.tfunction.t_hypergeometric
+    monkeypatch.setattr(suites.tfunction, "t_hypergeometric", lambda m: real(m) + Fraction(m == 7, 2))
     reports = run_suite("recurrence", max_n=20)
     residual = next(r for r in reports if r.property == "recurrence-residual")
     assert not residual.passed
-    assert residual.counterexample.location == {"n": 5, "oracle": "t_integral"}
+    assert residual.counterexample.location == {"n": 5, "oracle": "t_hypergeometric"}
+
+
+def test_the_chain_suite_computes_no_s_sum(monkeypatch):
+    # S_{m,l} < 1 is lhs < rhs_last_term; only s-monotone sweeps s_sum
+    def no_s_sum(m, ell):
+        raise AssertionError("inequality-chain called s_sum")
+
+    monkeypatch.setattr(tfunction, "s_sum", no_s_sum)
+    assert single(run_suite("inequality-chain", max_m=100)).passed
 
 
 def test_no_default_range_is_empty():
@@ -224,7 +231,7 @@ def doctor_chain(failing):
 
     def doctored(m, ell):
         chain = real(m, ell)
-        return chain._replace(s_value=Fraction(1)) if m in failing and ell == 0 else chain
+        return chain._replace(lhs=chain.rhs_last_term) if m in failing and ell == 0 else chain
 
     return mock.patch.object(tfunction, "inequality_chain_check", doctored)
 

@@ -93,8 +93,11 @@ def chain_fields(chain):
 
 
 def chain_holds(chain):
-    """All four inequalities of the chain."""
-    return all(chain.lhs < rhs for rhs in chain_fields(chain)[1:]) and chain.s_value < 1
+    """The chain lhs < rhs_last_term <= rhs_unweighted <= rhs_full, whose
+    first step is S_{m,l} < 1; lhs/rhs_last_term must be S_{m,l} by s_sum
+    and by its literal sum."""
+    assert Fraction(chain.lhs, chain.rhs_last_term) == s_sum(chain.m, chain.ell) == literal_s(chain.m, chain.ell)
+    return chain.lhs < chain.rhs_last_term <= chain.rhs_unweighted <= chain.rhs_full
 
 
 def test_t_direct_matches_literal_sum():
@@ -146,7 +149,7 @@ def test_s_sum_and_chain_match_literal_sums():
         for ell in range(0, m // 2):
             chain = inequality_chain_check(m, ell)
             assert chain_fields(chain) == literal_chain(m, ell)
-            assert chain.s_value == literal_s(m, ell)
+            assert Fraction(chain.lhs, chain.rhs_last_term) == s_sum(m, ell) == literal_s(m, ell)
 
 
 def test_geometric_tail_matches_literal_sum():
@@ -165,7 +168,7 @@ def test_chain_and_s_sum_match_literal_forms(m_ell):
     m, ell = m_ell
     chain = inequality_chain_check(m, ell)
     assert chain_fields(chain) == literal_chain(m, ell)
-    assert chain.s_value == s_sum(m, ell) == literal_s(m, ell)
+    assert Fraction(chain.lhs, chain.rhs_last_term) == s_sum(m, ell) == literal_s(m, ell)
     # rhs_full - lhs is the row step, so lhs < rhs_full is exactly b_{l+1} > b_l
     step = Fraction((ell + 1) * (literal_b(m, ell + 1) - literal_b(m, ell)), binomial(m + ell, ell))
     assert chain.rhs_full - chain.lhs == step
@@ -185,6 +188,20 @@ def test_chain_row_not_divisible_is_arithmetic_error(monkeypatch, capsys):
         inequality_chain_check(10, 1)
     assert main(["verify", "--property", "inequality-chain", "--max-m", "12"]) == 3
     assert "(m=10, ell=1)" in capsys.readouterr().err
+
+
+def test_chain_inexact_term_step_is_arithmetic_error(monkeypatch, capsys):
+    # with every binomial 1, t_l = 2^l, and its step to t_{l+1} leaves a
+    # remainder at every (m, l) with m >= 3: 12/5 at (3, 0).  The binomials
+    # of n <= 4 stay, so m = 2, whose one step is exact whatever t_0 is, holds.
+    real = tfunction.binomial
+    monkeypatch.setattr(tfunction, "binomial", lambda n, k: real(n, k) if n <= 4 else 1)
+    for m in range(3, 13):
+        for ell in range(0, m // 2):
+            with pytest.raises(ArithmeticError, match=rf"inexact term division at \(m={m}, ell={ell}\)"):
+                inequality_chain_check(m, ell)
+    assert main(["verify", "--property", "inequality-chain", "--max-m", "12"]) == 3
+    assert "(m=3, ell=0), k=1" in capsys.readouterr().err
 
 
 def test_s_sum_values():
@@ -273,7 +290,7 @@ def test_inequality_chain_hand_values():
     assert chain.rhs_last_term == 24
     assert chain_holds(chain)
     chain = inequality_chain_check(4, 1)
-    assert chain.s_value == Fraction(1, 4)
+    assert Fraction(chain.lhs, chain.rhs_last_term) == Fraction(1, 4)
     assert chain_holds(chain)
 
 
