@@ -65,14 +65,28 @@ print(json.dumps({"import_s": elapsed, "modules": new}))
 # Times the exact T routes and the inequality chain in process: the median of
 # KERNEL_RUNS runs of each.  The cached kernels start cold on every run, the
 # chain with cold rows too, since it reads its right-hand sums off them.
+# "T(1..N) as the sweeps read it" is what t-bounds, t-monotone and limit-gap
+# read: T stepped by the recurrence (recurrence.t_stepped, with its direct-sum
+# seeds and checkpoints), or the direct sum in a tree that has no stepped T.
 KERNEL_RUNS = 5
 KERNEL_PROBE = f"""
 import json, statistics, time
-from quartint import coefficients, tfunction
+from quartint import coefficients, recurrence, tfunction
 
 def t_direct_1_501():
     tfunction.t_direct.cache_clear()
     return [tfunction.t_direct(m) for m in range(1, 502)]
+
+def t_as_the_sweeps_read_it(top):
+    tfunction.t_direct.cache_clear()
+    t = getattr(recurrence, "t_stepped", tfunction.t_direct)
+    if t is not tfunction.t_direct:
+        recurrence._stepped.clear()
+    return [t(m) for m in range(1, top + 1)]
+
+def t_hypergeometric_1_100():
+    getattr(tfunction.t_hypergeometric, "cache_clear", lambda: None)()
+    return [tfunction.t_hypergeometric(m) for m in range(1, 101)]
 
 def chain_150():
     coefficients._scaled_row.cache_clear()
@@ -81,9 +95,11 @@ def chain_150():
 kernels = {{
     "t_integral(1..100)": lambda: [tfunction.t_integral(m) for m in range(1, 101)],
     "t_via_w(1..100)": lambda: [tfunction.t_via_w(m) for m in range(1, 101)],
-    "t_hypergeometric(1..100)": lambda: [tfunction.t_hypergeometric(m) for m in range(1, 101)],
+    "t_hypergeometric(1..100)": t_hypergeometric_1_100,
     "t_integral(2000)": lambda: tfunction.t_integral(2000),
     "t_direct(1..501)": t_direct_1_501,
+    "T(1..501) as the sweeps read it": lambda: t_as_the_sweeps_read_it(501),
+    "T(1..2001) as the sweeps read it": lambda: t_as_the_sweeps_read_it(2001),
     "inequality_chain_check(m <= 150)": chain_150,
 }}
 medians = {{}}

@@ -10,6 +10,16 @@ the transcription, and the structural facts (b = a + c + d coefficient by
 coefficient, positivity of the d(x+2) expansion, which is the Taylor shift
 of d by 2, and a/c -> 27/16 from the leading coefficients) are exactly the
 ingredients of the monotonicity argument for T.
+
+The certificate also makes the T values that the t-bounds, t-monotone and
+limit-gap sweeps read: t_stepped solves the recurrence for T(n+2), seeded
+with the direct sum at m = 1 and 2.  A stepped value is checked before it
+is used: t_stepped returns T(m) only once it has stepped on to the
+checkpoint at or above m, the next multiple of CHECKPOINT, and found the
+direct sum there equal to its own value; a mismatch is an ArithmeticError.
+So a wrong certificate is an internal error, never a counterexample.  The
+residual and main-inequality records and t-crosscheck read the direct sum
+itself, so the recurrence is never checked against values it made.
 """
 
 from __future__ import annotations
@@ -43,6 +53,34 @@ CERTIFICATE = RecurrenceCoefficients(
 # strictly positive and the computed shift to reproduce this list verbatim.
 D_SHIFT_REFERENCE = (814627800, 2803521195, 3780146130, 2680435095,
                      1098008880, 262332600, 34045440, 1858560)
+
+
+CHECKPOINT = 64
+
+# T(1), T(2), ..., T(k CHECKPOINT): only values that a checkpoint has passed.
+_stepped: list[Fraction] = []
+
+
+def t_stepped(m: int) -> Fraction:
+    """T(m) by the recurrence, T(n+2) = (b(n) T(n+1) - a(n) T(n) - d(n)) / c(n),
+    from T(1) and T(2) of the direct sum.
+
+    The values are made in increasing m by a loop, up to the checkpoint at
+    or above m, and kept only when the direct sum agrees there; otherwise
+    this is an ArithmeticError and nothing new is kept.
+    """
+    if m < 1:
+        raise ValueError("t_stepped requires m >= 1")
+    if m > len(_stepped):
+        top = -(-m // CHECKPOINT) * CHECKPOINT
+        values = list(_stepped) or [t_direct(1), t_direct(2)]
+        for n in range(len(values) - 1, top - 1):
+            a, b, c, d = (horner(p, n) for p in CERTIFICATE)
+            values.append((b * values[-1] - a * values[-2] - d) / c)
+        if values[-1] != t_direct(top):
+            raise ArithmeticError(f"T by the recurrence: T({top}) differs from the direct sum")
+        _stepped[:] = values
+    return _stepped[m - 1]
 
 
 def ac_values(n: int) -> tuple[int, int]:

@@ -177,7 +177,7 @@ def _s_monotone_witness(m: int) -> Witness:
 def _t_bounds_witness(m: int) -> Witness:
     """T < 1 from m = 1, and the three bounds from m = 2; a failure names
     the first bound that fails at m."""
-    t = tfunction.t_direct(m)
+    t = recurrence.t_stepped(m)
     if not t < 1:
         bound, values = "t-below-one", {"T": rational_str(t)}
     elif m < 2:
@@ -270,7 +270,8 @@ def _ac_ratio_witness(_) -> Witness:
 
 def _main_inequality_witness(n: int) -> Witness:
     """a(n) (T(n) - T(n+1)) <= c(n) (T(n+1) - T(n+2)), the rearranged
-    recurrence once T < 1 and d >= 0 are known."""
+    recurrence once T < 1 and d >= 0 are known.  T is the direct sum, not
+    t_stepped, so the recurrence is not checked against values it made."""
     a_n, c_n = recurrence.ac_values(n)
     t = tfunction.t_direct
     left, right = a_n * (t(n) - t(n + 1)), c_n * (t(n + 1) - t(n + 2))
@@ -281,7 +282,7 @@ def _main_inequality_witness(n: int) -> Witness:
 
 def _t_step_witness(m: int) -> Witness:
     """A failure unless T(m) < T(m+1): T is strictly increasing for m >= 2."""
-    t_m, t_next = tfunction.t_direct(m), tfunction.t_direct(m + 1)
+    t_m, t_next = recurrence.t_stepped(m), recurrence.t_stepped(m + 1)
     if t_m < t_next:
         return None
     return {"m": m}, {"T(m)": str(t_m), "T(m+1)": str(t_next)}
@@ -297,11 +298,11 @@ def _limit_gap_witness(item: tuple[str, int]) -> Witness:
     q > p and 2(q - p)^2 > q^2; it decreases from m to m+1 iff
     T(m) < T(m+1)."""
     test, m = item
-    t = tfunction.t_direct(m)
+    t = recurrence.t_stepped(m)
     if test == "positive":
         p, q = t.numerator, t.denominator
         return None if q > p and 2 * (q - p) ** 2 > q * q else ({"m": m}, {"T": rational_str(t)})
-    nxt = tfunction.t_direct(m + 1)
+    nxt = recurrence.t_stepped(m + 1)
     return None if t < nxt else ({"m": m}, {"T(m)": rational_str(t), "T(m+1)": rational_str(nxt)})
 
 

@@ -95,6 +95,7 @@ def t_direct(m: int) -> Fraction:
     return Fraction(num, binomial(4 * m, m + 1) << (m + 1))
 
 
+@lru_cache(maxsize=None)
 def t_hypergeometric(m: int) -> Fraction:
     """T(m) from the two-series representation."""
     if m < 1:

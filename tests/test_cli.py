@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartint import cli, conjectures, recurrence, tfunction
+from quartint import cli, conjectures, recurrence
 from quartint.cli import build_parser, main
 from quartint.reports import SCHEMA_VERSION
 from quartint.tfunction import T_LIMIT
@@ -337,10 +337,8 @@ def _without_times(out):
 
 def _doctor_failing_runs(monkeypatch):
     """T(5) = 1, and the hypineq margin -1/7 at (m, x) = (3, 1)."""
-    real_t, real_margin = tfunction.t_direct, conjectures.hyp_inequality_margin
-    fake_t = lambda m: Fraction(1) if m == 5 else real_t(m)  # noqa: E731
-    monkeypatch.setattr(tfunction, "t_direct", fake_t)
-    monkeypatch.setattr(recurrence, "t_direct", fake_t)
+    real_t, real_margin = recurrence.t_stepped, conjectures.hyp_inequality_margin
+    monkeypatch.setattr(recurrence, "t_stepped", lambda m: Fraction(1) if m == 5 else real_t(m))
     monkeypatch.setattr(
         conjectures, "hyp_inequality_margin", lambda m, x: Fraction(-1, 7) if (m, x) == (3, 1) else real_margin(m, x)
     )

@@ -44,7 +44,14 @@ def doctor(monkeypatch, owner, name, at, value):
 
 
 def doctor_t(monkeypatch, at, value):
-    """Doctor T(m) under both names that bind it."""
+    """Doctor T(m) as the t-bounds, t-monotone and limit-gap sweeps read it:
+    the values stepped by the recurrence."""
+    doctor(monkeypatch, recurrence, "t_stepped", (at,), lambda real, m: value(real))
+
+
+def doctor_t_direct(monkeypatch, at, value):
+    """Doctor the direct sum under both names that bind it, as the
+    recurrence records read it."""
     real = tfunction.t_direct
     fake = lambda m: value(real) if m == at else real(m)  # noqa: E731
     monkeypatch.setattr(tfunction, "t_direct", fake)
@@ -218,7 +225,7 @@ def test_recurrence_main_inequality_failure(monkeypatch):
     # at n = 7 with left side 0; the residual first moves at n = 6, by
     # c(6) (T(7) - T(8))
     t7, t8, t9 = (tfunction.t_direct(m) for m in (7, 8, 9))
-    doctor_t(monkeypatch, 8, lambda real: t7)
+    doctor_t_direct(monkeypatch, 8, lambda real: t7)
     values = {"left": "0", "right": rational_str(recurrence.ac_values(7)[1] * (t7 - t9))}
     expected = recurrence_with(4, failing("recurrence-main-inequality", RECURRENCE[4]["range"], {"n": 7}, values))
     expected[1] = bad_residual(6, recurrence.ac_values(6)[1] * (t7 - t8))
@@ -268,8 +275,8 @@ def test_t_monotone_fails_at_an_equal_step(monkeypatch):
 def test_limit_gap_positivity_is_checked_before_decrease(monkeypatch):
     # T(3) = 1/5 breaks the decrease at m = 2, but the positivity pass over
     # every m runs first and reports T(9) = 1/2 above the limit
-    real = tfunction.t_direct
-    monkeypatch.setattr(tfunction, "t_direct", lambda m: {3: Fraction(1, 5), 9: Fraction(1, 2)}.get(m) or real(m))
+    real = recurrence.t_stepped
+    monkeypatch.setattr(recurrence, "t_stepped", lambda m: {3: Fraction(1, 5), 9: Fraction(1, 2)}.get(m) or real(m))
     expected = [step_failure(2, Fraction(1, 4), Fraction(1, 5)), gap_failure(9, {"T": "1/2"})]
     assert content(run_suite("monotone-t", max_m=20)) == expected
 
@@ -399,7 +406,7 @@ FIRST_ITEM_FAILS = {
         lambda m, ell: tfunction.InequalityChain(m, ell, 1, 0, 0, 0),
     ),
     "s-monotone": (tfunction, "s_sum", lambda m, ell: Fraction(1)),
-    "t-bounds": (tfunction, "t_direct", lambda m: Fraction(1)),
+    "t-bounds": (recurrence, "t_stepped", lambda m: Fraction(1)),
     "binomial-pair-bound": (suites, "binomial", lambda n, k: 2),
     "t-crosscheck": (tfunction, "t_hypergeometric", lambda m: Fraction(-1)),
     "recurrence-b-identity": (recurrence, "CERTIFICATE", recurrence.CERTIFICATE._replace(b=(0,))),
@@ -407,8 +414,8 @@ FIRST_ITEM_FAILS = {
     "recurrence-d-shift": (recurrence, "D_SHIFT_REFERENCE", ()),
     "recurrence-ac-ratio": (recurrence, "ac_limit", lambda: Fraction(2)),
     "recurrence-main-inequality": (recurrence, "ac_values", lambda n: (-1, 1)),
-    "t-monotone": (tfunction, "t_direct", lambda m: Fraction(1, 4)),
-    "limit-gap": (tfunction, "t_direct", lambda m: Fraction(1)),
+    "t-monotone": (recurrence, "t_stepped", lambda m: Fraction(1, 4)),
+    "limit-gap": (recurrence, "t_stepped", lambda m: Fraction(1)),
     "infinite-logconcavity-scan": (conjectures, "row_first_negative", lambda m, depth: (1, 0, Fraction(-1))),
     "hyp-inequality-scan": (conjectures, "hyp_inequality_margin", lambda m, x: Fraction(0)),
 }

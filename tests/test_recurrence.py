@@ -3,7 +3,8 @@ from itertools import zip_longest
 
 import pytest
 
-from quartint import recurrence
+from quartint import recurrence, tfunction
+from quartint.cli import main
 from quartint.polynomial import horner, taylor_shift
 from quartint.recurrence import (
     CERTIFICATE,
@@ -12,6 +13,7 @@ from quartint.recurrence import (
     ac_ratio,
     ac_values,
     recurrence_residual,
+    t_stepped,
 )
 from quartint.suites import run_suite
 from quartint.tfunction import t_direct, t_integral
@@ -118,3 +120,57 @@ def test_monotonicity_report():
     assert any("strictly increasing" in note for note in report.notes)
     with pytest.raises(ValueError):
         run_suite("monotone-t", max_m=2)
+
+
+@pytest.fixture
+def cold_stepped():
+    recurrence._stepped.clear()
+    yield
+    recurrence._stepped.clear()
+
+
+def test_stepped_values_equal_the_direct_sum(cold_stepped):
+    assert [t_stepped(m) for m in range(1, 501)] == [t_direct(m) for m in range(1, 501)]
+    for m in (777, 1025, 1500, 2047, 2048):
+        assert t_stepped(m) == t_direct(m), m
+
+
+def test_a_cold_stepped_call_at_2000(cold_stepped):
+    assert t_stepped(2000) == t_direct(2000)
+    assert len(recurrence._stepped) == 2048
+    with pytest.raises(ValueError):
+        t_stepped(0)
+
+
+def test_no_stepped_value_is_returned_before_its_checkpoint_matches(cold_stepped, monkeypatch):
+    real = t_direct
+    monkeypatch.setattr(recurrence, "t_direct", lambda m: real(m) + (m == 128))
+    assert t_stepped(64) == real(64)
+    with pytest.raises(ArithmeticError, match=r"T\(128\)"):
+        t_stepped(65)
+    assert len(recurrence._stepped) == 64
+
+
+DOCTORED_CERTIFICATES = {
+    "a doubled": CERTIFICATE._replace(a=tuple(2 * x for x in CERTIFICATE.a)),
+    "d[0] + 1": CERTIFICATE._replace(d=(CERTIFICATE.d[0] + 1, *CERTIFICATE.d[1:])),
+}
+
+
+@pytest.mark.parametrize("prop", ["monotone-t", "t-bounds"])
+@pytest.mark.parametrize("doctored", DOCTORED_CERTIFICATES.values(), ids=list(DOCTORED_CERTIFICATES))
+def test_a_wrong_certificate_is_an_internal_error_never_a_counterexample(
+    cold_stepped, monkeypatch, capsys, prop, doctored
+):
+    monkeypatch.setattr(recurrence, "CERTIFICATE", doctored)
+    assert main(["verify", "--property", prop]) == 3
+    assert "T(64) differs from the direct sum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["recurrence", "t-crosscheck"])
+def test_the_recurrence_and_crosscheck_read_only_the_literal_routes(monkeypatch, suite):
+    def stepped(m):
+        raise AssertionError("the stepped T was read")
+
+    monkeypatch.setattr(recurrence, "t_stepped", stepped)
+    assert all(report.passed for report in run_suite(suite))
