@@ -3,7 +3,7 @@ from itertools import zip_longest
 
 import pytest
 
-from quartint import recurrence, tfunction
+from quartint import recurrence
 from quartint.cli import main
 from quartint.polynomial import horner, taylor_shift
 from quartint.recurrence import (
