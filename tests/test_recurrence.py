@@ -143,9 +143,8 @@ def test_a_cold_stepped_call_at_2000(cold_stepped):
 
 
 def test_no_stepped_value_is_returned_before_its_checkpoint_matches(cold_stepped, monkeypatch):
-    real = t_direct
-    monkeypatch.setattr(recurrence, "t_direct", lambda m: real(m) + (m == 128))
-    assert t_stepped(64) == real(64)
+    monkeypatch.setattr(recurrence, "t_direct", lambda m: t_direct(m) + (m == 128))
+    assert t_stepped(64) == t_direct(64)
     with pytest.raises(ArithmeticError, match=r"T\(128\)"):
         t_stepped(65)
     assert len(recurrence._stepped) == 64
