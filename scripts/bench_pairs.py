@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Before-and-after numbers for two commits: process start-up, the exact
-T-route and inequality-chain kernels and the benchmark's workloads, run as
-alternating pairs.
+kernels and the benchmark's workloads, run as alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT_REV CHANGE_REV --out BENCH_N.json
 
@@ -13,7 +12,7 @@ turn (the side that goes first alternates from one pair to the next):
   ``import quartint.cli`` in process and count the modules it loads (the
   cold start-up of a whole CLI process is the ``setup_s`` of every
   workload record below);
-- kernels: one fresh interpreter that runs each kernel of
+- kernels: ``PAIRS`` fresh interpreters, each of which runs each kernel of
   ``KERNEL_PROBE`` ``KERNEL_RUNS`` times in process and keeps the median;
 - workloads: ``PAIRS`` runs of ``perfbench/run.py --trace 0`` per
   workload, each with its own seed and the ``run_seconds`` that
@@ -62,16 +61,21 @@ import json
 print(json.dumps({"import_s": elapsed, "modules": new}))
 """
 
-# Times the exact T routes and the inequality chain in process: the median of
-# KERNEL_RUNS runs of each.  The cached kernels start cold on every run, the
-# chain with cold rows too, since it reads its right-hand sums off them.
-# "T(1..N) as the sweeps read it" is what t-bounds, t-monotone and limit-gap
-# read: T stepped by the recurrence (recurrence.t_stepped, with its direct-sum
-# seeds and checkpoints), or the direct sum in a tree that has no stepped T.
-KERNEL_RUNS = 5
+# Times the exact kernels in process: the median of KERNEL_RUNS runs of each.
+# The cached kernels start cold on every run, the chain with cold rows too,
+# since it reads its right-hand sums off them.  "T(1..N) as the sweeps read
+# it" is what t-bounds, t-monotone and limit-gap read: T stepped by the
+# recurrence (recurrence.t_stepped, with its direct-sum seeds and
+# checkpoints), or the direct sum in a tree that has no stepped T.  The
+# hypineq margins are the 931 points of a conjecture-scans pass (m <= 50, the
+# grid of offset 5/8), with the per-m margin polynomials cold in a tree that
+# caches them; the geometric tail starts without kept values in a tree that
+# keeps them.
+KERNEL_RUNS = 3
 KERNEL_PROBE = f"""
 import json, statistics, time
-from quartint import coefficients, recurrence, tfunction
+from fractions import Fraction
+from quartint import coefficients, conjectures, recurrence, tfunction
 
 def t_direct_1_501():
     tfunction.t_direct.cache_clear()
@@ -92,6 +96,15 @@ def chain_150():
     coefficients._scaled_row.cache_clear()
     return [tfunction.inequality_chain_check(m, ell) for m in range(2, 151) for ell in range(m // 2)]
 
+def hypineq_margins_931():
+    getattr(getattr(conjectures, "margin_polynomial", None), "cache_clear", lambda: None)()
+    grid = [Fraction(5, 8) + Fraction(i, 4) for i in range(19)]
+    return [conjectures.hyp_inequality_margin(m, x) for m in range(2, 51) for x in grid]
+
+def geometric_tail_2_2000():
+    getattr(tfunction, "_tail_numerators", []).clear()
+    return [tfunction.geometric_tail_bound(m) for m in range(2, 2001)]
+
 kernels = {{
     "t_integral(1..100)": lambda: [tfunction.t_integral(m) for m in range(1, 101)],
     "t_via_w(1..100)": lambda: [tfunction.t_via_w(m) for m in range(1, 101)],
@@ -101,6 +114,8 @@ kernels = {{
     "T(1..501) as the sweeps read it": lambda: t_as_the_sweeps_read_it(501),
     "T(1..2001) as the sweeps read it": lambda: t_as_the_sweeps_read_it(2001),
     "inequality_chain_check(m <= 150)": chain_150,
+    "hyp_inequality_margin(931 scan points)": hypineq_margins_931,
+    "geometric_tail_bound(2..2000)": geometric_tail_2_2000,
 }}
 medians = {{}}
 for name, kernel in kernels.items():
@@ -211,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         commits = {side: export(rev, trees[side]) for side, rev in zip(SIDES, (args.parent_rev, args.change_rev))}
         result = {
             "what": f"scripts/bench_pairs.py {args.parent_rev} {args.change_rev}: the import of quartint.cli, "
-            f"the exact T-route and chain kernels and the perfbench workloads of both commits, as alternating pairs",
+            f"the exact kernels and the perfbench workloads of both commits, as alternating pairs",
             "command": command(args),
             "host": host(),
             "loadavg_at_start": list(os.getloadavg()),
@@ -235,12 +250,15 @@ def main(argv: list[str] | None = None) -> int:
             "modules_only_at_change": sorted(set(modules["change"]) - set(modules["parent"])),
         }
 
-        kernels = {side: probe(trees[side], KERNEL_PROBE) for side in SIDES}
+        kernels = defaultdict(lambda: defaultdict(list))
+        for _, order in orders(PAIRS):
+            for side in order:
+                for name, seconds in probe(trees[side], KERNEL_PROBE).items():
+                    kernels[name][side].append(seconds)
         result["kernels"] = {
-            "runs": KERNEL_RUNS,
-            **{name: {f"{side}_median_s": kernels[side][name] for side in SIDES}
-               | {"change_vs_parent": kernels["change"][name] / kernels["parent"][name] - 1}
-               for name in kernels["parent"]},
+            "pairs": PAIRS,
+            "runs_per_interpreter": KERNEL_RUNS,
+            **{name: compare(times["parent"], times["change"]) for name, times in kernels.items()},
         }
 
         seed = args.first_seed

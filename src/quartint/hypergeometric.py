@@ -26,6 +26,7 @@ is summed the same way, with the term ratio r_k (k+2)/(k+3).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 
 class HypergeometricError(ValueError):
@@ -86,15 +87,25 @@ def hyp2f1_first_moment(a, b, c, x) -> Fraction:
     return x * x * Fraction(num, 2 * den)
 
 
+def series_coefficients(a, b, c) -> tuple[tuple[int, ...], int]:
+    """The terminating series as N + 1 integer coefficients in z over the
+    one denominator prod q_k, from the term ratios p_k / q_k at z = 1:
+    coefficient k is (prod_{i<k} p_i) (prod_{i>=k} q_i), so coefficient
+    k + 1 is coefficient k divided exactly by q_k and times p_k."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    ratios = _term_ratios(a, b, c, Fraction(1), _validated_order(a, b, c))
+    den = prod(q for _, q in ratios)
+    coeffs = [den]
+    for p, q in ratios:
+        coeffs.append(coeffs[-1] // q * p)
+    return tuple(coeffs), den
+
+
 def hyp2f1_as_polynomial(a, b, c) -> tuple[Fraction, ...]:
     """The terminating series as a coefficient tuple in z, of length
     N + 1; coefficient k is (a)_k (b)_k / ((c)_k k!)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    n = _validated_order(a, b, c)
-    coeffs = [Fraction(1)]
-    for p, q in _term_ratios(a, b, c, Fraction(1), n):
-        coeffs.append(coeffs[-1] * Fraction(p, q))
-    return tuple(coeffs)
+    coeffs, den = series_coefficients(a, b, c)
+    return tuple(Fraction(v, den) for v in coeffs)
 
 
 def pochhammer_ratio_bound_check(m: int) -> bool:

@@ -1,15 +1,39 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavity, seqprops, suites
+from quartint.cli import main
 from quartint.coefficients import scaled_row
 from quartint.conjectures import (
     hyp_inequality_margin,
     iterated_l_first_negative,
+    margin_polynomial,
     row_first_negative,
 )
+from quartint.hypergeometric import hyp2f1, hyp2f1_as_polynomial, series_coefficients
 from quartint.tfunction import t_direct
+
+
+def literal_margin(m, x):
+    """The four series summed at z = 4x, each on its own."""
+    z = 4 * Fraction(x)
+    left = hyp2f1(Fraction(3, 2), -m - 2, -4 * m - 4, z) - hyp2f1(Fraction(3, 2), -m - 1, -4 * m, z)
+    right = hyp2f1(Fraction(1, 2), -m - 2, -4 * m - 4, z) - hyp2f1(Fraction(1, 2), -m - 1, -4 * m, z)
+    return left - 3 * right
+
+
+# The points of the eight hypineq grids a benchmark pass can draw: 19 points
+# x = 1/2 + j/8 + i/4 for each offset j.
+MENU_POINTS = sorted({Fraction(1, 2) + Fraction(j, 8) + Fraction(i, 4) for j in range(8) for i in range(19)})
+
+
+@pytest.fixture
+def cold_margins():
+    conjectures.margin_polynomial.cache_clear()
+    yield
+    conjectures.margin_polynomial.cache_clear()
 
 
 def test_iterated_l_detects_negativity():
@@ -127,3 +151,50 @@ def test_scans_are_deterministic():
     a = scan_infinite_logconcavity(8, 3)
     b = scan_infinite_logconcavity(8, 3)
     assert (a.passed, a.range, a.counterexample) == (b.passed, b.range, b.counterexample)
+
+
+def test_margin_polynomial_equals_the_four_series_on_the_menu_grids():
+    assert len(MENU_POINTS) == 44
+    for m in range(1, 61):
+        for x in MENU_POINTS:
+            assert hyp_inequality_margin(m, x) == literal_margin(m, x), (m, x)
+
+
+@given(
+    m=st.integers(1, 60),
+    den=st.integers(3, 200).filter(lambda d: d & (d - 1)),
+    steps=st.integers(0, 2000),
+)
+def test_margin_polynomial_equals_the_four_series_off_dyadic_points(m, den, steps):
+    x = Fraction(-(-den // 2) + steps, den)  # x >= 1/2
+    assert hyp_inequality_margin(m, x) == literal_margin(m, x)
+
+
+def test_margin_polynomial_is_the_series_combination():
+    for m in range(1, 41):
+        coeffs, den = margin_polynomial(m)
+        assert len(coeffs) == m + 3
+        series = [
+            (1, hyp2f1_as_polynomial(Fraction(3, 2), -m - 2, -4 * m - 4)),
+            (-1, hyp2f1_as_polynomial(Fraction(3, 2), -m - 1, -4 * m)),
+            (-3, hyp2f1_as_polynomial(Fraction(1, 2), -m - 2, -4 * m - 4)),
+            (3, hyp2f1_as_polynomial(Fraction(1, 2), -m - 1, -4 * m)),
+        ]
+        for k, coeff in enumerate(coeffs):
+            expected = sum(weight * poly[k] for weight, poly in series if k < len(poly))
+            assert Fraction(coeff, den) == expected, (m, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, -1])
+def test_a_doctored_coefficient_builder_exits_3_never_1(monkeypatch, capsys, cold_margins, k):
+    def doctored(a, b, c):
+        coeffs, den = series_coefficients(a, b, c)
+        coeffs = list(coeffs)
+        coeffs[k] += 1
+        return tuple(coeffs), den
+
+    monkeypatch.setattr(conjectures, "series_coefficients", doctored)
+    with pytest.raises(ArithmeticError, match="m=2"):
+        hyp_inequality_margin(2, 1)
+    assert main(["scan", "hypineq", "--max-m", "5", "--format", "json"]) == 3
+    assert "internal error" in capsys.readouterr().err
