@@ -20,7 +20,9 @@ The first moment
 
     int_0^x t 2F1(a, b; c; t) dt = (x^2/2) 3F2(a, b, 2; c, 3; x)
 
-is summed the same way, with the term ratio r_k (k+2)/(k+3).
+is summed the same way, with the term ratio r_k (k+2)/(k+3).  The dense
+form takes the ratios p_k / q_k at z = 1 in integers: over the one
+denominator prod q_k, coefficient k is (prod_{i<k} p_i) (prod_{i>=k} q_i).
 """
 
 from __future__ import annotations
@@ -88,10 +90,9 @@ def hyp2f1_first_moment(a, b, c, x) -> Fraction:
 
 
 def series_coefficients(a, b, c) -> tuple[tuple[int, ...], int]:
-    """The terminating series as N + 1 integer coefficients in z over the
-    one denominator prod q_k, from the term ratios p_k / q_k at z = 1:
-    coefficient k is (prod_{i<k} p_i) (prod_{i>=k} q_i), so coefficient
-    k + 1 is coefficient k divided exactly by q_k and times p_k."""
+    """(coeffs, den): the N + 1 integer coefficients in z over prod q_k (see
+    the module docstring); coefficient k + 1 is coefficient k divided exactly
+    by q_k, times p_k."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     ratios = _term_ratios(a, b, c, Fraction(1), _validated_order(a, b, c))
     den = prod(q for _, q in ratios)
