@@ -70,12 +70,18 @@ print(json.dumps({"import_s": elapsed, "modules": new}))
 # hypineq margins are the 931 points of a conjecture-scans pass (m <= 50, the
 # grid of offset 5/8), with the per-m margin polynomials cold in a tree that
 # caches them; the geometric tail starts without kept values in a tree that
-# keeps them.
+# keeps them.  The chain and "S and chain sums as verify --all reads them"
+# start with the left sums of S cold in a tree that keeps them per row; the
+# latter runs the chain and then the s-monotone witness on the same rows.
 KERNEL_RUNS = 3
 KERNEL_PROBE = f"""
 import json, statistics, time
 from fractions import Fraction
-from quartint import coefficients, conjectures, recurrence, tfunction
+from quartint import coefficients, conjectures, hypergeometric, recurrence, suites, tfunction
+
+def cold_rows():
+    coefficients._scaled_row.cache_clear()
+    getattr(getattr(tfunction, "left_sums", None), "cache_clear", lambda: None)()
 
 def t_direct_1_501():
     tfunction.t_direct.cache_clear()
@@ -93,8 +99,13 @@ def t_hypergeometric_1_100():
     return [tfunction.t_hypergeometric(m) for m in range(1, 101)]
 
 def chain_150():
-    coefficients._scaled_row.cache_clear()
+    cold_rows()
     return [tfunction.inequality_chain_check(m, ell) for m in range(2, 151) for ell in range(m // 2)]
+
+def s_and_chain_100():
+    cold_rows()
+    chain = [tfunction.inequality_chain_check(m, ell) for m in range(2, 101) for ell in range(m // 2)]
+    return chain, [suites._s_monotone_witness(m) for m in range(2, 101)]
 
 def hypineq_margins_931():
     getattr(getattr(conjectures, "margin_polynomial", None), "cache_clear", lambda: None)()
@@ -114,6 +125,9 @@ kernels = {{
     "T(1..501) as the sweeps read it": lambda: t_as_the_sweeps_read_it(501),
     "T(1..2001) as the sweeps read it": lambda: t_as_the_sweeps_read_it(2001),
     "inequality_chain_check(m <= 150)": chain_150,
+    "S and chain sums as verify --all reads them (m <= 100)": s_and_chain_100,
+    "row_first_negative(m <= 60, depth 7)": lambda: [conjectures.row_first_negative(m, 7) for m in range(61)],
+    "hyp2f1_as_polynomial(1, -801, -3200)": lambda: hypergeometric.hyp2f1_as_polynomial(1, -801, -3200),
     "hyp_inequality_margin(931 scan points)": hypineq_margins_931,
     "geometric_tail_bound(2..2000)": geometric_tail_2_2000,
 }}

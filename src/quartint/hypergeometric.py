@@ -105,8 +105,11 @@ def series_coefficients(a, b, c) -> tuple[tuple[int, ...], int]:
 def hyp2f1_as_polynomial(a, b, c) -> tuple[Fraction, ...]:
     """The terminating series as a coefficient tuple in z, of length
     N + 1; coefficient k is (a)_k (b)_k / ((c)_k k!)."""
-    coeffs, den = series_coefficients(a, b, c)
-    return tuple(Fraction(v, den) for v in coeffs)
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    coeffs = [Fraction(1)]
+    for p, q in _term_ratios(a, b, c, Fraction(1), _validated_order(a, b, c)):
+        coeffs.append(coeffs[-1] * Fraction(p, q))
+    return tuple(coeffs)
 
 
 def pochhammer_ratio_bound_check(m: int) -> bool:

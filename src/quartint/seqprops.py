@@ -35,9 +35,16 @@ def is_unimodal(seq: Entries) -> bool:
 
 
 def is_logconcave(seq: Entries) -> bool:
-    """True iff s_j^2 >= s_{j-1} s_{j+1} at every interior index."""
+    """True iff s_j^2 >= s_{j-1} s_{j+1}, that is L(seq)_j >= 0, at every interior j."""
+    return all(value >= 0 for value in l_operator(seq)[1:-1])
+
+
+def _l_terms(seq: Sequence[Entry]) -> list[tuple[Entry, Entry]]:
+    """The products (x_k^2, x_{k-1} x_{k+1}) whose differences L takes, with
+    the neighbors outside the index range counted as 0."""
     _check_nonempty(seq)
-    return all(seq[j] * seq[j] >= seq[j - 1] * seq[j + 1] for j in range(1, len(seq) - 1))
+    padded = (0, *seq, 0)
+    return [(x * x, left * right) for left, x, right in zip(padded, padded[1:], padded[2:])]
 
 
 def l_operator(seq: Sequence[Entry]) -> list[Entry]:
@@ -50,14 +57,7 @@ def l_operator(seq: Sequence[Entry]) -> list[Entry]:
     of a row d = b / 4^m are L^j(d) = L^j(b) / 4^(m 2^j) and can be computed
     on the integer row b.
     """
-    _check_nonempty(seq)
-    n = len(seq)
-    out = []
-    for k in range(n):
-        left = seq[k - 1] if k > 0 else 0
-        right = seq[k + 1] if k < n - 1 else 0
-        out.append(seq[k] * seq[k] - left * right)
-    return out
+    return [square - cross for square, cross in _l_terms(seq)]
 
 
 def iterated_l_first_negative(seq: Sequence[Entry], depth: int) -> tuple[int, int, Entry] | None:
@@ -73,21 +73,22 @@ def iterated_l_first_negative(seq: Sequence[Entry], depth: int) -> tuple[int, in
     (r-1)^2 >= r; the padding zeros satisfy every inequality.)
 
     The test takes r = 8/3, which is sound since 8/3 > (3+sqrt 5)/2: once
-    b = L(c) has no negative entry, c >= 0 and 8 b_k >= 5 c_k^2 for every k
-    (that is, 3 c_k^2 >= 8 c_{k-1} c_{k+1}) return None.  It is exact, reuses
-    b, and runs after the negativity scan of b, so every witness is the one
-    the full iteration finds.  It is sufficient, not necessary: of the
-    coefficient rows m <= 120, m = 6, 30 and 63 pass it one iteration later
-    than the exact test with r = (3+sqrt 5)/2 would.
+    b = L(c) has no negative entry, c >= 0 and 3 c_k^2 >= 8 c_{k-1} c_{k+1}
+    for every k return None.  It is exact, reads the two products that L
+    formed for b, and runs after the negativity scan of b, so every witness
+    is the one the full iteration finds.  It is sufficient, not necessary:
+    of the coefficient rows m <= 120, m = 6, 30 and 63 pass it one iteration
+    later than the exact test with r = (3+sqrt 5)/2 would.
     """
     current = list(seq)
     nonnegative = all(value >= 0 for value in current)
     for iteration in range(1, depth + 1):
-        image = l_operator(current)
+        terms = _l_terms(current)
+        image = [square - cross for square, cross in terms]
         for index, value in enumerate(image):
             if value < 0:
                 return iteration, index, value
-        if nonnegative and all(8 * b >= 5 * c * c for b, c in zip(image, current)):
+        if nonnegative and all(3 * square >= 8 * cross for square, cross in terms):
             return None
         current, nonnegative = image, True
     return None

@@ -161,16 +161,19 @@ def _chain_witness(m: int) -> Witness:
 
 
 def _s_monotone_witness(m: int) -> Witness:
+    """S(m,l) = lhs_l / (2^m C(2m, m+l)) rises over 0 <= l <= top, and S(m,top) < 1, in integers:
+    S(m,l) < S(m,l+1) iff lhs_l (m-l) < lhs_{l+1} (m+l+1).  S is made only to report a failure."""
+    lhs = [pair[0] for pair in tfunction.left_sums(m)]
     top = (m - 1) // 2
-    values = [tfunction.s_sum(m, ell) for ell in range(0, top + 1)]
+
+    def s(ell: int) -> str:
+        return rational_str(Fraction(lhs[ell], binomial(2 * m, m + ell) << m))
+
     for ell in range(top):
-        if not values[ell] < values[ell + 1]:
-            return (
-                {"m": m, "ell": ell},
-                {"S(m,ell)": rational_str(values[ell]), "S(m,ell+1)": rational_str(values[ell + 1])},
-            )
-    if not values[top] < 1:
-        return {"m": m, "ell": top}, {"S": rational_str(values[top])}
+        if not lhs[ell] * (m - ell) < lhs[ell + 1] * (m + ell + 1):
+            return {"m": m, "ell": ell}, {"S(m,ell)": s(ell), "S(m,ell+1)": s(ell + 1)}
+    if not lhs[top] < binomial(2 * m, m + top) << m:
+        return {"m": m, "ell": top}, {"S": s(top)}
     return None
 
 

@@ -20,10 +20,11 @@ sum over its natural denominator 2^(m+1) C(4m, m+1), with integer terms
 made by their term ratio (t_direct); the two series through hyp2f1; the
 integral through hyp2f1_first_moment, the same nested sum with the term
 ratio times (k+2)/(k+3); and the weighted sum from the integer
-coefficients of F W, F = (4m)!/(3m-1)!, evaluated at 2 in reverse.  The
-chain makes only the terms of its left side and reads both right-hand sums
-off the integer row b_l(m).  The only floats here are the limit gaps shown
-by tvalues, which involve sqrt 2.
+coefficients of F W, F = (4m)!/(3m-1)!, evaluated at 2 in reverse.  One
+term loop makes the integer left sum of S_{m,l} = lhs / (2^m C(2m, m+l)),
+kept per row for the chain and s-monotone; the chain reads its right-hand
+sums off the integer row b_l(m).  The only floats here are the limit gaps
+shown by tvalues, which involve sqrt 2.
 """
 
 from __future__ import annotations
@@ -44,29 +45,36 @@ T_LIMIT = (2.0 - math.sqrt(2.0)) / 2.0
 T_LIMIT_HISTORICAL_GUESS = 1.0 - math.log(2.0)
 
 
+def _left_sum(m: int, ell: int) -> tuple[int, int]:
+    """(lhs, head) for 0 <= l <= m, with S_{m,l} = lhs / (2^m C(2m, m+l)):
+    lhs = sum_{k=l}^{2l} (2l+1-k) t_k, summed as running prefix sums, and
+    head = t_l + ... + t_{2l+1}, over t_k = 2^k C(2m-2k, m-k) C(m+k, m+l)
+    (0 for k > m), stepped by t_{k+1}/t_k = (m-k)(m+k+1) / ((2m-2k-1)(k+1-l));
+    a step that leaves a remainder is an ArithmeticError."""
+    lhs = head = 0
+    term = binomial(2 * m - 2 * ell, m - ell) << ell
+    for k in range(ell, 2 * ell + 1):
+        head += term
+        lhs += head
+        term, remainder = divmod(term * ((m - k) * (m + k + 1)), (2 * m - 2 * k - 1) * (k + 1 - ell))
+        if remainder:
+            raise ArithmeticError(f"S left sum: inexact term division at (m={m}, ell={ell}), k={k + 1}")
+    return lhs, head + term
+
+
+@lru_cache(maxsize=None)
+def left_sums(m: int) -> tuple[tuple[int, int], ...]:
+    """_left_sum(m, l) over 0 <= l <= floor((m-1)/2), which holds the chain's l < floor(m/2)."""
+    return tuple(_left_sum(m, ell) for ell in range((m + 1) // 2))
+
+
 def s_sum(m: int, ell: int) -> Fraction:
-    """S_{m,l} = sum_{k=l}^{2l} C(m-l,m-k) C(m+k,2k) / C(2m,2k) * (2l+1-k)/2^(m-k).
-
-    Evaluated as a weighted Horner form over the terms
-    u_k = C(m-l,m-k) C(m+k,2k) / (C(2m,2k) 2^(m-k)), which vanish for k > m,
-    through their exact ratio
-
-        u_{k+1}/u_k = (m-k)(m+k+1) / ((k+1-l)(2m-2k-1)),
-
-    with an integer numerator and denominator reduced once at the end.  The
-    tests compare it with the literal binomial sum; t-crosscheck compares
-    S(2m, m-1) with T(m) from the three independent routes.
-    """
+    """S_{m,l} = sum_{k=l}^{2l} C(m-l,m-k) C(m+k,2k) / C(2m,2k) * (2l+1-k)/2^(m-k),
+    from one run of _left_sum; t-crosscheck compares S(2m, m-1) with T(m)
+    from the three independent routes."""
     if not 0 <= ell <= m:
         raise ValueError(f"need 0 <= ell <= m, got ell={ell}, m={m}")
-    top = min(2 * ell, m)
-    # u_l (w_l + rho_l (w_{l+1} + ... + rho_{top-1} w_top)), w_k = 2l+1-k
-    num, den = 2 * ell + 1 - top, 1
-    for k in range(top - 1, ell - 1, -1):
-        q = (k + 1 - ell) * (2 * m - 2 * k - 1)
-        num = (2 * ell + 1 - k) * q * den + (m - k) * (m + k + 1) * num
-        den *= q
-    return Fraction(binomial(m + ell, 2 * ell) * num, binomial(2 * m, 2 * ell) * 2 ** (m - ell) * den)
+    return Fraction(_left_sum(m, ell)[0], binomial(2 * m, m + ell) << m)
 
 
 @lru_cache(maxsize=None)
@@ -198,42 +206,27 @@ def inequality_chain_check(m: int, ell: int) -> InequalityChain:
     """The four sums of the chain at (m, l), exactly; suites._chain_witness
     decides the chain, and with it S_{m,l} < 1, as lhs < rhs_last_term.
 
-    The sums share their terms t_k = 2^k C(2m-2k, m-k) C(m+k, m+l), and
-    with C = C(m+l, l) the identities C(m+k, m+l) C = C(m+k, m) C(k, l) and
+    The sums share the terms t_k of _left_sum, and with C = C(m+l, l) the
+    identities C(m+k, m+l) C = C(m+k, m) C(k, l) and
     k C(k, l) = l C(k, l) + (l+1) C(k, l+1) give, over l <= k <= m,
 
         sum t_k = b_l / C,    sum (k-2l-1) t_k = (l+1)(b_{l+1} - b_l) / C,
 
-    in the integer row b of scaled_row(m).  So only t_l, ..., t_{2l+1} are
-    made, from t_l = 2^l C(2m-2l, m-l) by the term ratio
-
-        t_{k+1} = t_k (m-k)(m+k+1) / ((2m-2k-1)(k+1-l)),
-
-    and lhs = sum_{k<=2l} (2l+1-k) t_k is the sum of their running prefix
-    sums.  Then rhs_unweighted = b_l/C - (t_l + ... + t_{2l+1}) and
+    in the integer row b of scaled_row(m).  So with (lhs, head) read from
+    left_sums, rhs_unweighted = b_l/C - head and
     rhs_full = lhs + (l+1)(b_{l+1} - b_l)/C, so lhs < rhs_full is exactly
-    b_{l+1} > b_l.  A term step or a division by C that leaves a remainder
-    is an ArithmeticError; these exactness guards are the only checks made
-    here.  The tests compare all four sums with their literal binomial sums,
-    and lhs/rhs_last_term with s_sum.
+    b_{l+1} > b_l.  A division by C that leaves a remainder is an
+    ArithmeticError, the only check made here.
     """
     if not 0 <= ell < m // 2:
         raise ValueError(f"need 0 <= ell < floor(m/2), got ell={ell}, m={m}")
-    lhs = head = 0
-    term = binomial(2 * m - 2 * ell, m - ell) << ell
-    for k in range(ell, 2 * ell + 1):
-        head += term
-        lhs += head
-        term, remainder = divmod(term * ((m - k) * (m + k + 1)), (2 * m - 2 * k - 1) * (k + 1 - ell))
-        if remainder:
-            raise ArithmeticError(f"inequality chain: inexact term division at (m={m}, ell={ell}), k={k + 1}")
-    head += term  # t_l + ... + t_{2l+1}
+    lhs, head = left_sums(m)[ell]
     row, scale = scaled_row(m), binomial(m + ell, ell)
     total, remainder = divmod(row[ell], scale)
     step, step_remainder = divmod((ell + 1) * (row[ell + 1] - row[ell]), scale)
     if remainder or step_remainder:
         raise ArithmeticError(f"inequality chain: inexact division by C(m+l, l) at (m={m}, ell={ell})")
-    return InequalityChain(m, ell, lhs, lhs + step, total - head, 2**m * binomial(2 * m, m + ell))
+    return InequalityChain(m, ell, lhs, lhs + step, total - head, binomial(2 * m, m + ell) << m)
 
 
 def limit_gap(m: int) -> float:

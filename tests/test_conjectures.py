@@ -65,15 +65,16 @@ def test_failing_row_reports_the_fraction_row_witness(monkeypatch):
 
 def test_rows_stop_iterating_once_certified(monkeypatch):
     # row 60 is 8/3-factor log-concave at L^4, so L^5 is the last image
-    # computed; row 3 is already 8/3-factor log-concave itself
+    # computed; row 3 is already 8/3-factor log-concave itself.  Each image
+    # is made from one call of the products that l_operator shares.
     calls = []
-    real = seqprops.l_operator
+    real = seqprops._l_terms
 
     def counting(seq):
         calls.append(len(seq))
         return real(seq)
 
-    monkeypatch.setattr(seqprops, "l_operator", counting)
+    monkeypatch.setattr(seqprops, "_l_terms", counting)
     assert row_first_negative(60, 7) is None
     assert len(calls) == 5
     calls.clear()

@@ -14,7 +14,7 @@ import pytest
 
 from quartint import coefficients, conjectures, recurrence, seqprops, suites, tfunction
 from quartint.cli import main
-from quartint.exact import rational_str
+from quartint.exact import binomial, rational_str
 from quartint.suites import SUITES, run_suite
 
 
@@ -330,6 +330,40 @@ def test_inequality_chain_out_of_order_failure(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# s-monotone: S(7, l) = lhs_l / (2^7 C(14, 7+l)) over the left sums
+# 3432, 12768, 31824, 74752 of row 7
+
+
+S_RANGE = "S(m,l) strictly increasing over 0 <= l <= floor((m-1)/2) and max < 1; 2 <= m <= 10"
+
+
+def doctor_left_sum(monkeypatch, ell, lhs):
+    """Replace the left sum lhs_l of row 7 under every caller."""
+    real = tfunction.left_sums
+    assert [pair[0] for pair in real(7)] == [3432, 12768, 31824, 74752]
+    row = list(real(7))
+    row[ell] = (lhs, row[ell][1])
+    monkeypatch.setattr(tfunction, "left_sums", lambda m: tuple(row) if m == 7 else real(m))
+
+
+@pytest.mark.parametrize(
+    "ell, lhs, location, values",
+    [
+        # 47736 / 384384 = 153/1232 = S(7, 2): a tie is a failure
+        (1, 47736, {"m": 7, "ell": 1}, {"S(m,ell)": "153/1232", "S(m,ell+1)": "153/1232"}),
+        # 128128 / 128128 = 1 at the top l = 3
+        (3, 128128, {"m": 7, "ell": 3}, {"S": "1"}),
+    ],
+)
+def test_s_monotone_failure(monkeypatch, capsys, ell, lhs, location, values):
+    doctor_left_sum(monkeypatch, ell, lhs)
+    assert content(run_suite("s-monotone", max_m=10)) == [failing("s-monotone", S_RANGE, location, values)]
+    assert main(["verify", "--property", "s-monotone", "--max-m", "10", "--format", "json"]) == 1
+    [report] = json.loads(capsys.readouterr().out)["results"]
+    assert report["counterexample"] == {"location": location, "values": values}
+
+
+# ---------------------------------------------------------------------------
 # t-crosscheck
 
 
@@ -405,7 +439,12 @@ FIRST_ITEM_FAILS = {
         "inequality_chain_check",
         lambda m, ell: tfunction.InequalityChain(m, ell, 1, 0, 0, 0),
     ),
-    "s-monotone": (tfunction, "s_sum", lambda m, ell: Fraction(1)),
+    # S(m, l) = 1 at every l
+    "s-monotone": (
+        tfunction,
+        "left_sums",
+        lambda m: tuple((2**m * binomial(2 * m, m + ell), 0) for ell in range((m + 1) // 2)),
+    ),
     "t-bounds": (recurrence, "t_stepped", lambda m: Fraction(1)),
     "binomial-pair-bound": (suites, "binomial", lambda n, k: 2),
     "t-crosscheck": (tfunction, "t_hypergeometric", lambda m: Fraction(-1)),

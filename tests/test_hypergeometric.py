@@ -14,6 +14,7 @@ from quartint.hypergeometric import (
     hyp2f1_as_polynomial,
     hyp2f1_first_moment,
     pochhammer_ratio_bound_check,
+    series_coefficients,
 )
 from quartint.polynomial import derivative, horner
 
@@ -92,6 +93,14 @@ def test_series_coefficients_against_pochhammer_products():
                 / (pochhammer(c, k) * factorial(k))
             )
             assert poly[k] == expected
+
+
+@pytest.mark.parametrize("a, b, c", [(1, -801, -3200), (Fraction(5, 2), -800, -3198), (Fraction(1, 2), -801, -3200)])
+def test_stepped_polynomial_matches_the_integer_coefficients_at_n_801(a, b, c):
+    # the Fractions stepped by p_k / q_k against the integer coefficients
+    # over the one denominator prod q_k
+    coeffs, den = series_coefficients(a, b, c)
+    assert hyp2f1_as_polynomial(a, b, c) == tuple(Fraction(v, den) for v in coeffs)
 
 
 def literal_hyp2f1(a, b, c, z):

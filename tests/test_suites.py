@@ -197,12 +197,14 @@ def test_recurrence_suite_checks_the_hypergeometric_oracle(monkeypatch):
 
 
 def test_the_chain_suite_computes_no_s_sum(monkeypatch):
-    # S_{m,l} < 1 is lhs < rhs_last_term; only s-monotone sweeps s_sum
+    # S_{m,l} < 1 is lhs < rhs_last_term, and s-monotone compares the same
+    # integer left sums: a passing run of either makes no S_{m,l}
     def no_s_sum(m, ell):
-        raise AssertionError("inequality-chain called s_sum")
+        raise AssertionError("a row record called s_sum")
 
     monkeypatch.setattr(tfunction, "s_sum", no_s_sum)
     assert single(run_suite("inequality-chain", max_m=100)).passed
+    assert single(run_suite("s-monotone", max_m=100)).passed
 
 
 def test_no_default_range_is_empty():

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,12 +12,13 @@ from quartint.cli import main
 from quartint.exact import binomial
 from quartint.hypergeometric import hyp2f1, hyp2f1_as_polynomial
 from quartint.polynomial import derivative, horner
-from quartint.suites import run_suite
+from quartint.suites import _s_monotone_witness, run_suite
 from quartint.tfunction import (
     T_LIMIT,
     geometric_tail_bound,
     inequality_chain_check,
     integral_prefactor,
+    left_sums,
     limit_gap,
     s_sum,
     t_direct,
@@ -146,6 +148,8 @@ def test_s_sum_and_chain_match_literal_sums():
     for m in range(0, 61):
         for ell in range(0, m + 1):
             assert s_sum(m, ell) == literal_s(m, ell)
+        for ell, (lhs, _) in enumerate(left_sums(m)):
+            assert Fraction(lhs, 2**m * binomial(2 * m, m + ell)) == literal_s(m, ell)
         for ell in range(0, m // 2):
             chain = inequality_chain_check(m, ell)
             assert chain_fields(chain) == literal_chain(m, ell)
@@ -214,18 +218,63 @@ def test_chain_row_not_divisible_is_arithmetic_error(monkeypatch, capsys):
     assert "(m=10, ell=1)" in capsys.readouterr().err
 
 
-def test_chain_inexact_term_step_is_arithmetic_error(monkeypatch, capsys):
+@pytest.fixture
+def cold_left_sums():
+    left_sums.cache_clear()
+    yield
+    left_sums.cache_clear()
+
+
+def test_chain_inexact_term_step_is_arithmetic_error(cold_left_sums, monkeypatch, capsys):
     # with every binomial 1, t_l = 2^l, and its step to t_{l+1} leaves a
     # remainder at every (m, l) with m >= 3: 12/5 at (3, 0).  The binomials
     # of n <= 4 stay, so m = 2, whose one step is exact whatever t_0 is, holds.
+    # The chain reads the lower half of row m at once, which fails at l = 0.
     real = tfunction.binomial
     monkeypatch.setattr(tfunction, "binomial", lambda n, k: real(n, k) if n <= 4 else 1)
     for m in range(3, 13):
         for ell in range(0, m // 2):
             with pytest.raises(ArithmeticError, match=rf"inexact term division at \(m={m}, ell={ell}\)"):
+                tfunction._left_sum(m, ell)
+            with pytest.raises(ArithmeticError, match=rf"inexact term division at \(m={m}, ell=0\)"):
                 inequality_chain_check(m, ell)
-    assert main(["verify", "--property", "inequality-chain", "--max-m", "12"]) == 3
-    assert "(m=3, ell=0), k=1" in capsys.readouterr().err
+    # both records that read the left sums stop with an internal error
+    for record in ("inequality-chain", "s-monotone"):
+        assert main(["verify", "--property", record, "--max-m", "12"]) == 3
+        assert "(m=3, ell=0), k=1" in capsys.readouterr().err
+
+
+def test_s_monotone_integer_test_agrees_with_fractions():
+    # S(m,l) < S(m,l+1) iff lhs_l (m-l) < lhs_{l+1} (m+l+1): checked on the
+    # real left sums, on them swapped, and on S(m,l) = S(m,l+1) = 1
+    for m in range(2, 81):
+        lhs = [pair[0] for pair in left_sums(m)]
+        den = [2**m * binomial(2 * m, m + ell) for ell in range(len(lhs))]
+        for ell in range(len(lhs) - 1):
+            for x, y in ((lhs[ell], lhs[ell + 1]), (lhs[ell + 1], lhs[ell]), (den[ell], den[ell + 1])):
+                assert (x * (m - ell) < y * (m + ell + 1)) == (Fraction(x, den[ell]) < Fraction(y, den[ell + 1]))
+            assert literal_s(m, ell) < literal_s(m, ell + 1)
+        assert literal_s(m, len(lhs) - 1) < 1
+        assert _s_monotone_witness(m) is None
+
+
+def test_the_left_sums_loop_runs_once_per_pair_in_verify_all(cold_left_sums, monkeypatch, capsys):
+    # inequality-chain and s-monotone share the rows of left_sums; the only
+    # other runs are t-crosscheck's S(2m, m-1), one per m <= 100
+    runs = Counter()
+    real = tfunction._left_sum
+
+    def counting(m, ell):
+        runs[m, ell] += 1
+        return real(m, ell)
+
+    monkeypatch.setattr(tfunction, "_left_sum", counting)
+    assert main(["verify", "--all", "--format", "json"]) == 0
+    capsys.readouterr()
+    shared = {(m, ell): 1 for m in range(2, 101) for ell in range((m + 1) // 2)}
+    for m in range(1, 101):
+        shared[2 * m, m - 1] = shared.get((2 * m, m - 1), 0) + 1
+    assert runs == shared
 
 
 def test_s_sum_values():
