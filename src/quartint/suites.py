@@ -161,8 +161,8 @@ def _chain_witness(m: int) -> Witness:
 
 
 def _s_monotone_witness(m: int) -> Witness:
-    """S(m,l) = lhs_l / (2^m C(2m, m+l)) rises over 0 <= l <= top, and S(m,top) < 1, in integers:
-    S(m,l) < S(m,l+1) iff lhs_l (m-l) < lhs_{l+1} (m+l+1).  S is made only to report a failure."""
+    """S(m,l) = lhs_l / (2^m C(2m, m+l)) rises over 0 <= l <= top and S(m,top) < 1; as C(2m, m+l+1) (m+l+1)
+    = C(2m, m+l) (m-l), S(m,l) < S(m,l+1) iff lhs_l (m-l) < lhs_{l+1} (m+l+1).  S is made only for a failure."""
     lhs = [pair[0] for pair in tfunction.left_sums(m)]
     top = (m - 1) // 2
 
