@@ -3,12 +3,7 @@
 Every property is a record (name, range, items, witness[, notes[, summary]])
 that _sweep checks: it calls witness(item) for each item in order and
 reports the first failure with its exact witnesses, under the record's own
-name, range and notes.  The witnesses are pure module-level functions, so a
-sweep can fan out across a process pool, and the reported counterexample is
-always the first one in item order, however the items are partitioned.
---jobs is the most processes a sweep uses: only the records in POOLED, whose
-items cost enough to pay for the pool's start and its workers' cold caches,
-get a pool; every other record runs serially.
+name, range and notes.
 """
 
 from __future__ import annotations
@@ -17,7 +12,7 @@ import time
 from fractions import Fraction
 from functools import partial
 from itertools import zip_longest
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import conjectures, recurrence, seqprops, tfunction
 from .coefficients import coefficient_row, delta_direct, scaled_row
@@ -31,34 +26,6 @@ Witness = Optional[tuple]
 # The items of a record that checks a single fact.
 _ONCE = (None,)
 
-# The records that sweep on a process pool when --jobs allows it.  With the
-# chain deciding S < 1 from its own sums, a cold inequality-chain run took
-# 0.23-0.25 s serially and 0.28-0.32 s on two processes at max-m 150 (two
-# series of 10 alternating pairs: the pool lost 19 of 20), and 0.59-0.73 s
-# against 0.48-0.53 s at max-m 250 (the pool won 17 of 20), on a 2-CPU Xeon
-# VM.  Every other record, t-crosscheck too, is slower on a pool at its
-# default range or at max-m 150 or both: its items take microseconds to a
-# few milliseconds, and the pool's start costs more than it saves.
-POOLED = frozenset({"inequality-chain"})
-
-
-def _results(witness: Callable, items: Sequence, jobs: int) -> Iterator:
-    """witness(item) for each item, in order and lazily: serially, or in
-    chunks on a pool of at most ``jobs`` processes whose pending chunks are
-    cancelled once the caller stops reading."""
-    jobs = min(jobs, len(items))
-    if jobs <= 1:
-        yield from map(witness, items)
-        return
-    # imported here so that a run that starts no pool does not pay for it
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        yield from pool.map(witness, items, chunksize=max(1, len(items) // (4 * jobs)))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
 
 def _sweep(
     name: str,
@@ -67,7 +34,6 @@ def _sweep(
     witness: Callable,
     notes: tuple[str, ...] = (),
     summary: Optional[Callable[[list], tuple[str, ...]]] = None,
-    jobs: int = 1,
 ) -> PropertyReport:
     """Check one property over ``items`` and report it.
 
@@ -83,23 +49,20 @@ def _sweep(
     if not items:
         raise ValueError(f"{name}: empty range ({range_desc})")
     seen = []
-    results = _results(witness, items, jobs if name in POOLED else 1)
-    try:
-        for item, result in zip(items, results):
-            if isinstance(result, tuple):
-                return PropertyReport(name, range_desc, False, Counterexample(*result), time.perf_counter() - start, notes)
-            if result is not None:
-                seen.append((item, result))
-    finally:
-        results.close()
+    for item in items:
+        result = witness(item)
+        if isinstance(result, tuple):
+            return PropertyReport(name, range_desc, False, Counterexample(*result), time.perf_counter() - start, notes)
+        if result is not None:
+            seen.append((item, result))
     if summary is not None:
         notes = (*notes, *summary(seen))
     return PropertyReport(name, range_desc, True, elapsed=time.perf_counter() - start, notes=notes)
 
 
 # ---------------------------------------------------------------------------
-# witnesses (module level so they pickle; kernels are looked up as module
-# attributes at call time)
+# witnesses (kernels are looked up as module attributes at call time, so
+# that a test can doctor one)
 
 def _row_witness(predicate: str, m: int) -> Witness:
     """The predicate on the integer row b(m); unimodality, log-concavity
@@ -463,7 +426,6 @@ def run_suite(
     max_m: int | None = None,
     max_n: int | None = None,
     depth: int = 3,
-    jobs: int = 1,
 ) -> list[PropertyReport]:
     """Run one named suite with its documented default range when no limit is
     given."""
@@ -475,7 +437,7 @@ def run_suite(
         limit = default_limit
     if limit < 1:
         raise ValueError(f"{knob.replace('_', '-')} must be >= 1")
-    return [_sweep(*record, jobs=jobs) for record in records(limit, depth)]
+    return [_sweep(*record) for record in records(limit, depth)]
 
 
 # ---------------------------------------------------------------------------

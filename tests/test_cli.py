@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -6,10 +5,8 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,8 +88,6 @@ def test_verify_with_jobs(capsys):
 
 @pytest.mark.parametrize("env_jobs", ["2", "abc"])
 def test_jobs_environment_variable_is_ignored(capsys, monkeypatch, env_jobs):
-    # four usable CPUs, so an honoured QUARTINT_JOBS=2 would show as jobs 2
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setenv("QUARTINT_JOBS", env_jobs)
     code, out, _ = run(
         capsys, "verify", "--property", "unimodal", "--max-m", "8", "--format", "json"
@@ -101,28 +96,39 @@ def test_jobs_environment_variable_is_ignored(capsys, monkeypatch, env_jobs):
     assert json.loads(out)["config"]["jobs"] == 1
 
 
-def test_jobs_clamped_to_cpu_count(monkeypatch):
-    # parsing only: no pool is started.  The affinity mask counts, not the
-    # CPUs of the machine that this process may not run on.
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {2, 5, 7}, raising=False)
-    assert cli._jobs("1000000") == 3
-    assert cli._jobs("2") == 2
-    assert build_parser().parse_args(["verify", "--all", "--jobs", "1000000"]).jobs == 3
-    # without an affinity mask, the CPU count
-    monkeypatch.delattr(cli.os, "sched_getaffinity")
-    assert cli._jobs("1000000") == 8
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._jobs("1000000") == 1
+def test_jobs_takes_any_positive_integer_and_nothing_else():
+    # parsing only; the value reaches config.jobs unchanged
+    assert build_parser().parse_args(["verify", "--all", "--jobs", "1000000"]).jobs == 1000000
     for bad in ("0", "-4", "abc", ""):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["verify", "--all", "--jobs", bad])
         assert exc.value.code == 2
 
 
+def test_jobs_changes_only_the_config_and_starts_no_pool():
+    # one cold process per value; at its exit each says on stderr whether it
+    # ever loaded the process pool module
+    code = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('concurrent.futures.process' in sys.modules, file=sys.stderr))\n"
+        "from quartint.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    results = {}
+    for jobs in (1, 2):
+        argv = ["verify", "--all", "--jobs", str(jobs), "--format", "json"]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+        assert done.stderr.splitlines() == ["False"]
+        payload = json.loads(done.stdout)
+        assert payload["config"]["jobs"] == jobs
+        results[jobs] = [{k: v for k, v in r.items() if k != "elapsed"} for r in payload["results"]]
+    assert results[1] == results[2]
+
+
 @pytest.mark.parametrize(
     "error",
-    [RuntimeError("boom"), BrokenProcessPool("worker died"), MemoryError(), ZeroDivisionError("x"), KeyError("k")],
+    [RuntimeError("boom"), OSError("no space left on device"), MemoryError(), ZeroDivisionError("x"), KeyError("k")],
 )
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch, error):
     def broken(*args, **kwargs):
@@ -577,22 +583,15 @@ malformed_invocations = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(malformed_invocations)
 def test_malformed_values_exit_with_usage_error(argv):
-    pools = []
-    with (
-        mock.patch.object(concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pools.append(a)),
-        contextlib.redirect_stdout(io.StringIO()),
-        contextlib.redirect_stderr(io.StringIO()),
-    ):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code == 2, argv
-    assert pools == []
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # the pool module is imported only by a sweep that starts a pool
     code = "import sys, quartint.cli; print('concurrent.futures.process' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -601,7 +600,7 @@ def test_importing_the_cli_loads_no_process_pool():
 
 def test_a_run_loads_no_module_it_does_not_use():
     # dataclasses (with inspect), datetime and traceback cost every process
-    # start-up time; the pool module is imported only by a sweep on a pool
+    # start-up time, and no sweep starts a process pool
     unused = ["dataclasses", "inspect", "datetime", "traceback", "concurrent.futures.process"]
     code = (
         "import sys, quartint.cli\n"

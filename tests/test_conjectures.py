@@ -58,7 +58,7 @@ def test_failing_row_reports_the_fraction_row_witness(monkeypatch):
     assert not scan.passed
     assert (scan.counterexample.location, scan.counterexample.values) == (location, values)
     assert scan.notes == ()
-    (suite,) = suites.run_suite("ilogconcave", max_m=6, depth=5, jobs=1)
+    (suite,) = suites.run_suite("ilogconcave", max_m=6, depth=5)
     assert not suite.passed
     assert (suite.counterexample.location, suite.counterexample.values) == (location, values)
 
