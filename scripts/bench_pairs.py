@@ -73,6 +73,8 @@ print(json.dumps({"import_s": elapsed, "modules": new}))
 # keeps them.  The chain and "S and chain sums as verify --all reads them"
 # start with the left sums of S cold in a tree that keeps them per row; the
 # latter runs the chain and then the s-monotone witness on the same rows.
+# "left_sums(2..150) as s-monotone reads them" is that witness alone over
+# cold rows, the sweep of verify --property s-monotone --max-m 150.
 KERNEL_RUNS = 3
 KERNEL_PROBE = f"""
 import json, statistics, time
@@ -107,6 +109,10 @@ def s_and_chain_100():
     chain = [tfunction.inequality_chain_check(m, ell) for m in range(2, 101) for ell in range(m // 2)]
     return chain, [suites._s_monotone_witness(m) for m in range(2, 101)]
 
+def s_monotone_150():
+    cold_rows()
+    return [suites._s_monotone_witness(m) for m in range(2, 151)]
+
 def hypineq_margins_931():
     getattr(getattr(conjectures, "margin_polynomial", None), "cache_clear", lambda: None)()
     grid = [Fraction(5, 8) + Fraction(i, 4) for i in range(19)]
@@ -126,6 +132,7 @@ kernels = {{
     "T(1..2001) as the sweeps read it": lambda: t_as_the_sweeps_read_it(2001),
     "inequality_chain_check(m <= 150)": chain_150,
     "S and chain sums as verify --all reads them (m <= 100)": s_and_chain_100,
+    "left_sums(2..150) as s-monotone reads them": s_monotone_150,
     "row_first_negative(m <= 60, depth 7)": lambda: [conjectures.row_first_negative(m, 7) for m in range(61)],
     "hyp2f1_as_polynomial(1, -801, -3200)": lambda: hypergeometric.hyp2f1_as_polynomial(1, -801, -3200),
     "hyp_inequality_margin(931 scan points)": hypineq_margins_931,

@@ -20,11 +20,13 @@ sum over its natural denominator 2^(m+1) C(4m, m+1), with integer terms
 made by their term ratio (t_direct); the two series through hyp2f1; the
 integral through hyp2f1_first_moment, the same nested sum with the term
 ratio times (k+2)/(k+3); and the weighted sum from the integer
-coefficients of F W, F = (4m)!/(3m-1)!, evaluated at 2 in reverse.  One
-term loop makes the integer left sum of S_{m,l} = lhs / (2^m C(2m, m+l)),
-kept per row for the chain and s-monotone; the chain reads its right-hand
-sums off the integer row b_l(m).  The only floats here are the limit gaps
-shown by tvalues, which involve sqrt 2.
+coefficients of F W, F = (4m)!/(3m-1)!, evaluated at 2 in reverse.  The
+integer left sums of S_{m,l} = lhs / (2^m C(2m, m+l)) are carried across l
+in two moments of their term window, O(m) steps a row, and kept per row for
+the chain and s-monotone (left_sums); a term loop makes the one S of s_sum
+and is the reference the carry is tested against (_left_sum).  The chain
+reads its right-hand sums off the integer row b_l(m).  The only floats here
+are the limit gaps shown by tvalues, which involve sqrt 2.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def _left_sum(m: int, ell: int) -> tuple[int, int]:
     lhs = sum_{k=l}^{2l} (2l+1-k) t_k, summed as running prefix sums, and
     head = t_l + ... + t_{2l+1}, over t_k = 2^k C(2m-2k, m-k) C(m+k, m+l)
     (0 for k > m), stepped by t_{k+1}/t_k = (m-k)(m+k+1) / ((2m-2k-1)(k+1-l));
-    a step that leaves a remainder is an ArithmeticError."""
+    a step that leaves a remainder is an ArithmeticError.  The kernel of s_sum,
+    which needs l up to m, and the literal reference for left_sums."""
     lhs = head = 0
     term = binomial(2 * m - 2 * ell, m - ell) << ell
     for k in range(ell, 2 * ell + 1):
@@ -64,8 +67,42 @@ def _left_sum(m: int, ell: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def left_sums(m: int) -> tuple[tuple[int, int], ...]:
-    """_left_sum(m, l) over 0 <= l <= floor((m-1)/2), which holds the chain's l < floor(m/2)."""
-    return tuple(_left_sum(m, ell) for ell in range((m + 1) // 2))
+    """_left_sum(m, l) over 0 <= l <= floor((m-1)/2), which holds the chain's l < floor(m/2),
+    carried across l in O(1) steps.  Only the moments N0 = sum_j t_{l+j} and N1 = sum_j j t_{l+j}
+    of the window 0 <= j <= l+1 and its top term hi = t_{2l+1} are kept: lhs = (l+1) N0 - N1 and
+    head = N0.  Summing the k-recurrence of _left_sum over the window closes its second moment,
+
+        N2 = (2m+2) N1 - (m-l)(m+l+1) N0 + (m-2l-1)(m+2l+2) hi,
+
+    and with e1 = t_{2l+2}, e2 = t_{2l+3} (two k-steps) and t_k(l+1) = (k-l) t_k(l) / (m+l+1),
+    N0' = (N1 + (l+2) e1 + (l+3) e2) / (m+l+1), N1' = (N2 - N1 + (l+1)(l+2) e1 + (l+2)(l+3) e2)
+    / (m+l+1) and hi' = (l+3) e2 / (m+l+1).  Each division is a divmod, and a remainder, t_1 at
+    l = 0 included, is an ArithmeticError that names the (m, l) being made."""
+
+    def exact(num: int, den: int, name: str, ell: int) -> int:
+        quotient, remainder = divmod(num, den)
+        if remainder:
+            raise ArithmeticError(f"S left sums: inexact division for {name} at (m={m}, ell={ell})")
+        return quotient
+
+    t0 = binomial(2 * m, m)
+    hi = exact(t0 * (m * (m + 1)), 2 * m - 1, "t_1", 0)
+    n0, n1, sums = t0 + hi, hi, []
+    for ell in range((m + 1) // 2):
+        sums.append(((ell + 1) * n0 - n1, n0))
+        if 2 * ell + 3 > m:
+            break
+        top = hi * ((m - 2 * ell - 1) * (m + 2 * ell + 2))
+        e1 = exact(top, (2 * m - 4 * ell - 3) * (ell + 2), "e1", ell + 1)
+        e2 = exact(e1 * ((m - 2 * ell - 2) * (m + 2 * ell + 3)), (2 * m - 4 * ell - 5) * (ell + 3), "e2", ell + 1)
+        n2 = (2 * m + 2) * n1 - (m - ell) * (m + ell + 1) * n0 + top
+        den = m + ell + 1
+        n0, n1, hi = (
+            exact(n1 + (ell + 2) * e1 + (ell + 3) * e2, den, "N0", ell + 1),
+            exact(n2 - n1 + (ell + 1) * (ell + 2) * e1 + (ell + 2) * (ell + 3) * e2, den, "N1", ell + 1),
+            exact((ell + 3) * e2, den, "hi", ell + 1),
+        )
+    return tuple(sums)
 
 
 def s_sum(m: int, ell: int) -> Fraction:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quartint import tfunction
 from quartint.cli import main
@@ -225,23 +225,55 @@ def cold_left_sums():
     left_sums.cache_clear()
 
 
-def test_chain_inexact_term_step_is_arithmetic_error(cold_left_sums, monkeypatch, capsys):
-    # with every binomial 1, t_l = 2^l, and its step to t_{l+1} leaves a
-    # remainder at every (m, l) with m >= 3: 12/5 at (3, 0).  The binomials
+def test_chain_inexact_carry_is_arithmetic_error(cold_left_sums, monkeypatch, capsys):
+    # with every binomial 1, t_0 = 1 in every row m >= 3, and its step to
+    # t_1 = m(m+1)/(2m-1) leaves a remainder: 12/5 at m = 3.  The binomials
     # of n <= 4 stay, so m = 2, whose one step is exact whatever t_0 is, holds.
-    # The chain reads the lower half of row m at once, which fails at l = 0.
+    # The carry makes the whole row at once, so it fails at l = 0, and the
+    # literal loop still fails at each (m, l) with its own message.
     real = tfunction.binomial
     monkeypatch.setattr(tfunction, "binomial", lambda n, k: real(n, k) if n <= 4 else 1)
     for m in range(3, 13):
+        with pytest.raises(ArithmeticError, match=rf"inexact division for t_1 at \(m={m}, ell=0\)"):
+            left_sums(m)
         for ell in range(0, m // 2):
-            with pytest.raises(ArithmeticError, match=rf"inexact term division at \(m={m}, ell={ell}\)"):
+            with pytest.raises(ArithmeticError, match=rf"inexact term division at \(m={m}, ell={ell}\), k="):
                 tfunction._left_sum(m, ell)
-            with pytest.raises(ArithmeticError, match=rf"inexact term division at \(m={m}, ell=0\)"):
+            with pytest.raises(ArithmeticError, match=rf"inexact division for t_1 at \(m={m}, ell=0\)"):
                 inequality_chain_check(m, ell)
-    # both records that read the left sums stop with an internal error
+    assert len(left_sums(2)) == 1
+    # both records that read the left sums stop with an internal error: the
+    # exception is caught in main, whose last word is the error itself
     for record in ("inequality-chain", "s-monotone"):
         assert main(["verify", "--property", record, "--max-m", "12"]) == 3
-        assert "(m=3, ell=0), k=1" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "internal error: ArithmeticError('S left sums: inexact division for t_1 at (m=3, ell=0)')"
+
+
+@pytest.mark.parametrize(
+    "m, shift, name, ell",
+    [(3, 1, "t_1", 0), (5, 3, "N0", 1), (4, 7, "N1", 1), (6, 11, "e1", 1), (9, 17, "e2", 1)],
+)
+def test_each_carry_division_is_guarded(cold_left_sums, monkeypatch, m, shift, name, ell):
+    # C(2m, m) + shift in place of C(2m, m) scales row m, and the first
+    # division it leaves inexact is the one named; the row m = 2 holds.  No
+    # scaling trips the hi division first (none with m < 40, shift < 3000).
+    real = tfunction.binomial
+    monkeypatch.setattr(tfunction, "binomial", lambda n, k: real(n, k) + shift * (n == 2 * k == 2 * m))
+    with pytest.raises(ArithmeticError, match=rf"inexact division for {name} at \(m={m}, ell={ell}\)$"):
+        left_sums(m)
+    assert left_sums(2) == ((6, 18),)
+
+
+def test_left_sums_match_the_term_loop():
+    for m in range(0, 301):
+        assert left_sums.__wrapped__(m) == tuple(tfunction._left_sum(m, ell) for ell in range((m + 1) // 2)), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=800))
+def test_left_sums_match_the_term_loop_up_to_800(m):
+    assert left_sums.__wrapped__(m) == tuple(tfunction._left_sum(m, ell) for ell in range((m + 1) // 2))
 
 
 def test_s_monotone_integer_test_agrees_with_fractions():
@@ -258,9 +290,9 @@ def test_s_monotone_integer_test_agrees_with_fractions():
         assert _s_monotone_witness(m) is None
 
 
-def test_the_left_sums_loop_runs_once_per_pair_in_verify_all(cold_left_sums, monkeypatch, capsys):
-    # inequality-chain and s-monotone share the rows of left_sums; the only
-    # other runs are t-crosscheck's S(2m, m-1), one per m <= 100
+def test_verify_all_makes_each_row_of_left_sums_once(cold_left_sums, monkeypatch, capsys):
+    # inequality-chain and s-monotone share the rows 2..100 of left_sums, each
+    # made once; the term loop runs only for t-crosscheck's S(2m, m-1), m <= 100
     runs = Counter()
     real = tfunction._left_sum
 
@@ -271,10 +303,12 @@ def test_the_left_sums_loop_runs_once_per_pair_in_verify_all(cold_left_sums, mon
     monkeypatch.setattr(tfunction, "_left_sum", counting)
     assert main(["verify", "--all", "--format", "json"]) == 0
     capsys.readouterr()
-    shared = {(m, ell): 1 for m in range(2, 101) for ell in range((m + 1) // 2)}
-    for m in range(1, 101):
-        shared[2 * m, m - 1] = shared.get((2 * m, m - 1), 0) + 1
-    assert runs == shared
+    assert runs == {(2 * m, m - 1): 1 for m in range(1, 101)}
+    made = left_sums.cache_info()
+    assert made.misses == made.currsize == 99 and made.hits > 0
+    for m in range(2, 101):
+        left_sums(m)
+    assert left_sums.cache_info().misses == 99
 
 
 def test_s_sum_values():
