@@ -134,7 +134,7 @@ kernels = {{
     "S and chain sums as verify --all reads them (m <= 100)": s_and_chain_100,
     "left_sums(2..150) as s-monotone reads them": s_monotone_150,
     "row_first_negative(m <= 60, depth 7)": lambda: [conjectures.row_first_negative(m, 7) for m in range(61)],
-    "hyp2f1_as_polynomial(1, -801, -3200)": lambda: hypergeometric.hyp2f1_as_polynomial(1, -801, -3200),
+    "series_coefficients(1, -801, -3200)": lambda: hypergeometric.series_coefficients(1, -801, -3200),
     "hyp_inequality_margin(931 scan points)": hypineq_margins_931,
     "geometric_tail_bound(2..2000)": geometric_tail_2_2000,
 }}

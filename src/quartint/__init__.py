@@ -14,9 +14,9 @@ from .hypergeometric import (
     companion_ratio_bound_violations,
     envelope_bound_check,
     hyp2f1,
-    hyp2f1_as_polynomial,
     hyp2f1_first_moment,
     pochhammer_ratio_bound_check,
+    series_coefficients,
 )
 from .polynomial import derivative, horner, taylor_shift
 from .quadrature import (
@@ -56,7 +56,6 @@ from .tfunction import (
     t_hypergeometric,
     t_integral,
     t_via_w,
-    w_polynomial,
 )
 
 __version__ = "0.1.0"

@@ -21,8 +21,10 @@ The first moment
     int_0^x t 2F1(a, b; c; t) dt = (x^2/2) 3F2(a, b, 2; c, 3; x)
 
 is summed the same way, with the term ratio r_k (k+2)/(k+3).  The dense
-form takes the ratios p_k / q_k at z = 1 in integers: over the one
-denominator prod q_k, coefficient k is (prod_{i<k} p_i) (prod_{i>=k} q_i).
+form, series_coefficients, takes the ratios p_k / q_k at z = 1 in integers:
+over the one denominator prod q_k, coefficient k is
+(prod_{i<k} p_i) (prod_{i>=k} q_i).  It is the one coefficient generator:
+the hypineq margin, the ratio bounds and t_via_w read it.
 """
 
 from __future__ import annotations
@@ -102,14 +104,11 @@ def series_coefficients(a, b, c) -> tuple[tuple[int, ...], int]:
     return tuple(coeffs), den
 
 
-def hyp2f1_as_polynomial(a, b, c) -> tuple[Fraction, ...]:
-    """The terminating series as a coefficient tuple in z, of length
-    N + 1; coefficient k is (a)_k (b)_k / ((c)_k k!)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    coeffs = [Fraction(1)]
-    for p, q in _term_ratios(a, b, c, Fraction(1), _validated_order(a, b, c)):
-        coeffs.append(coeffs[-1] * Fraction(p, q))
-    return tuple(coeffs)
+def _tripled_ratios(b: int, c: int) -> list[int]:
+    """3^k (b)_k / (c)_k, coefficient k of 2F1(1, b; c; z) times 3^k, as the
+    integers of series_coefficients over their denominator made positive."""
+    coeffs, den = series_coefficients(1, b, c)
+    return [3**k * v if den > 0 else -(3**k) * v for k, v in enumerate(coeffs)]
 
 
 def pochhammer_ratio_bound_check(m: int) -> bool:
@@ -122,7 +121,7 @@ def pochhammer_ratio_bound_check(m: int) -> bool:
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    b = [3**k * ratio for k, ratio in enumerate(hyp2f1_as_polynomial(1, 1 - m, 2 - 4 * m))]
+    b = _tripled_ratios(1 - m, 2 - 4 * m)
     return all(0 < later <= earlier for earlier, later in zip(b, b[1:]))
 
 
@@ -135,7 +134,8 @@ def companion_ratio_bound_violations(m: int) -> list[int]:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    return [k for k, ratio in enumerate(hyp2f1_as_polynomial(1, -1 - m, -4 * m)) if 3**k * ratio > 1]
+    b = _tripled_ratios(-1 - m, -4 * m)
+    return [k for k, v in enumerate(b) if v > b[0]]
 
 
 def envelope_bound_check(m: int, t) -> bool:

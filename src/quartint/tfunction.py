@@ -19,8 +19,8 @@ common denominator and reduced to a Fraction once at the end: the direct
 sum over its natural denominator 2^(m+1) C(4m, m+1), with integer terms
 made by their term ratio (t_direct); the two series through hyp2f1; the
 integral through hyp2f1_first_moment, the same nested sum with the term
-ratio times (k+2)/(k+3); and the weighted sum from the integer
-coefficients of F W, F = (4m)!/(3m-1)!, evaluated at 2 in reverse.  The
+ratio times (k+2)/(k+3); and the weighted sum from series_coefficients,
+the generator scan hypineq reads, as W(x) = 2F1(1/2, -1-m; -4m; 4x).  The
 integer left sums of S_{m,l} = lhs / (2^m C(2m, m+l)) are carried across l
 in two moments of their term window, O(m) steps a row, and kept per row for
 the chain and s-monotone (left_sums); a term loop makes the one S of s_sum
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .coefficients import scaled_row
 from .exact import binomial
-from .hypergeometric import hyp2f1, hyp2f1_first_moment
+from .hypergeometric import hyp2f1, hyp2f1_first_moment, series_coefficients
 from .polynomial import derivative, horner
 
 # Limit of T(m), and the early incorrect guess 1 - ln 2 kept as a second
@@ -165,44 +165,20 @@ def integral_prefactor(m: int) -> Fraction:
     return Fraction(3 * (m + 1), 16 * (4 * m - 1))
 
 
-def w_polynomial(m: int) -> tuple[int, ...]:
-    """The integer coefficients F w_r of F W_m(x), where
-    W_m(x) = sum_{r=0}^{m+1} C(2r,r) C(m+1,r) / C(4m,r) x^r and
-    F = (4m)! / (3m-1)! = 3m (3m+1) ... 4m.
-
-    F w_r = C(2r,r) C(m+1,r) r! (4m-r)! / (3m-1)! is an integer for r <= m+1.
-    It is made from F w_0 = F by the term ratio
-
-        w_{r+1}/w_r = 2(2r+1)(m+1-r) / ((r+1)(4m-r)),
-
-    and a division that leaves a remainder is an ArithmeticError.
-    """
-    if m < 1:
-        raise ValueError("w_polynomial requires m >= 1")
-    coeffs = [math.prod(range(3 * m, 4 * m + 1))]
-    for r in range(m + 1):
-        value, remainder = divmod(coeffs[-1] * 2 * (2 * r + 1) * (m + 1 - r), (r + 1) * (4 * m - r))
-        if remainder:
-            raise ArithmeticError(f"W polynomial: inexact division at m={m}, r={r + 1}")
-        coeffs.append(value)
-    return tuple(coeffs)
-
-
 def t_via_w(m: int) -> Fraction:
-    """T(m) = x W'(x) - W(x) + 1 at x = 1/2, with the exact polynomial
-    derivative.
-
-    With the integer coefficients g = F W of w_polynomial, 2^(m+1) F times
-    x W'(x) and W(x) at x = 1/2 are the reversed tuples of g' and g
-    evaluated at 2, so the sum is over the one denominator F 2^(m+1).
+    """T(m) = x W'(x) - W(x) + 1 at x = 1/2 for W_m(x) = sum_{r=0}^{m+1}
+    C(2r,r) C(m+1,r) / C(4m,r) x^r = F(4x), F = 2F1(1/2, -1-m; -4m; z):
+    2 F'(2) - F(2) + 1 over the integer coefficients and denominator of
+    series_coefficients, with the exact polynomial derivative.
 
     The superficially similar combination W'(1/2)/2 - W(1/2), which is
     t_via_w(m) - 1, does not reproduce T(m): at m = 1 it gives -3/4 where
     T(1) = 1/4.  t-crosscheck notes both values.
     """
-    g = w_polynomial(m)
-    scale = g[0] << (m + 1)  # g_0 = F
-    return Fraction(horner(derivative(g)[::-1], 2) - horner(g[::-1], 2) + scale, scale)
+    if m < 1:
+        raise ValueError("t_via_w requires m >= 1")
+    c, den = series_coefficients(Fraction(1, 2), -1 - m, -4 * m)
+    return Fraction(2 * horner(derivative(c), 2) - horner(c, 2) + den, den)
 
 
 # 2^(m+1) times the tail sum at m = 1, 2, ...: each checked against the closed form.

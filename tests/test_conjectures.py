@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,8 +13,18 @@ from quartint.conjectures import (
     margin_polynomial,
     row_first_negative,
 )
-from quartint.hypergeometric import hyp2f1, hyp2f1_as_polynomial, series_coefficients
+from quartint.hypergeometric import hyp2f1, series_coefficients
 from quartint.tfunction import t_direct
+
+
+def pochhammer(x, k):
+    """The rising factorial x (x+1) ... (x+k-1), as the literal product."""
+    return prod((x + i for i in range(k)), start=Fraction(1))
+
+
+def literal_coefficients(a, b, c):
+    """(a)_k (b)_k / ((c)_k k!) for 0 <= k <= -b, each from rising factorials."""
+    return tuple(pochhammer(a, k) * pochhammer(b, k) / (pochhammer(c, k) * factorial(k)) for k in range(1 - b))
 
 
 def literal_margin(m, x):
@@ -176,10 +187,10 @@ def test_margin_polynomial_is_the_series_combination():
         coeffs, den = margin_polynomial(m)
         assert len(coeffs) == m + 3
         series = [
-            (1, hyp2f1_as_polynomial(Fraction(3, 2), -m - 2, -4 * m - 4)),
-            (-1, hyp2f1_as_polynomial(Fraction(3, 2), -m - 1, -4 * m)),
-            (-3, hyp2f1_as_polynomial(Fraction(1, 2), -m - 2, -4 * m - 4)),
-            (3, hyp2f1_as_polynomial(Fraction(1, 2), -m - 1, -4 * m)),
+            (1, literal_coefficients(Fraction(3, 2), -m - 2, -4 * m - 4)),
+            (-1, literal_coefficients(Fraction(3, 2), -m - 1, -4 * m)),
+            (-3, literal_coefficients(Fraction(1, 2), -m - 2, -4 * m - 4)),
+            (3, literal_coefficients(Fraction(1, 2), -m - 1, -4 * m)),
         ]
         for k, coeff in enumerate(coeffs):
             expected = sum(weight * poly[k] for weight, poly in series if k < len(poly))

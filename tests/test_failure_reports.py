@@ -376,6 +376,25 @@ def test_t_crosscheck_s_sum_route_failure(monkeypatch):
     assert report["counterexample"] == {"location": {"m": 3, "route": "s_sum(2m, m-1)"}, "values": values}
 
 
+def test_t_crosscheck_via_w_route_catches_a_doctored_generator(monkeypatch, capsys):
+    # coefficient 2 of 2F1(1/2, -5; -16; z) off by 1/den at m = 4 adds
+    # 2^2 (2 - 1) / den to T(4); scan hypineq reads its own binding and passes
+    def one_off(real, *args):
+        coeffs, den = real(*args)
+        return coeffs[:2] + (coeffs[2] + 1,) + coeffs[3:], den
+
+    at = (Fraction(1, 2), -5, -16)
+    den = tfunction.series_coefficients(*at)[1]
+    doctor(monkeypatch, tfunction, "series_coefficients", at, one_off)
+    t4 = tfunction.t_direct(4)
+    values = {"direct": rational_str(t4), "via_w": rational_str(t4 + Fraction(4, den))}
+    [report] = content(run_suite("t-crosscheck", max_m=5))
+    assert report["counterexample"] == {"location": {"m": 4, "route": "via_w"}, "values": values}
+    conjectures.margin_polynomial.cache_clear()
+    assert main(["scan", "hypineq", "--max-m", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["verdict"] == "pass"
+
+
 # ---------------------------------------------------------------------------
 # row suites: unimodal, logconcave and delta-signs on a doctored row m = 5
 

@@ -11,7 +11,6 @@ from quartint.hypergeometric import (
     companion_ratio_bound_violations,
     envelope_bound_check,
     hyp2f1,
-    hyp2f1_as_polynomial,
     hyp2f1_first_moment,
     pochhammer_ratio_bound_check,
     series_coefficients,
@@ -22,6 +21,18 @@ from quartint.polynomial import derivative, horner
 def pochhammer(x, k):
     """The rising factorial x (x+1) ... (x+k-1), as the literal product."""
     return prod((x + i for i in range(k)), start=Fraction(1))
+
+
+def literal_coefficients(a, b, c):
+    """(a)_k (b)_k / ((c)_k k!) for 0 <= k <= -b, each from rising factorials."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    return tuple(pochhammer(a, k) * pochhammer(b, k) / (pochhammer(c, k) * factorial(k)) for k in range(1 - int(b)))
+
+
+def as_fractions(a, b, c):
+    """The integer coefficients of series_coefficients over their denominator."""
+    coeffs, den = series_coefficients(a, b, c)
+    return tuple(Fraction(v, den) for v in coeffs)
 
 
 def test_terminating_values():
@@ -49,7 +60,7 @@ def test_pole_at_or_before_truncation(c):
     with pytest.raises(SeriesPoleError, match=f"at k={1 - c} before truncation 3"):
         hyp2f1(Fraction(1, 2), -3, c, 2)
     with pytest.raises(SeriesPoleError, match=f"at k={1 - c} before truncation 3"):
-        hyp2f1_as_polynomial(Fraction(1, 2), -3, c)
+        series_coefficients(Fraction(1, 2), -3, c)
 
 
 @pytest.mark.parametrize("c", [-3, -4, Fraction(-5, 2)])
@@ -57,13 +68,14 @@ def test_no_pole_past_truncation(c):
     # (c)_k for k <= 3 stays nonzero: the zero of (-3)_k is at k = 4
     for z in (2, Fraction(-3, 7)):
         assert hyp2f1(Fraction(1, 2), -3, c, z) == literal_hyp2f1(Fraction(1, 2), -3, Fraction(c), z)
-    assert len(hyp2f1_as_polynomial(Fraction(1, 2), -3, c)) == 4
+    assert as_fractions(Fraction(1, 2), -3, c) == literal_coefficients(Fraction(1, 2), -3, c)
+    assert len(series_coefficients(Fraction(1, 2), -3, c)[0]) == 4
 
 
 def test_polynomial_form():
-    assert hyp2f1_as_polynomial(Fraction(5, 2), 0, -2) == (1,)
+    assert series_coefficients(Fraction(5, 2), 0, -2) == ((1,), 1)
     # m = 2 instance of the integrand series
-    assert hyp2f1_as_polynomial(Fraction(5, 2), -1, -6) == (1, Fraction(5, 12))
+    assert as_fractions(Fraction(5, 2), -1, -6) == literal_coefficients(Fraction(5, 2), -1, -6) == (1, Fraction(5, 12))
 
 
 def test_polynomial_matches_evaluator_on_random_specs():
@@ -73,7 +85,8 @@ def test_polynomial_matches_evaluator_on_random_specs():
         a = Fraction(rng.randint(1, 9), rng.choice((1, 2, 3)))
         n = rng.randint(0, 8)
         c = Fraction(-4 * n - rng.randint(1, 5))
-        poly = hyp2f1_as_polynomial(a, -n, c)
+        poly = as_fractions(a, -n, c)
+        assert poly == literal_coefficients(a, -n, c)
         assert horner(poly, z) == hyp2f1(a, -n, c, z)
         assert len(poly) == n + 1
 
@@ -86,21 +99,13 @@ def test_series_coefficients_against_pochhammer_products():
         a = Fraction(rng.randint(1, 9), rng.choice((1, 2, 4)))
         n = rng.randint(0, 9)
         c = Fraction(-4 * n - rng.randint(1, 6))
-        poly = hyp2f1_as_polynomial(a, -n, c)
+        coeffs, den = series_coefficients(a, -n, c)
         for k in range(n + 1):
             expected = (
                 pochhammer(a, k) * pochhammer(Fraction(-n), k)
                 / (pochhammer(c, k) * factorial(k))
             )
-            assert poly[k] == expected
-
-
-@pytest.mark.parametrize("a, b, c", [(1, -801, -3200), (Fraction(5, 2), -800, -3198), (Fraction(1, 2), -801, -3200)])
-def test_stepped_polynomial_matches_the_integer_coefficients_at_n_801(a, b, c):
-    # the Fractions stepped by p_k / q_k against the integer coefficients
-    # over the one denominator prod q_k
-    coeffs, den = series_coefficients(a, b, c)
-    assert hyp2f1_as_polynomial(a, b, c) == tuple(Fraction(v, den) for v in coeffs)
+            assert Fraction(coeffs[k], den) == expected
 
 
 def literal_hyp2f1(a, b, c, z):
@@ -128,7 +133,7 @@ def test_hyp2f1_matches_literal_sum(a, b, c, z):
         return
     value = hyp2f1(a, b, c, z)
     assert value == literal_hyp2f1(a, b, c, z)
-    assert value == horner(hyp2f1_as_polynomial(a, b, c), z)
+    assert value == horner(as_fractions(a, b, c), z)
 
 
 @given(
@@ -143,7 +148,7 @@ def test_first_moment_matches_termwise_integral(a, n, c, x):
             hyp2f1_first_moment(a, -n, c, x)
         return
     # int_0^x t sum c_k t^k dt = sum c_k x^(k+2) / (k+2)
-    termwise = sum(coeff * x ** (k + 2) / (k + 2) for k, coeff in enumerate(hyp2f1_as_polynomial(a, -n, c)))
+    termwise = sum(coeff * x ** (k + 2) / (k + 2) for k, coeff in enumerate(literal_coefficients(a, -n, c)))
     assert hyp2f1_first_moment(a, -n, c, x) == termwise
 
 
@@ -159,11 +164,12 @@ def test_first_moment_values():
 def assert_derivative_relation(a, b, c):
     # d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z), coefficient by coefficient
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    left = derivative(hyp2f1_as_polynomial(a, b, c))
+    assert as_fractions(a, b, c) == literal_coefficients(a, b, c)
+    left = derivative(as_fractions(a, b, c))
     if b == 0:
         assert left == ()
     else:
-        assert left == tuple(a * b / c * r for r in hyp2f1_as_polynomial(a + 1, b + 1, c + 1))
+        assert left == tuple(a * b / c * r for r in as_fractions(a + 1, b + 1, c + 1))
 
 
 def test_derivative_relation():
@@ -198,7 +204,7 @@ def test_pochhammer_ratio_bound():
         assert pochhammer_ratio_bound_check(m)
         # the check reads (1-m)_k / (2-4m)_k off the series coefficients
         ratios = tuple(pochhammer(1 - m, k) / pochhammer(2 - 4 * m, k) for k in range(m))
-        assert hyp2f1_as_polynomial(1, 1 - m, 2 - 4 * m) == ratios
+        assert as_fractions(1, 1 - m, 2 - 4 * m) == ratios
 
 
 def test_companion_ratio_bound_single_known_exception():
@@ -209,7 +215,7 @@ def test_companion_ratio_bound_single_known_exception():
     for m in range(1, 41):
         # the violations are read off the series coefficients (-1-m)_k / (-4m)_k
         ratios = tuple(pochhammer(-1 - m, k) / pochhammer(-4 * m, k) for k in range(m + 2))
-        assert hyp2f1_as_polynomial(1, -1 - m, -4 * m) == ratios
+        assert as_fractions(1, -1 - m, -4 * m) == ratios
 
 
 def test_envelope_bound_on_grid():

@@ -2,7 +2,6 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quartint import tfunction
 from quartint.cli import main
 from quartint.exact import binomial
-from quartint.hypergeometric import hyp2f1, hyp2f1_as_polynomial
+from quartint.hypergeometric import hyp2f1, series_coefficients
 from quartint.polynomial import derivative, horner
 from quartint.suites import _s_monotone_witness, run_suite
 from quartint.tfunction import (
@@ -25,7 +24,6 @@ from quartint.tfunction import (
     t_hypergeometric,
     t_integral,
     t_via_w,
-    w_polynomial,
 )
 
 
@@ -65,9 +63,9 @@ def literal_b(m, ell):
 
 def literal_t_integral(m):
     """The prefactor times int_0^2 t sum c_k t^k dt = sum c_k 2^(k+2) / (k+2),
-    over the Fraction coefficients of the integrand series."""
-    integrand = hyp2f1_as_polynomial(Fraction(5, 2), 1 - m, 2 - 4 * m)
-    return integral_prefactor(m) * sum(c * Fraction(2 ** (k + 2), k + 2) for k, c in enumerate(integrand))
+    over the integer coefficients of the integrand series and their denominator."""
+    integrand, den = series_coefficients(Fraction(5, 2), 1 - m, 2 - 4 * m)
+    return integral_prefactor(m) * sum(Fraction(c * 2 ** (k + 2), den * (k + 2)) for k, c in enumerate(integrand))
 
 
 def literal_w(m):
@@ -79,11 +77,6 @@ def literal_t_via_w(m):
     """x W'(x) - W(x) + 1 at x = 1/2, on the Fraction coefficients."""
     w, half = literal_w(m), Fraction(1, 2)
     return half * horner(derivative(w), half) - horner(w, half) + 1
-
-
-def w_scale(m):
-    """F = (4m)! / (3m-1)!, which makes the coefficients of W_m integers."""
-    return math.prod(range(3 * m, 4 * m + 1))
 
 
 def literal_geometric_tail(m):
@@ -134,14 +127,6 @@ def test_integral_and_w_routes_match_literal_forms():
     for m in range(1, 61):
         assert t_integral(m) == literal_t_integral(m)
         assert t_via_w(m) == literal_t_via_w(m)
-        assert w_polynomial(m) == tuple(w_scale(m) * c for c in literal_w(m))
-
-
-def test_w_polynomial_inexact_division_is_arithmetic_error(monkeypatch):
-    # with F = 1 in place of 6 * 7 * 8, F w_1 = 6/8 is not an integer
-    monkeypatch.setattr(tfunction, "math", SimpleNamespace(prod=lambda factors: 1))
-    with pytest.raises(ArithmeticError, match="inexact division at m=2, r=1"):
-        w_polynomial(2)
 
 
 def test_s_sum_and_chain_match_literal_sums():
@@ -354,12 +339,14 @@ def test_s_sum_specialisation_to_t():
 
 
 def test_w_polynomial_and_function():
-    assert w_polynomial(1) == (12, 12, 12)  # F = 3 * 4 and W_1 = 1 + x + x^2
-    # F W_m(x) is also F times the series 2F1(1/2, -1-m; -4m; 4x)
+    # W_m(x) = 2F1(1/2, -1-m; -4m; 4x): coefficient r of the series that
+    # t_via_w reads, times 4^r, is the defining C(2r,r) C(m+1,r) / C(4m,r)
     for m in range(1, 61):
-        for x in (0, Fraction(1, 2)):
-            assert horner(w_polynomial(m), x) == w_scale(m) * hyp2f1(Fraction(1, 2), -1 - m, -4 * m, 4 * x)
-        assert horner(w_polynomial(m), 0) == w_scale(m)
+        coeffs, den = series_coefficients(Fraction(1, 2), -1 - m, -4 * m)
+        w = tuple(Fraction(4**r * c, den) for r, c in enumerate(coeffs))
+        assert w == literal_w(m)
+        assert horner(w, Fraction(1, 2)) == hyp2f1(Fraction(1, 2), -1 - m, -4 * m, 2)
+    assert literal_w(1) == (1, 1, 1)  # W_1 = 1 + x + x^2
 
 
 def test_t_via_w_correction():
