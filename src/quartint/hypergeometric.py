@@ -106,7 +106,7 @@ def series_coefficients(a, b, c) -> tuple[tuple[int, ...], int]:
 
 def _tripled_ratios(b: int, c: int) -> list[int]:
     """3^k (b)_k / (c)_k, coefficient k of 2F1(1, b; c; z) times 3^k, as the
-    integers of series_coefficients over their denominator made positive."""
+    integers of series_coefficients over one positive denominator, entry 0."""
     coeffs, den = series_coefficients(1, b, c)
     return [3**k * v if den > 0 else -(3**k) * v for k, v in enumerate(coeffs)]
 

@@ -338,7 +338,7 @@ def test_s_sum_specialisation_to_t():
         assert s_sum(2 * m, m - 1) == t_direct(m)
 
 
-def test_w_polynomial_and_function():
+def test_w_coefficients_match_the_defining_sum():
     # W_m(x) = 2F1(1/2, -1-m; -4m; 4x): coefficient r of the series that
     # t_via_w reads, times 4^r, is the defining C(2r,r) C(m+1,r) / C(4m,r)
     for m in range(1, 61):
