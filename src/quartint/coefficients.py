@@ -41,7 +41,6 @@ class CoefficientRow(NamedTuple):
     """One full row (d_0(m), ..., d_m(m)).  coefficient_row() guarantees that
     every entry is strictly positive; the type itself does not check it."""
 
-    m: int
     values: tuple[Fraction, ...]
 
 
@@ -79,7 +78,7 @@ def coefficient_row(m: int) -> CoefficientRow:
     if len(row) != m + 1 or any(b <= 0 for b in row):
         raise ArithmeticError(f"row for m={m} must have {m + 1} strictly positive entries")
     scale = 4**m
-    return CoefficientRow(m, tuple(Fraction(b, scale) for b in row))
+    return CoefficientRow(tuple(Fraction(b, scale) for b in row))
 
 
 def scaled_row(m: int) -> tuple[int, ...]:

@@ -129,8 +129,8 @@ def companion_ratio_bound_violations(m: int) -> list[int]:
     """All k in 0..m+1 where (-1-m)_k / (-4m)_k exceeds 3^(-k).
 
     The ratio is coefficient k of 2F1(1, -1-m; -4m; z).  The bound holds
-    for every m >= 3; at m = 2 it fails at exactly k = 1 (the ratio is
-    3/8 > 1/3), which callers surface rather than hide.
+    for every m >= 3; it fails at k = 1 for m = 2 (3/8 > 1/3) and at k = 1, 2
+    for m = 1 (1/2 > 1/3, 1/6 > 1/9), which callers surface, not hide.
     """
     if m < 1:
         raise ValueError("m must be at least 1")

@@ -23,29 +23,18 @@ class Counterexample(NamedTuple):
     values: dict
 
 
-class _PropertyReportFields(NamedTuple):
+class PropertyReport(NamedTuple):
+    """Outcome of one property sweep; it passes iff it has no counterexample."""
+
     property: str
     range: str
-    passed: bool
     counterexample: Counterexample | None = None
     elapsed: float = 0.0
     notes: tuple[str, ...] = ()
 
-
-class PropertyReport(_PropertyReportFields):
-    """Outcome of one property sweep.  A failing report always carries a
-    counterexample."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.passed and self.counterexample is None:
-            raise ValueError("failing report must carry a counterexample")
-        return self
-
-    # _replace builds through _make; going through __new__ keeps the check there too.
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"

@@ -52,12 +52,12 @@ def _sweep(
     for item in items:
         result = witness(item)
         if isinstance(result, tuple):
-            return PropertyReport(name, range_desc, False, Counterexample(*result), time.perf_counter() - start, notes)
+            return PropertyReport(name, range_desc, Counterexample(*result), time.perf_counter() - start, notes)
         if result is not None:
             seen.append((item, result))
     if summary is not None:
         notes = (*notes, *summary(seen))
-    return PropertyReport(name, range_desc, True, elapsed=time.perf_counter() - start, notes=notes)
+    return PropertyReport(name, range_desc, elapsed=time.perf_counter() - start, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def _chain_witness(m: int) -> Witness:
     for ell in range(0, m // 2):
         chain = tfunction.inequality_chain_check(m, ell)
         if not chain.lhs < chain.rhs_last_term <= chain.rhs_unweighted <= chain.rhs_full:
-            return {"m": m, "ell": ell}, {k: str(v) for k, v in chain._asdict().items() if k not in ("m", "ell")}
+            return {"m": m, "ell": ell}, {k: str(v) for k, v in chain._asdict().items()}
     return None
 
 

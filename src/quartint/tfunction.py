@@ -207,8 +207,6 @@ class InequalityChain(NamedTuple):
     rhs_full, whose truth gives the positive-difference half of unimodality;
     S_{m,l} = lhs / rhs_last_term."""
 
-    m: int
-    ell: int
     lhs: int
     rhs_full: int
     rhs_unweighted: int
@@ -239,7 +237,7 @@ def inequality_chain_check(m: int, ell: int) -> InequalityChain:
     step, step_remainder = divmod((ell + 1) * (row[ell + 1] - row[ell]), scale)
     if remainder or step_remainder:
         raise ArithmeticError(f"inequality chain: inexact division by C(m+l, l) at (m={m}, ell={ell})")
-    return InequalityChain(m, ell, lhs, lhs + step, total - head, binomial(2 * m, m + ell) << m)
+    return InequalityChain(lhs, lhs + step, total - head, binomial(2 * m, m + ell) << m)
 
 
 def limit_gap(m: int) -> float:

@@ -96,12 +96,20 @@ def test_integral_prefactor_bound_failure(monkeypatch):
     assert content(run_suite("t-bounds", max_m=12)) == expected
 
 
+def pair_bound_failure(monkeypatch, at, rhs, location, values):
+    doctor(monkeypatch, suites, "binomial", at, lambda real, n, k: rhs)
+    expected = [T_BOUNDS, failing("binomial-pair-bound", PAIR_RANGE, location, values)]
+    assert content(run_suite("t-bounds", max_m=12)) == expected
+
+
 def test_binomial_pair_bound_failure(monkeypatch):
     # C(8,4) C(8,4) = 4900 against C(28,4) = 20475, doctored to 4899
-    doctor(monkeypatch, suites, "binomial", (28, 4), lambda real, n, k: 4899)
-    values = {"lhs": "4900", "rhs": "4899"}
-    expected = [T_BOUNDS, failing("binomial-pair-bound", PAIR_RANGE, {"m": 7, "r": 4}, values)]
-    assert content(run_suite("t-bounds", max_m=12)) == expected
+    pair_bound_failure(monkeypatch, (28, 4), 4899, {"m": 7, "r": 4}, {"lhs": "4900", "rhs": "4899"})
+
+
+def test_binomial_pair_bound_failure_at_the_last_r(monkeypatch):
+    # r = m+1: C(12,6) C(6,6) = 924 against C(20,6), doctored to 0
+    pair_bound_failure(monkeypatch, (20, 6), 0, {"m": 5, "r": 6}, {"lhs": "924", "rhs": "0"})
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +220,8 @@ A_17, C_17 = "2280091501574172000", "1290210221229048000"  # a(17), c(17)
         ("ac_ratio", (1000,), lambda real, n: Fraction(2), ({"n": 1000}, {"ratio": "2"})),
         ("ac_values", (999,), lambda real, n: (5, -1), ({"n": 999}, {"a": "5", "c": "-1"})),
         ("ac_limit", (), lambda real: Fraction(2), ({}, {"limit": "2"})),
+        # the ratio stays 27/16, so only the positivity check at the last n sees it
+        ("ac_values", (1000,), lambda real, n: (-27, -16), ({"n": 1000}, {"a": "-27", "c": "-16"})),
     ],
 )
 def test_recurrence_ac_ratio_failure(monkeypatch, name, at, value, flags):
@@ -456,7 +466,7 @@ FIRST_ITEM_FAILS = {
     "inequality-chain": (
         tfunction,
         "inequality_chain_check",
-        lambda m, ell: tfunction.InequalityChain(m, ell, 1, 0, 0, 0),
+        lambda m, ell: tfunction.InequalityChain(1, 0, 0, 0),
     ),
     # S(m, l) = 1 at every l
     "s-monotone": (

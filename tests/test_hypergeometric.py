@@ -208,7 +208,9 @@ def test_pochhammer_ratio_bound():
 
 
 def test_companion_ratio_bound_single_known_exception():
-    # the 3^(-k) tail bound fails at exactly (m, k) = (2, 1): 3/8 > 1/3
+    # for m >= 2 the 3^(-k) tail bound fails at exactly (m, k) = (2, 1):
+    # 3/8 > 1/3; at m = 1, (-2)_k / (-4)_k is 1/2 > 1/3 and 1/6 > 1/9
+    assert companion_ratio_bound_violations(1) == [1, 2]
     assert companion_ratio_bound_violations(2) == [1]
     for m in range(3, 41):
         assert companion_ratio_bound_violations(m) == []

@@ -2,35 +2,20 @@ import json
 import re
 from datetime import datetime
 
-import pytest
-
 from quartint import cli
 from quartint.reports import SCHEMA_VERSION, Counterexample, PropertyReport
 
 
-def test_failing_report_requires_counterexample():
-    with pytest.raises(ValueError):
-        PropertyReport(property="p", range="r", passed=False)
-    report = PropertyReport(
-        property="p",
-        range="r",
-        passed=False,
-        counterexample=Counterexample({"m": 3}, {"value": "1/2"}),
-    )
-    assert report.verdict() == "fail"
-
-
-def test_replace_keeps_the_counterexample_check():
-    report = PropertyReport(property="p", range="r", passed=True)
-    with pytest.raises(ValueError):
-        report._replace(passed=False)
-    with pytest.raises(ValueError):
-        PropertyReport._make(("p", "r", False))
-    assert report._replace(elapsed=1.5) == PropertyReport("p", "r", True, elapsed=1.5)
+def test_the_verdict_is_derived_from_the_counterexample():
+    failed = PropertyReport("p", "r", Counterexample({"m": 3}, {"value": "1/2"}))
+    assert not failed.passed and failed.verdict() == "fail"
+    passed = failed._replace(counterexample=None)
+    assert passed.passed and passed.verdict() == "pass"
+    assert passed == PropertyReport("p", "r")
 
 
 def test_passing_report_json():
-    report = PropertyReport(property="p", range="m <= 5", passed=True, elapsed=0.5, notes=("hi",))
+    report = PropertyReport(property="p", range="m <= 5", elapsed=0.5, notes=("hi",))
     payload = report.to_jsonable()
     assert payload == {
         "property": "p",
@@ -50,10 +35,8 @@ def _verify(monkeypatch, capsys, results, fmt):
 
 
 def test_run_report_overall_and_round_trip(monkeypatch, capsys):
-    ok = PropertyReport(property="a", range="r", passed=True)
-    bad = PropertyReport(
-        property="b", range="r", passed=False, counterexample=Counterexample({}, {"w": "1"})
-    )
+    ok = PropertyReport(property="a", range="r")
+    bad = PropertyReport(property="b", range="r", counterexample=Counterexample({}, {"w": "1"}))
     code, out = _verify(monkeypatch, capsys, [ok], "json")
     assert code == 0
     assert json.loads(out)["overall"] == "pass"

@@ -107,6 +107,14 @@ def test_iterated_l_matches_the_literal_iteration(seq, depth):
     assert iterated_l_first_negative(seq, depth) == literal_iterated_l_first_negative(seq, depth)
 
 
+def test_the_stop_test_does_not_certify_a_row_below_its_factor():
+    # 3 * 14^2 lies between 7 * 9 * 9 and 8 * 9 * 9: the row is 7/3- but not
+    # 8/3-factor log-concave, and L^4 of it has a negative entry, which a
+    # stop test with 7/3 in place of 8/3 would miss
+    assert literal_iterated_l_first_negative((9, 14, 9), 8) == (4, 1, -1851164668121216)
+    assert iterated_l_first_negative((9, 14, 9), 8) == (4, 1, -1851164668121216)
+
+
 def test_ratio_monotone_examples():
     assert is_ratio_monotone([1, 2, 1])
     assert not is_ratio_monotone([3, 1, 1])

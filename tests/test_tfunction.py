@@ -83,15 +83,12 @@ def literal_geometric_tail(m):
     return sum(Fraction(r - 1, 2**r) for r in range(2, m + 2))
 
 
-def chain_fields(chain):
-    return chain.lhs, chain.rhs_full, chain.rhs_unweighted, chain.rhs_last_term
-
-
-def chain_holds(chain):
-    """The chain lhs < rhs_last_term <= rhs_unweighted <= rhs_full, whose
-    first step is S_{m,l} < 1; lhs/rhs_last_term must be S_{m,l} by s_sum
-    and by its literal sum."""
-    assert Fraction(chain.lhs, chain.rhs_last_term) == s_sum(chain.m, chain.ell) == literal_s(chain.m, chain.ell)
+def chain_holds(m, ell):
+    """The chain lhs < rhs_last_term <= rhs_unweighted <= rhs_full at (m, l),
+    whose first step is S_{m,l} < 1; lhs/rhs_last_term must be S_{m,l} by
+    s_sum and by its literal sum."""
+    chain = inequality_chain_check(m, ell)
+    assert Fraction(chain.lhs, chain.rhs_last_term) == s_sum(m, ell) == literal_s(m, ell)
     return chain.lhs < chain.rhs_last_term <= chain.rhs_unweighted <= chain.rhs_full
 
 
@@ -137,7 +134,7 @@ def test_s_sum_and_chain_match_literal_sums():
             assert Fraction(lhs, 2**m * binomial(2 * m, m + ell)) == literal_s(m, ell)
         for ell in range(0, m // 2):
             chain = inequality_chain_check(m, ell)
-            assert chain_fields(chain) == literal_chain(m, ell)
+            assert chain == literal_chain(m, ell)
             assert Fraction(chain.lhs, chain.rhs_last_term) == s_sum(m, ell) == literal_s(m, ell)
 
 
@@ -180,7 +177,7 @@ def chain_indices(draw):
 def test_chain_and_s_sum_match_literal_forms(m_ell):
     m, ell = m_ell
     chain = inequality_chain_check(m, ell)
-    assert chain_fields(chain) == literal_chain(m, ell)
+    assert chain == literal_chain(m, ell)
     assert Fraction(chain.lhs, chain.rhs_last_term) == s_sum(m, ell) == literal_s(m, ell)
     # rhs_full - lhs is the row step, so lhs < rhs_full is exactly b_{l+1} > b_l
     step = Fraction((ell + 1) * (literal_b(m, ell + 1) - literal_b(m, ell)), binomial(m + ell, ell))
@@ -383,16 +380,16 @@ def test_inequality_chain_hand_values():
     chain = inequality_chain_check(2, 0)
     assert chain.lhs == 6
     assert chain.rhs_last_term == 24
-    assert chain_holds(chain)
+    assert chain_holds(2, 0)
     chain = inequality_chain_check(4, 1)
     assert Fraction(chain.lhs, chain.rhs_last_term) == Fraction(1, 4)
-    assert chain_holds(chain)
+    assert chain_holds(4, 1)
 
 
 def test_inequality_chain_sweep():
     for m in range(2, 31):
         for ell in range(0, m // 2):
-            assert chain_holds(inequality_chain_check(m, ell))
+            assert chain_holds(m, ell)
 
 
 def test_inequality_chain_domain():
