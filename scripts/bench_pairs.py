@@ -70,11 +70,12 @@ print(json.dumps({"import_s": elapsed, "modules": new}))
 # hypineq margins are the 931 points of a conjecture-scans pass (m <= 50, the
 # grid of offset 5/8), with the per-m margin polynomials cold in a tree that
 # caches them; the geometric tail starts without kept values in a tree that
-# keeps them.  The chain and "S and chain sums as verify --all reads them"
-# start with the left sums of S cold in a tree that keeps them per row; the
-# latter runs the chain and then the s-monotone witness on the same rows.
-# "left_sums(2..150) as s-monotone reads them" is that witness alone over
-# cold rows, the sweep of verify --property s-monotone --max-m 150.
+# keeps them (a tree that returns its closed form keeps none).  The chain and
+# "S and chain sums as verify --all reads them" start with the left sums of S
+# cold in a tree that keeps them per row; the latter runs the chain and then
+# the s-monotone witness on the same rows.  "left_sums(2..150) as s-monotone
+# reads them" is that witness alone over cold rows, the sweep of verify
+# --property s-monotone --max-m 150.
 KERNEL_RUNS = 3
 KERNEL_PROBE = f"""
 import json, statistics, time

@@ -191,11 +191,8 @@ def _cmd_integral(args) -> int:
     if args.format == "json":
         print(json.dumps(result._asdict(), indent=2))
     elif args.format == "csv":
-        print("m,a,numeric,closed_form,relative_error,evaluations")
-        print(
-            f"{result.m},{result.a},{result.numeric!r},{result.closed_form!r},"
-            f"{result.relative_error!r},{result.evaluations}"
-        )
+        print(",".join(result._fields))
+        print(",".join(map(str, result)))
     else:
         print(
             f"m={result.m} a={result.a}: numeric {result.numeric!r}, closed form "

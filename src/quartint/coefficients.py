@@ -72,9 +72,7 @@ def coefficient_row(m: int) -> CoefficientRow:
     """All of (d_0(m), ..., d_m(m)) in one shot.  A row of the wrong length
     or with an entry that is not positive is an ArithmeticError, an internal
     error like an inexact step of the recurrence."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    row = _scaled_row(m)
+    row = scaled_row(m)
     if len(row) != m + 1 or any(b <= 0 for b in row):
         raise ArithmeticError(f"row for m={m} must have {m + 1} strictly positive entries")
     scale = 4**m

@@ -218,15 +218,15 @@ def _d_shift_witness(_) -> Witness:
 
 
 def _ac_ratio_witness(_) -> Witness:
-    """a/c -> 27/16 from the leading coefficients; a(n), c(n) > 0 on
-    1..1000 and a(n)/c(n) > 1 on 2..500; a(1000)/c(1000) within 1/100 of
-    27/16.  A failure gives the first of these that fails."""
+    """a/c -> 27/16 from the leading coefficients; a(n), c(n) > 0 on 1..1000
+    and a(n)/c(n) > 1, that is a(n) > c(n), on 2..500; a(1000)/c(1000) within
+    1/100 of 27/16.  A failure gives the first of these that fails."""
     limit = recurrence.ac_limit()
     if limit != Fraction(27, 16):
         return {}, {"limit": rational_str(limit)}
     for n in range(1, 1001):
         a_n, c_n = recurrence.ac_values(n)
-        if a_n <= 0 or c_n <= 0 or (2 <= n <= 500 and recurrence.ac_ratio(n) <= 1):
+        if a_n <= 0 or c_n <= 0 or (2 <= n <= 500 and a_n <= c_n):
             return {"n": n}, {"a": str(a_n), "c": str(c_n)}
     ratio = recurrence.ac_ratio(1000)
     if abs(ratio - Fraction(27, 16)) < Fraction(1, 100):
@@ -262,14 +262,13 @@ def _limit_gap_witness(item: tuple[str, int]) -> Witness:
     """The gap (2 - sqrt 2)/2 - T(m) in exact integers.  With T(m) = p/q
     reduced, the gap is positive iff 1 - T(m) > 1/sqrt 2, that is iff
     q > p and 2(q - p)^2 > q^2; it decreases from m to m+1 iff
-    T(m) < T(m+1)."""
+    T(m) < T(m+1), the t-monotone step check of _t_step_witness."""
     test, m = item
+    if test == "decreasing":
+        return _t_step_witness(m)
     t = recurrence.t_stepped(m)
-    if test == "positive":
-        p, q = t.numerator, t.denominator
-        return None if q > p and 2 * (q - p) ** 2 > q * q else ({"m": m}, {"T": rational_str(t)})
-    nxt = recurrence.t_stepped(m + 1)
-    return None if t < nxt else ({"m": m}, {"T(m)": rational_str(t), "T(m+1)": rational_str(nxt)})
+    p, q = t.numerator, t.denominator
+    return None if q > p and 2 * (q - p) ** 2 > q * q else ({"m": m}, {"T": rational_str(t)})
 
 
 def _margin_witness(point: tuple[int, Fraction]) -> Witness | Fraction:

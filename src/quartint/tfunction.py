@@ -181,25 +181,12 @@ def t_via_w(m: int) -> Fraction:
     return Fraction(2 * horner(derivative(c), 2) - horner(c, 2) + den, den)
 
 
-# 2^(m+1) times the tail sum at m = 1, 2, ...: each checked against the closed form.
-_tail_numerators: list[int] = []
-
-
 def geometric_tail_bound(m: int) -> Fraction:
-    """sum_{r=2}^{m+1} (r-1)/2^r = 1 - (m+2)/2^(m+1), the envelope that
-    dominates T(m) once every binomial ratio is replaced by 1.  The sum is
-    taken over the common denominator 2^(m+1): its numerator steps by
-    num(m) = 2 num(m-1) + m from num(1) = 1, the values are kept in
-    increasing m, and each is compared with the closed form before it is
-    kept."""
+    """The envelope of T(m) with every binomial ratio replaced by 1, from the
+    identity sum_{r=2}^{m+1} (r-1)/2^r = 1 - (m+2)/2^(m+1)."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    for k in range(len(_tail_numerators) + 1, m + 1):
-        num = 2 * _tail_numerators[-1] + k if _tail_numerators else 1
-        if num != (1 << (k + 1)) - (k + 2):
-            raise ArithmeticError(f"geometric tail bound: sum and closed form disagree at m={k}")
-        _tail_numerators.append(num)
-    return Fraction(_tail_numerators[m - 1], 1 << (m + 1))
+    return Fraction((1 << (m + 1)) - (m + 2), 1 << (m + 1))
 
 
 class InequalityChain(NamedTuple):

@@ -209,14 +209,15 @@ def test_recurrence_d_shift_positivity_failure(monkeypatch):
     assert content(run_suite("recurrence", max_n=10)) == expected
 
 
-A_17, C_17 = "2280091501574172000", "1290210221229048000"  # a(17), c(17)
+C_17 = "1290210221229048000"  # c(17)
 
 
 @pytest.mark.parametrize(
     "name, at, value, flags",
     [
         # flags: the location and values of the first failing sub-check
-        ("ac_ratio", (17,), lambda real, n: Fraction(1), ({"n": 17}, {"a": A_17, "c": C_17})),
+        # a(17) = c(17): a tie is a failure
+        ("ac_values", (17,), lambda real, n: (real(n)[1],) * 2, ({"n": 17}, {"a": C_17, "c": C_17})),
         ("ac_ratio", (1000,), lambda real, n: Fraction(2), ({"n": 1000}, {"ratio": "2"})),
         ("ac_values", (999,), lambda real, n: (5, -1), ({"n": 999}, {"a": "5", "c": "-1"})),
         ("ac_limit", (), lambda real: Fraction(2), ({}, {"limit": "2"})),
