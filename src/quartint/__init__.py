@@ -4,7 +4,7 @@ its unimodality, the three-term recurrence certificate for T, and
 counterexample scans for the two open conjectures about the family.
 """
 
-from .coefficients import CoefficientRow, coefficient_row, delta_direct, scaled_row
+from .coefficients import CoefficientRow, coefficient_row, scaled_row
 from .conjectures import hyp_inequality_margin
 from .exact import binomial, rational_str
 from .hypergeometric import (
@@ -30,7 +30,6 @@ from .recurrence import (
     CERTIFICATE,
     RecurrenceCoefficients,
     ac_limit,
-    ac_ratio,
     recurrence_residual,
 )
 from .reports import Counterexample, PropertyReport, SCHEMA_VERSION
@@ -50,7 +49,6 @@ from .tfunction import (
     geometric_tail_bound,
     inequality_chain_check,
     integral_prefactor,
-    limit_gap,
     s_sum,
     t_direct,
     t_hypergeometric,

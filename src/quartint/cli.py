@@ -139,7 +139,7 @@ def _cmd_verify(args) -> int:
     results = []
     for name in names:
         results.extend(run_suite(name, max_m=args.max_m, max_n=args.max_n, depth=args.depth))
-    config = {"properties": names, "max_m": args.max_m, "max_n": args.max_n, "depth": args.depth, "jobs": args.jobs}
+    config = {"properties": names, "max_m": args.max_m, "max_n": args.max_n, "depth": args.depth}
     return _emit_run("verify", config, results, started, args.format)
 
 
@@ -170,7 +170,7 @@ def _cmd_tvalues(args) -> int:
                 "hypergeometric": rational_str(hyp),
                 "integral": rational_str(integral),
                 "approx": float(direct),
-                "limit_gap": tfunction.limit_gap(m),
+                "limit_gap": tfunction.T_LIMIT - float(direct),
             }
         )
     if args.format == "json":

@@ -1,6 +1,5 @@
 """The rational coefficient family d_l(m) of the quartic-integral polynomial
-P_m(a), its integer scaling b_l(m) = 2^(2m) d_l(m), and the forward
-difference d_{l+1}(m) - d_l(m).
+P_m(a) and its integer scaling b_l(m) = 2^(2m) d_l(m).
 
 The defining sum
 
@@ -84,11 +83,3 @@ def scaled_row(m: int) -> tuple[int, ...]:
     if m < 0:
         raise ValueError("m must be nonnegative")
     return _scaled_row(m)
-
-
-def delta_direct(m: int, ell: int) -> Fraction:
-    """d_{l+1}(m) - d_l(m), straight from the row."""
-    if not 0 <= ell <= m - 1:
-        raise ValueError(f"need 0 <= ell <= m-1, got ell={ell}, m={m}")
-    row = _scaled_row(m)
-    return Fraction(row[ell + 1] - row[ell], 4**m)

@@ -100,14 +100,6 @@ def recurrence_residual(n: int, t: Callable[[int], Fraction] | None = None) -> F
     return a * t(n) - b * t(n + 1) + c * t(n + 2) + d
 
 
-def ac_ratio(n: int) -> Fraction:
-    """a(n)/c(n), exactly; c is positive for every n >= 1."""
-    if n < 1:
-        raise ValueError("ac_ratio needs n >= 1")
-    a_n, c_n = ac_values(n)
-    return Fraction(a_n, c_n)
-
-
 def ac_limit() -> Fraction:
     """Leading-coefficient ratio of a and c, reduced: 27/16."""
     return Fraction(CERTIFICATE.a[-1], CERTIFICATE.c[-1])

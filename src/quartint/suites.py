@@ -15,7 +15,7 @@ from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
 from . import conjectures, recurrence, seqprops, tfunction
-from .coefficients import coefficient_row, delta_direct, scaled_row
+from .coefficients import coefficient_row, scaled_row
 from .exact import binomial, rational_str
 from .polynomial import taylor_shift
 from .reports import Counterexample, PropertyReport
@@ -108,7 +108,7 @@ def _delta_signs_witness(m: int) -> Witness:
     for ell in range(m):
         step = row[ell + 1] - row[ell]
         if (step <= 0) if ell < m // 2 else (step >= 0):
-            return {"m": m, "ell": ell}, {"delta": rational_str(delta_direct(m, ell))}
+            return {"m": m, "ell": ell}, {"delta": rational_str(Fraction(step, 4**m))}
     return None
 
 
@@ -228,7 +228,7 @@ def _ac_ratio_witness(_) -> Witness:
         a_n, c_n = recurrence.ac_values(n)
         if a_n <= 0 or c_n <= 0 or (2 <= n <= 500 and a_n <= c_n):
             return {"n": n}, {"a": str(a_n), "c": str(c_n)}
-    ratio = recurrence.ac_ratio(1000)
+    ratio = Fraction(*recurrence.ac_values(1000))
     if abs(ratio - Fraction(27, 16)) < Fraction(1, 100):
         return None
     return {"n": 1000}, {"ratio": rational_str(ratio)}

@@ -153,8 +153,6 @@ def t_hypergeometric(m: int) -> Fraction:
 def t_integral(m: int) -> Fraction:
     """T(m) from the integral route: the prefactor times the exact first
     moment of the degree-(m-1) integrand over [0, 2]."""
-    if m < 1:
-        raise ValueError("t_integral requires m >= 1")
     return integral_prefactor(m) * hyp2f1_first_moment(Fraction(5, 2), 1 - m, 2 - 4 * m, 2)
 
 
@@ -225,9 +223,3 @@ def inequality_chain_check(m: int, ell: int) -> InequalityChain:
     if remainder or step_remainder:
         raise ArithmeticError(f"inequality chain: inexact division by C(m+l, l) at (m={m}, ell={ell})")
     return InequalityChain(lhs, lhs + step, total - head, binomial(2 * m, m + ell) << m)
-
-
-def limit_gap(m: int) -> float:
-    """(2 - sqrt 2)/2 - T(m), in floating point, for display by tvalues;
-    the limit-gap record decides its sign and its decrease exactly."""
-    return T_LIMIT - float(t_direct(m))

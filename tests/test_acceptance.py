@@ -14,7 +14,7 @@ from itertools import zip_longest
 import pytest
 
 from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavity
-from quartint.coefficients import coefficient_row, delta_direct
+from quartint.coefficients import coefficient_row
 from quartint.exact import binomial
 from quartint.hypergeometric import (
     companion_ratio_bound_violations,
@@ -34,7 +34,6 @@ from quartint.seqprops import (
 )
 from quartint.tfunction import (
     T_LIMIT,
-    limit_gap,
     s_sum,
     t_direct,
     t_hypergeometric,
@@ -73,8 +72,9 @@ def test_c02_unimodality():
     for m in range(0, 201):
         assert is_unimodal(coefficient_row(m).values)
     for m in range(1, 121):
+        values = coefficient_row(m).values
         for ell in range(m):
-            d = delta_direct(m, ell)
+            d = values[ell + 1] - values[ell]
             assert d > 0 if ell < m // 2 else d < 0, (m, ell)
 
 
@@ -172,7 +172,7 @@ def test_c10_recurrence_certificate():
 def test_c11_monotonicity_and_limit():
     for m in range(2, 500):
         assert t_direct(m) < t_direct(m + 1), m
-    gaps = {m: limit_gap(m) for m in range(2, 501)}
+    gaps = {m: T_LIMIT - float(t_direct(m)) for m in range(2, 501)}
     assert all(g > 0 for g in gaps.values())
     for m in range(2, 500):
         assert gaps[m] > gaps[m + 1], m

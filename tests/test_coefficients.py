@@ -5,7 +5,7 @@ import pytest
 
 from quartint import coefficients
 from quartint.cli import main
-from quartint.coefficients import coefficient_row, delta_direct, scaled_row
+from quartint.coefficients import coefficient_row, scaled_row
 from quartint.exact import rational_str
 from quartint.polynomial import horner, taylor_shift
 
@@ -58,8 +58,9 @@ def test_row_container_protocol():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        delta_direct(3, 3)
+    for row in (scaled_row, coefficient_row):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            row(-1)
 
 
 def test_poly_p():
@@ -69,6 +70,12 @@ def test_poly_p():
         for a in (Fraction(-1, 2), 0, 1, Fraction(7, 3)):
             form = sum(2**k * comb(2 * m - 2 * k, m - k) * comb(m + k, m) * (a + 1) ** k for k in range(m + 1))
             assert horner(coefficient_row(m).values, a) == horner(scaled_row(m), a) / 4**m == form / 4**m
+
+
+def delta(m, ell):
+    """d_{l+1}(m) - d_l(m), read from the coefficient row."""
+    values = coefficient_row(m).values
+    return values[ell + 1] - values[ell]
 
 
 def literal_delta_closed(m, ell):
@@ -82,9 +89,9 @@ def literal_delta_closed(m, ell):
 
 
 def test_delta_values():
-    assert delta_direct(2, 0) == Fraction(9, 8)
-    assert delta_direct(2, 1) == Fraction(-9, 4)
-    assert delta_direct(1, 0) == Fraction(-1, 2)
+    assert delta(2, 0) == Fraction(9, 8)
+    assert delta(2, 1) == Fraction(-9, 4)
+    assert delta(1, 0) == Fraction(-1, 2)
     assert literal_delta_closed(2, 0) == Fraction(9, 8)
     assert literal_delta_closed(2, 1) == Fraction(-9, 4)
 
@@ -92,13 +99,13 @@ def test_delta_values():
 def test_delta_closed_matches_direct_everywhere():
     for m in range(1, 61):
         for ell in range(m):
-            assert literal_delta_closed(m, ell) == delta_direct(m, ell)
+            assert literal_delta_closed(m, ell) == delta(m, ell)
 
 
 def test_delta_sign_pattern():
     for m in range(1, 61):
         for ell in range(m):
-            d = delta_direct(m, ell)
+            d = delta(m, ell)
             if ell < m // 2:
                 assert d > 0
             else:

@@ -10,7 +10,6 @@ from quartint.recurrence import (
     CERTIFICATE,
     D_SHIFT_REFERENCE,
     ac_limit,
-    ac_ratio,
     ac_values,
     recurrence_residual,
     t_stepped,
@@ -82,10 +81,8 @@ def test_d_shift_expansion():
 
 def test_ac_ratio_and_limit():
     assert ac_limit() == Fraction(27, 16)
-    assert all(ac_ratio(n) > 1 for n in range(2, 501))
-    assert abs(ac_ratio(1000) - Fraction(27, 16)) < Fraction(1, 100)
-    with pytest.raises(ValueError):
-        ac_ratio(0)
+    assert all(Fraction(*ac_values(n)) > 1 for n in range(2, 501))
+    assert abs(Fraction(*ac_values(1000)) - Fraction(27, 16)) < Fraction(1, 100)
 
 
 def test_certificate_positivity():
@@ -102,7 +99,6 @@ def test_integer_evaluation_matches_polynomials():
     for n in (1, 2, 7, 500, 1000, 10**6):
         a, c = power_sum(CERTIFICATE.a, n), power_sum(CERTIFICATE.c, n)
         assert ac_values(n) == (a, c)
-        assert ac_ratio(n) == Fraction(a, c)
 
 
 def test_main_inequality():

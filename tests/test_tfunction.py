@@ -18,7 +18,6 @@ from quartint.tfunction import (
     inequality_chain_check,
     integral_prefactor,
     left_sums,
-    limit_gap,
     s_sum,
     t_direct,
     t_hypergeometric,
@@ -301,6 +300,10 @@ def test_t_integral_small():
     # at m = 1 the series is 1, so the integral is just int_0^2 t dt = 2
     assert t_integral(1) == Fraction(1, 4)
     assert t_integral(2) == Fraction(1, 4)
+    # the prefactor's own check rejects m < 1
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            t_integral(m)
 
 
 def test_representations_agree():
@@ -381,9 +384,9 @@ def test_inequality_chain_domain():
 
 
 def test_limit_gap():
-    assert limit_gap(1) == pytest.approx(0.0428932188134524, abs=1e-12)
+    assert T_LIMIT - float(t_direct(1)) == pytest.approx(0.0428932188134524, abs=1e-12)
     assert T_LIMIT == pytest.approx((2 - math.sqrt(2)) / 2, abs=0)
-    gaps = [limit_gap(m) for m in range(1, 61)]
+    gaps = [T_LIMIT - float(t_direct(m)) for m in range(1, 61)]
     assert all(g > 0 for g in gaps)
     assert all(a > b for a, b in zip(gaps[1:], gaps[2:]))
 
