@@ -231,6 +231,9 @@ def _emit_run(command: str, config: dict, results: list, started: str, fmt: str)
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact values pass 4300 digits from m = 3992 on; argv was parsed under the cap
+        sys.set_int_max_str_digits(0)
     handlers = {
         "coeffs": _cmd_coeffs,
         "verify": _cmd_verify,

@@ -7,23 +7,17 @@ The defining sum
 
 is the expansion in powers of a of the Boros-Moll form
 
-    P_m(a) = 2^(-2m) * sum_{k=0}^{m} 2^k C(2m-2k, m-k) C(m+k, m) (a+1)^k,
+    P_m(a) = 2^(-2m) * sum_{k=0}^{m} 2^k C(2m-2k, m-k) C(m+k, m) (a+1)^k.
 
-so the integer row b(m) is the Taylor shift by 1 of the integer weights
-w_k = 2^k C(2m-2k, m-k) C(m+k, m), made with additions only.
+P_m solves (1-a^2) P'' - (2m+1+2a) P' + m(m+1) P = 0, the differential
+equation of a Jacobi polynomial, whose coefficient form on the integer row is
 
-Consecutive rows satisfy Moll's recurrence in m (Kauers and Paule, "A
-computer proof of Moll's log-concavity conjecture", Proc. AMS 2007), which
-on the integer rows reads
+    (m-l)(m+l+1) b_l = (l+1) [(2m+1) b_{l+1} - (l+2) b_{l+2}].
 
-    b_l(m+1) = 2 [2(m+l) b_{l-1}(m) + (4m+2l+3) b_l(m)] / (m+1),
-
-with b_{-1}(m) = b_{m+1}(m) = 0; the division is exact.  Row m is the Taylor
-shift when m is a multiple of 64 (a checkpoint) and one recurrence step from
-row m-1 otherwise, so a cold row recurses at most 63 rows deep, well inside
-the interpreter's recursion limit, and a sweep in increasing m pays one
-Taylor shift per 64 rows.  A nonzero remainder raises ArithmeticError: an
-internal error, never a wrong row.
+The row is made in one downward pass of it, from b_{m+1} = 0 and the top
+entry b_m = 2^m C(2m, m), the only surviving term at l = m.  Each row
+depends on m alone, and the division is exact; a nonzero remainder raises
+ArithmeticError: an internal error, never a wrong row.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import binomial
-from .polynomial import taylor_shift
 
 
 class CoefficientRow(NamedTuple):
@@ -43,28 +36,16 @@ class CoefficientRow(NamedTuple):
     values: tuple[Fraction, ...]
 
 
-_ROW_CHECKPOINT = 64
-
-
 @lru_cache(maxsize=None)
 def _scaled_row(m: int) -> tuple[int, ...]:
-    if m % _ROW_CHECKPOINT == 0:
-        weights = [2**k * binomial(2 * m - 2 * k, m - k) * binomial(m + k, m) for k in range(m + 1)]
-        return taylor_shift(weights, 1)
-    return _next_row(_scaled_row(m - 1), m - 1)
-
-
-def _next_row(row: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """b(m+1) from b(m) by the recurrence in m."""
-    out = []
-    below = 0
-    for ell, b in enumerate((*row, 0)):
-        value, remainder = divmod(2 * (2 * (m + ell) * below + (4 * m + 2 * ell + 3) * b), m + 1)
+    row = [0] * (m + 2)
+    row[m] = binomial(2 * m, m) << m
+    for ell in range(m - 1, -1, -1):
+        step = (ell + 1) * ((2 * m + 1) * row[ell + 1] - (ell + 2) * row[ell + 2])
+        row[ell], remainder = divmod(step, (m - ell) * (m + ell + 1))
         if remainder:
-            raise ArithmeticError(f"row recurrence: inexact division at m={m + 1}, ell={ell}")
-        out.append(value)
-        below = b
-    return tuple(out)
+            raise ArithmeticError(f"row recurrence: inexact division at m={m}, ell={ell}")
+    return tuple(row[:-1])
 
 
 def coefficient_row(m: int) -> CoefficientRow:

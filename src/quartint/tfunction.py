@@ -107,8 +107,8 @@ def left_sums(m: int) -> tuple[tuple[int, int], ...]:
 
 def s_sum(m: int, ell: int) -> Fraction:
     """S_{m,l} = sum_{k=l}^{2l} C(m-l,m-k) C(m+k,2k) / C(2m,2k) * (2l+1-k)/2^(m-k),
-    from one run of _left_sum; t-crosscheck compares S(2m, m-1) with T(m)
-    from the three independent routes."""
+    from one run of _left_sum; t-crosscheck compares S(2m, m-1), a separate
+    identity, with T(m) from the direct sum."""
     if not 0 <= ell <= m:
         raise ValueError(f"need 0 <= ell <= m, got ell={ell}, m={m}")
     return Fraction(_left_sum(m, ell)[0], binomial(2 * m, m + ell) << m)

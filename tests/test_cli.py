@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from quartint import cli, conjectures, recurrence
 from quartint.cli import build_parser, main
+from quartint.coefficients import CoefficientRow
 from quartint.reports import SCHEMA_VERSION
 from quartint.tfunction import T_LIMIT
 
@@ -45,6 +46,17 @@ def test_coeffs_table(capsys):
     code, out, _ = run(capsys, "coeffs", "--m", "1", "--format", "table")
     assert code == 0
     assert "3/2" in out and "1" in out
+
+
+def test_coeffs_prints_an_entry_past_the_digit_cap_of_int_to_str(capsys, monkeypatch):
+    # rows from m = 3992 on hold entries of more than 4300 digits
+    big = 10**4999 + 7
+    monkeypatch.setattr(cli, "coefficient_row", lambda m: CoefficientRow((Fraction(big, 3),)))
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(4300)  # the default, which an earlier main() lifted
+    code, out, _ = run(capsys, "coeffs", "--m", "1", "--format", "csv")
+    assert code == 0
+    assert out.strip() == f"{big}/3"
 
 
 def test_coeffs_rejects_negative_m(capsys):

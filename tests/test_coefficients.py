@@ -113,7 +113,7 @@ def test_delta_sign_pattern():
 
 
 # ---------------------------------------------------------------------------
-# rows stepped by the recurrence in m against the Taylor shift of the weights
+# rows stepped down the recurrence in l against the Taylor shift of the weights
 
 
 def weights(m):
@@ -121,8 +121,20 @@ def weights(m):
 
 
 def taylor_row(m):
-    # the checkpoint construction, made here for every m and not through the row cache
+    # the Boros-Moll form: the weights shifted by 1, made here for every m
     return taylor_shift(weights(m), 1)
+
+
+def moll_next_row(row, m):
+    # b_l(m+1) = 2 [2(m+l) b_{l-1}(m) + (4m+2l+3) b_l(m)] / (m+1), with
+    # b_{-1}(m) = b_{m+1}(m) = 0 (Kauers and Paule, Proc. AMS 2007)
+    padded = (0, *row, 0)
+    out = []
+    for ell in range(m + 2):
+        value, remainder = divmod(2 * (2 * (m + ell) * padded[ell] + (4 * m + 2 * ell + 3) * padded[ell + 1]), m + 1)
+        assert remainder == 0, (m, ell)
+        out.append(value)
+    return tuple(out)
 
 
 @pytest.fixture
@@ -140,12 +152,17 @@ def test_stepped_rows_match_the_taylor_shift_in_an_increasing_sweep(cold_rows):
 @pytest.mark.parametrize("m", [63, 64, 65, 127, 150, 300])
 def test_a_cold_row_matches_the_taylor_shift(cold_rows, m):
     assert scaled_row(m) == taylor_row(m)
-    # rows come from the checkpoint at or below m and the steps up to m
-    assert coefficients._scaled_row.cache_info().currsize == m % coefficients._ROW_CHECKPOINT + 1
+    # a row depends on m alone, so a cold row caches only itself
+    assert coefficients._scaled_row.cache_info().currsize == 1
 
 
-def test_a_cold_row_past_the_recursion_limit(cold_rows):
-    # 1500 = 23 * 64 + 28: one Taylor shift at m = 1472, then 28 steps
+@pytest.mark.parametrize("m", [0, 1, 2, 63, 64, 999, 1999, 3999])
+def test_moll_recurrence_in_m_maps_each_row_to_the_next(cold_rows, m):
+    # R1 relates two rows that are each made from their own m
+    assert moll_next_row(scaled_row(m), m) == scaled_row(m + 1)
+
+
+def test_a_cold_row_far_out_matches_the_weights(cold_rows):
     m = 1500
     row = scaled_row(m)
     assert len(row) == m + 1
@@ -155,15 +172,11 @@ def test_a_cold_row_past_the_recursion_limit(cold_rows):
 
 
 def test_an_inexact_step_is_an_internal_error(cold_rows, monkeypatch, capsys):
-    # one unit added to b_0(64) leaves 2 * 259 = 63 (mod 65) in the step to m = 65
-    real = coefficients.taylor_shift
-
-    def doctored(weights, c):
-        row = real(weights, c)
-        return (row[0] + 1, *row[1:]) if len(row) == 65 else row
-
-    monkeypatch.setattr(coefficients, "taylor_shift", doctored)
-    with pytest.raises(ArithmeticError, match="m=65, ell=0"):
+    # one unit added to C(130, 65) seeds b_65(65) = 2^65 (C(130, 65) + 1); the
+    # step to b_64 divides out a 2, and the step to b_63 leaves a remainder
+    real = coefficients.binomial
+    monkeypatch.setattr(coefficients, "binomial", lambda n, k: real(n, k) + ((n, k) == (130, 65)))
+    with pytest.raises(ArithmeticError, match="inexact division at m=65, ell=63"):
         scaled_row(65)
     coefficients._scaled_row.cache_clear()
     assert main(["coeffs", "--m", "65"]) == 3
