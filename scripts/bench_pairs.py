@@ -69,13 +69,11 @@ print(json.dumps({"import_s": elapsed, "modules": new}))
 # checkpoints), or the direct sum in a tree that has no stepped T.  The
 # hypineq margins are the 931 points of a conjecture-scans pass (m <= 50, the
 # grid of offset 5/8), with the per-m margin polynomials cold in a tree that
-# caches them; the geometric tail starts without kept values in a tree that
-# keeps them (a tree that returns its closed form keeps none).  The chain and
-# "S and chain sums as verify --all reads them" start with the left sums of S
-# cold in a tree that keeps them per row; the latter runs the chain and then
-# the s-monotone witness on the same rows.  "left_sums(2..150) as s-monotone
-# reads them" is that witness alone over cold rows, the sweep of verify
-# --property s-monotone --max-m 150.
+# caches them.  The chain and "S and chain sums as verify --all reads them"
+# start with the left sums of S cold in a tree that keeps them per row; the
+# latter runs the chain and then the s-monotone witness on the same rows.
+# "left_sums(2..150) as s-monotone reads them" is that witness alone over
+# cold rows, the sweep of verify --property s-monotone --max-m 150.
 KERNEL_RUNS = 3
 KERNEL_PROBE = f"""
 import json, statistics, time
@@ -119,10 +117,6 @@ def hypineq_margins_931():
     grid = [Fraction(5, 8) + Fraction(i, 4) for i in range(19)]
     return [conjectures.hyp_inequality_margin(m, x) for m in range(2, 51) for x in grid]
 
-def geometric_tail_2_2000():
-    getattr(tfunction, "_tail_numerators", []).clear()
-    return [tfunction.geometric_tail_bound(m) for m in range(2, 2001)]
-
 kernels = {{
     "t_integral(1..100)": lambda: [tfunction.t_integral(m) for m in range(1, 101)],
     "t_via_w(1..100)": lambda: [tfunction.t_via_w(m) for m in range(1, 101)],
@@ -137,7 +131,7 @@ kernels = {{
     "row_first_negative(m <= 60, depth 7)": lambda: [conjectures.row_first_negative(m, 7) for m in range(61)],
     "series_coefficients(1, -801, -3200)": lambda: hypergeometric.series_coefficients(1, -801, -3200),
     "hyp_inequality_margin(931 scan points)": hypineq_margins_931,
-    "geometric_tail_bound(2..2000)": geometric_tail_2_2000,
+    "geometric_tail_bound(2..2000)": lambda: [tfunction.geometric_tail_bound(m) for m in range(2, 2001)],
 }}
 medians = {{}}
 for name, kernel in kernels.items():

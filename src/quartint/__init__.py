@@ -8,9 +8,6 @@ from .coefficients import CoefficientRow, coefficient_row, scaled_row
 from .conjectures import hyp_inequality_margin
 from .exact import binomial, rational_str
 from .hypergeometric import (
-    HypergeometricError,
-    NonTerminatingSeriesError,
-    SeriesPoleError,
     companion_ratio_bound_violations,
     envelope_bound_check,
     hyp2f1,
@@ -18,9 +15,8 @@ from .hypergeometric import (
     pochhammer_ratio_bound_check,
     series_coefficients,
 )
-from .polynomial import derivative, horner, taylor_shift
+from .polynomial import horner, taylor_shift
 from .quadrature import (
-    DivergentIntegralError,
     QuadratureConvergenceError,
     QuadratureResult,
     closed_form,

@@ -33,25 +33,13 @@ from fractions import Fraction
 from math import prod
 
 
-class HypergeometricError(ValueError):
-    """Base for invalid terminating-series requests."""
-
-
-class NonTerminatingSeriesError(HypergeometricError):
-    """The upper parameter b is not a nonpositive integer."""
-
-
-class SeriesPoleError(HypergeometricError):
-    """(c)_k vanishes at or before the truncation point."""
-
-
 def _validated_order(a: Fraction, b: Fraction, c: Fraction) -> int:
     if b.denominator != 1 or b > 0:
-        raise NonTerminatingSeriesError(f"upper parameter b={b} is not a nonpositive integer")
+        raise ValueError(f"upper parameter b={b} is not a nonpositive integer")
     n = -int(b)
     # (c)_k = c (c+1) ... (c+k-1) first vanishes at k = 1 - c
     if c.denominator == 1 and -n < c <= 0:
-        raise SeriesPoleError(f"(c)_k vanishes at k={1 - int(c)} before truncation {n} (c={c})")
+        raise ValueError(f"(c)_k vanishes at k={1 - int(c)} before truncation {n} (c={c})")
     return n
 
 

@@ -1,11 +1,10 @@
 """Dense polynomials as coefficient tuples, index equal to degree.
 
-Three operations cover every polynomial in the package, and each keeps the
+Two operations cover every polynomial in the package, and each keeps the
 entry type of its input: int coefficients at an int point give ints,
 Fraction coefficients or points give Fractions, a float point gives a float.
 
     horner(p, x)        p(x)
-    derivative(p)       p'
     taylor_shift(p, c)  the coefficients of p(x + c)
 
 The shift is repeated synthetic division by x - c (Horner's rule applied
@@ -27,11 +26,6 @@ def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     for c in reversed(coeffs):
         out = out * x + c
     return out
-
-
-def derivative(coeffs: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """The coefficients k c_k of p'; a constant gives the empty tuple."""
-    return tuple(k * c for k, c in enumerate(coeffs) if k)
 
 
 def taylor_shift(coeffs: Sequence[Scalar], c: Scalar) -> tuple[Scalar, ...]:

@@ -28,10 +28,6 @@ from .coefficients import scaled_row
 from .polynomial import horner
 
 
-class DivergentIntegralError(ValueError):
-    """a <= -1 makes the integrand non-integrable."""
-
-
 class QuadratureConvergenceError(RuntimeError):
     """The error target was not met within BUDGET evaluations, or the value or integrand overflows a float."""
 
@@ -80,12 +76,11 @@ def _panel(f, lo: float, hi: float) -> tuple[float, float]:
     return kronrod, err
 
 
-def _adaptive(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
+def _adaptive(f, lo: float, hi: float, tol: float) -> tuple[float, int]:
     """Refine the worst panel until the summed error estimate is at most tol
     times the value (a relative tolerance; the integrands here are positive);
-    returns (value, error estimate, evaluations).  The first panels end at
-    lo + 1, lo + 2, lo + 4, ... below hi and at hi: one panel when
-    hi - lo <= 1."""
+    returns (value, evaluations).  The first panels end at lo + 1, lo + 2,
+    lo + 4, ... below hi and at hi: one panel when hi - lo <= 1."""
     points, step = [lo], 1.0
     while step < hi - lo:
         points.append(lo + step)
@@ -118,7 +113,7 @@ def _adaptive(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
         heapq.heappush(heap, (-e1, counter, a, mid, v1, e1))
         heapq.heappush(heap, (-e2, counter + 1, mid, b, v2, e2))
         counter += 2
-    return value, total_err, evaluations
+    return value, evaluations
 
 
 def closed_form(m: int, a) -> float:
@@ -150,7 +145,7 @@ def evaluate_quartic_integral(m: int, a, tol: float) -> QuadratureResult:
     if m < 0:
         raise ValueError("m must be nonnegative")
     if not (a_float := float(a)) > -1:
-        raise DivergentIntegralError(f"integral diverges for a = {a_float} <= -1")
+        raise ValueError(f"integral diverges for a = {a_float} <= -1")
     if not tol > 0:
         raise ValueError("tol must be positive")
 
@@ -162,7 +157,7 @@ def evaluate_quartic_integral(m: int, a, tol: float) -> QuadratureResult:
         return (1.0 + x ** (4 * m + 2)) * (x2 * x2 + 2.0 * (a_float * x2) + 1.0) ** -(m + 1)
 
     try:
-        numeric, _, evaluations = _adaptive(folded, 0.0, 1.0 / scale, tol)
+        numeric, evaluations = _adaptive(folded, 0.0, 1.0 / scale, tol)
         numeric *= scale
         exact = closed_form(m, a)
     except OverflowError:

@@ -194,8 +194,8 @@ def _b_identity_witness(_) -> Witness:
 def _residual_witness(item: tuple[str, int]) -> Witness:
     """The residual at n with T from the oracle t_direct or t_hypergeometric.
 
-    The 2F1 route is a separate identity, not the direct sum's terms made
-    another way, so the certificate is not checked only against its code.
+    The 2F1 route adds up the direct sum's terms too (see tfunction), but in
+    hyp2f1's own code, so the certificate is checked by two separate kernels.
     """
     oracle, n = item
     if oracle == "t_direct":

@@ -6,9 +6,11 @@ computed through four exact routes:
   integral        T(m) = 3(m+1)/(16(4m-1)) * int_0^2 t 2F1(5/2,1-m;2-4m;t) dt
   weighted sum    T(m) = [x W'(x) - W(x) + 1] at x = 1/2
 
-Only the hypergeometric route and S(2m, m-1) are separate identities; the
-integral and weighted-sum routes add up exactly the terms of the direct
-sum, generated another way, so they check the code.  Also here: the
+Only S(2m, m-1) is a separate identity.  The other routes add up exactly
+the terms of the direct sum, generated another way, so they check the code:
+F' = (ab/c) 2F1(a+1, b+1; c+1; z) makes the second series 2 F'(2) for
+F = 2F1(1/2,-1-m;-4m;z), so the hypergeometric route is the weighted sum's
+2 F'(2) - F(2) + 1, summed by hyp2f1.  Also here: the
 partial sums S_{m,l}, the four sums of the inequality chain, the r-term
 bounds behind T(m) < 1, and float diagnostics for the limit (2 - sqrt 2)/2.
 These return values and guard only their exactness; the witnesses in
@@ -39,7 +41,7 @@ from typing import NamedTuple
 from .coefficients import scaled_row
 from .exact import binomial
 from .hypergeometric import hyp2f1, hyp2f1_first_moment, series_coefficients
-from .polynomial import derivative, horner
+from .polynomial import horner
 
 # Limit of T(m), and the early incorrect guess 1 - ln 2 kept as a second
 # diagnostic constant for context.
@@ -166,8 +168,8 @@ def integral_prefactor(m: int) -> Fraction:
 def t_via_w(m: int) -> Fraction:
     """T(m) = x W'(x) - W(x) + 1 at x = 1/2 for W_m(x) = sum_{r=0}^{m+1}
     C(2r,r) C(m+1,r) / C(4m,r) x^r = F(4x), F = 2F1(1/2, -1-m; -4m; z):
-    2 F'(2) - F(2) + 1 over the integer coefficients and denominator of
-    series_coefficients, with the exact polynomial derivative.
+    2 F'(2) - F(2) + 1 = 1 + sum_k (k-1) c_k 2^k over the integers c_k and
+    denominator of series_coefficients; k - 1 is the direct sum's weight r - 1.
 
     The superficially similar combination W'(1/2)/2 - W(1/2), which is
     t_via_w(m) - 1, does not reproduce T(m): at m = 1 it gives -3/4 where
@@ -176,7 +178,7 @@ def t_via_w(m: int) -> Fraction:
     if m < 1:
         raise ValueError("t_via_w requires m >= 1")
     c, den = series_coefficients(Fraction(1, 2), -1 - m, -4 * m)
-    return Fraction(2 * horner(derivative(c), 2) - horner(c, 2) + den, den)
+    return Fraction(horner([(k - 1) * v for k, v in enumerate(c)], 2) + den, den)
 
 
 def geometric_tail_bound(m: int) -> Fraction:

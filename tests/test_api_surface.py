@@ -1,8 +1,12 @@
 """Every top-level function in the package is called by the package itself:
 a function that only the tests call is either registered as a ``verify``
-record or deleted, with its assertions moved onto the surviving API."""
+record or deleted, with its assertions moved onto the surviving API.  Every
+exception class the package defines is caught by name somewhere in it: one
+that no ``except`` names is told apart from its base by nothing but its
+name, so it is a plain instance of that base instead."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import quartint
@@ -47,3 +51,23 @@ def functions_the_package_does_not_call() -> set[str]:
 
 def test_only_the_bounds_awaiting_registration_are_left_uncalled():
     assert functions_the_package_does_not_call() == AWAITING_REGISTRATION
+
+
+def exception_classes_the_package_does_not_catch() -> set[str]:
+    """Exception classes defined at the top level of a module of the package
+    that no ``except`` clause of the package names."""
+    defined, caught = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = importlib.import_module(f"quartint.{path.stem}") if path.stem != "__init__" else quartint
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef) and issubclass(getattr(module, stmt.name), BaseException):
+                defined.add(stmt.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _names_in(node.type)
+    return defined - caught
+
+
+def test_every_exception_class_is_caught_by_name():
+    assert exception_classes_the_package_does_not_catch() == set()

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial, prod
 
@@ -6,8 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quartint.hypergeometric import (
-    NonTerminatingSeriesError,
-    SeriesPoleError,
     companion_ratio_bound_violations,
     envelope_bound_check,
     hyp2f1,
@@ -15,7 +14,7 @@ from quartint.hypergeometric import (
     pochhammer_ratio_bound_check,
     series_coefficients,
 )
-from quartint.polynomial import derivative, horner
+from quartint.polynomial import horner
 
 
 def pochhammer(x, k):
@@ -27,6 +26,16 @@ def literal_coefficients(a, b, c):
     """(a)_k (b)_k / ((c)_k k!) for 0 <= k <= -b, each from rising factorials."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     return tuple(pochhammer(a, k) * pochhammer(b, k) / (pochhammer(c, k) * factorial(k)) for k in range(1 - int(b)))
+
+
+def derivative(p):
+    """The coefficients k p_k of p', literally."""
+    return tuple(k * c for k, c in enumerate(p))[1:]
+
+
+def pole_message(k, n, c):
+    """The exact message of a pole of (c)_k at k before truncation n."""
+    return re.escape(f"(c)_k vanishes at k={k} before truncation {n} (c={c})")
 
 
 def as_fractions(a, b, c):
@@ -42,24 +51,24 @@ def test_terminating_values():
 
 
 def test_non_terminating_rejected():
-    with pytest.raises(NonTerminatingSeriesError):
+    with pytest.raises(ValueError, match="^upper parameter b=2 is not a nonpositive integer$"):
         hyp2f1(1, 2, 3, Fraction(1, 2))
-    with pytest.raises(NonTerminatingSeriesError):
+    with pytest.raises(ValueError, match="^upper parameter b=-1/2 is not a nonpositive integer$"):
         hyp2f1(1, Fraction(-1, 2), 3, 1)
 
 
 def test_pole_before_truncation_rejected():
     # (c)_k hits zero at k = 3 <= N = 3
-    with pytest.raises(SeriesPoleError):
+    with pytest.raises(ValueError, match=pole_message(3, 3, -2)):
         hyp2f1(Fraction(1, 2), -3, -2, 1)
 
 
 @pytest.mark.parametrize("c", [0, -1, -2])
 def test_pole_at_or_before_truncation(c):
     # b = -3: (c)_k first vanishes at k = 1 - c <= 3
-    with pytest.raises(SeriesPoleError, match=f"at k={1 - c} before truncation 3"):
+    with pytest.raises(ValueError, match=pole_message(1 - c, 3, c)):
         hyp2f1(Fraction(1, 2), -3, c, 2)
-    with pytest.raises(SeriesPoleError, match=f"at k={1 - c} before truncation 3"):
+    with pytest.raises(ValueError, match=pole_message(1 - c, 3, c)):
         series_coefficients(Fraction(1, 2), -3, c)
 
 
@@ -128,7 +137,7 @@ def test_hyp2f1_matches_literal_sum(a, b, c, z):
     poles = [j + 1 for j in range(-b) if c + j == 0]
     if poles:
         # the closed-form pole check names the first k with (c)_k = 0
-        with pytest.raises(SeriesPoleError, match=f"at k={poles[0]} "):
+        with pytest.raises(ValueError, match=pole_message(poles[0], -b, c)):
             hyp2f1(a, b, c, z)
         return
     value = hyp2f1(a, b, c, z)
@@ -144,7 +153,7 @@ def test_hyp2f1_matches_literal_sum(a, b, c, z):
 )
 def test_first_moment_matches_termwise_integral(a, n, c, x):
     if any(c + j == 0 for j in range(n)):
-        with pytest.raises(SeriesPoleError):
+        with pytest.raises(ValueError, match=pole_message(1 - c, n, c)):
             hyp2f1_first_moment(a, -n, c, x)
         return
     # int_0^x t sum c_k t^k dt = sum c_k x^(k+2) / (k+2)
@@ -157,7 +166,7 @@ def test_first_moment_values():
     assert hyp2f1_first_moment(Fraction(5, 2), 0, -2, 2) == 2
     # m = 2 integrand 1 + 5t/12: 2 + (5/12)(8/3)
     assert hyp2f1_first_moment(Fraction(5, 2), -1, -6, 2) == Fraction(28, 9)
-    with pytest.raises(NonTerminatingSeriesError):
+    with pytest.raises(ValueError, match="^upper parameter b=1/2 is not a nonpositive integer$"):
         hyp2f1_first_moment(1, Fraction(1, 2), 3, 1)
 
 

@@ -4,7 +4,7 @@ from math import comb
 
 from hypothesis import given, strategies as st
 
-from quartint.polynomial import derivative, horner, taylor_shift
+from quartint.polynomial import horner, taylor_shift
 
 coeff_lists = st.lists(st.fractions(), max_size=6)
 int_lists = st.lists(st.integers(-10**6, 10**6), max_size=8)
@@ -29,6 +29,11 @@ def mul(p, q):
     return tuple(out)
 
 
+def derivative(p):
+    """The coefficients k p_k of p', literally."""
+    return tuple(k * c for k, c in enumerate(p))[1:]
+
+
 def scale(p, s):
     return tuple(s * x for x in p)
 
@@ -49,7 +54,6 @@ def test_float_evaluation():
 def test_entry_type_is_preserved():
     p = (3, -1, 4, 1)
     assert type(horner(p, 5)) is int
-    assert all(type(c) is int for c in derivative(p))
     assert all(type(c) is int for c in taylor_shift(p, 2))
     assert type(horner(p, Fraction(1, 3))) is Fraction
 
@@ -62,7 +66,6 @@ def test_coefficient_access():
     assert len(shifted) == len(p)
     assert shifted[0] == horner(p, 3) == 68
     assert shifted[-1] == p[-1] == 7
-    assert derivative(p)[-1] == 2 * p[-1]
 
 
 @given(coeff_lists, coeff_lists, points)
@@ -77,13 +80,6 @@ def test_scalar_multiplication(a, x, c):
     assert horner(scale(a, 3), x) == 3 * horner(a, x)
     assert horner(scale(a, Fraction(1, 2)), x) == horner(a, x) / 2
     assert taylor_shift(scale(a, 3), c) == scale(taylor_shift(a, c), 3)
-    assert derivative(scale(a, Fraction(1, 2))) == scale(derivative(a), Fraction(1, 2))
-
-
-def test_derivative_values():
-    assert derivative((5, 0, 7)) == (0, 14)
-    assert derivative((5,)) == ()
-    assert derivative(()) == ()
 
 
 def test_taylor_shift_values():
@@ -109,14 +105,3 @@ def test_shift_composes_with_translation(p, c, x):
 def test_derivative_is_the_first_taylor_coefficient(p, x):
     shifted = taylor_shift(p, x)
     assert horner(derivative(p), x) == (shifted[1] if len(p) > 1 else 0)
-
-
-@given(coeff_lists, coeff_lists)
-def test_derivative_is_linear_and_leibniz(a, b):
-    assert derivative(add(a, b)) == add(derivative(a), derivative(b))
-    assert derivative(mul(a, b)) == add(mul(derivative(a), b), mul(a, derivative(b)))
-
-
-@given(coeff_lists, shifts)
-def test_derivative_commutes_with_the_shift(p, c):
-    assert derivative(taylor_shift(p, c)) == taylor_shift(derivative(p), c)

@@ -10,7 +10,7 @@ from quartint import tfunction
 from quartint.cli import main
 from quartint.exact import binomial
 from quartint.hypergeometric import hyp2f1, series_coefficients
-from quartint.polynomial import derivative, horner
+from quartint.polynomial import horner
 from quartint.suites import _s_monotone_witness, run_suite
 from quartint.tfunction import (
     T_LIMIT,
@@ -72,6 +72,11 @@ def literal_w(m):
     return tuple(Fraction(binomial(2 * r, r) * binomial(m + 1, r), binomial(4 * m, r)) for r in range(m + 2))
 
 
+def derivative(p):
+    """The coefficients k p_k of p', literally."""
+    return tuple(k * c for k, c in enumerate(p))[1:]
+
+
 def literal_t_via_w(m):
     """x W'(x) - W(x) + 1 at x = 1/2, on the Fraction coefficients."""
     w, half = literal_w(m), Fraction(1, 2)
@@ -101,7 +106,7 @@ def test_t_direct_matches_integral_route_at_2000():
 
 
 def test_t_direct_matches_hypergeometric_route_at_500():
-    # the 2F1 route is a separate identity; the integral route sums the same terms
+    # every route sums the same terms; the 2F1 route is 2F'(2) - F(2) + 1 summed by hyp2f1
     assert t_direct(500) == t_hypergeometric(500)
 
 
@@ -391,7 +396,7 @@ def test_limit_gap():
     assert all(a > b for a, b in zip(gaps[1:], gaps[2:]))
 
 
-def test_t_bundle(capsys):
+def test_tvalues_json_row_agrees_across_routes(capsys):
     assert main(["tvalues", "--max-m", "3", "--format", "json"]) == 0
     row = json.loads(capsys.readouterr().out)["rows"][2]
     assert row["m"] == 3
@@ -399,7 +404,7 @@ def test_t_bundle(capsys):
     assert row["approx"] == pytest.approx(67 / 264)
 
 
-def test_t_bundle_detects_disagreement(monkeypatch, capsys):
+def test_tvalues_exits_3_when_routes_disagree(monkeypatch, capsys):
     monkeypatch.setattr(tfunction, "t_hypergeometric", lambda m: Fraction(0))
     assert main(["tvalues", "--max-m", "2"]) == 3
     assert "ArithmeticError" in capsys.readouterr().err
