@@ -73,7 +73,10 @@ print(json.dumps({"import_s": elapsed, "modules": new}))
 # start with the left sums of S cold in a tree that keeps them per row; the
 # latter runs the chain and then the s-monotone witness on the same rows.
 # "left_sums(2..150) as s-monotone reads them" is that witness alone over
-# cold rows, the sweep of verify --property s-monotone --max-m 150.
+# cold rows, the sweep of verify --property s-monotone --max-m 150.  The
+# binomial-pair-bound and i-logconcave kernels are those records' witnesses
+# at verify --all's ranges; i-logconcave reads rows made before its timer
+# starts (WARM), as in verify --all, where the row suites have made them.
 KERNEL_RUNS = 3
 KERNEL_PROBE = f"""
 import json, statistics, time
@@ -82,7 +85,8 @@ from quartint import coefficients, conjectures, hypergeometric, recurrence, suit
 
 def cold_rows():
     coefficients._scaled_row.cache_clear()
-    getattr(getattr(tfunction, "left_sums", None), "cache_clear", lambda: None)()
+    for cache in ("left_sums", "_chain_binomials"):
+        getattr(getattr(tfunction, cache, None), "cache_clear", lambda: None)()
 
 def t_direct_1_501():
     tfunction.t_direct.cache_clear()
@@ -132,11 +136,15 @@ kernels = {{
     "series_coefficients(1, -801, -3200)": lambda: hypergeometric.series_coefficients(1, -801, -3200),
     "hyp_inequality_margin(931 scan points)": hypineq_margins_931,
     "geometric_tail_bound(2..2000)": lambda: [tfunction.geometric_tail_bound(m) for m in range(2, 2001)],
+    "binomial-pair-bound, m <= 120": lambda: [suites._pair_witness(m) for m in range(1, 121)],
+    "i-logconcave, rows m <= 100, depth 3": lambda: [conjectures.row_first_negative(m, 3) for m in range(101)],
 }}
+WARM = {{"i-logconcave, rows m <= 100, depth 3": lambda: [coefficients.scaled_row(m) for m in range(101)]}}
 medians = {{}}
 for name, kernel in kernels.items():
     times = []
     for _ in range({KERNEL_RUNS}):
+        WARM.get(name, lambda: None)()
         start = time.perf_counter()
         kernel()
         times.append(time.perf_counter() - start)

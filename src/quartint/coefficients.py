@@ -51,12 +51,14 @@ def _scaled_row(m: int) -> tuple[int, ...]:
 def coefficient_row(m: int) -> CoefficientRow:
     """All of (d_0(m), ..., d_m(m)) in one shot.  A row of the wrong length
     or with an entry that is not positive is an ArithmeticError, an internal
-    error like an inexact step of the recurrence."""
+    error like an inexact step of the recurrence.  The common factor of b and
+    4^m is the power of two s = min(tz(b), 2m), with tz the trailing zero bits,
+    so each entry is reduced as b >> s over 2^(2m-s) by shifts."""
     row = scaled_row(m)
     if len(row) != m + 1 or any(b <= 0 for b in row):
         raise ArithmeticError(f"row for m={m} must have {m + 1} strictly positive entries")
-    scale = 4**m
-    return CoefficientRow(tuple(Fraction(b, scale) for b in row))
+    shifts = (min((b & -b).bit_length() - 1, 2 * m) for b in row)
+    return CoefficientRow(tuple(Fraction(b >> s, 1 << (2 * m - s)) for b, s in zip(row, shifts)))
 
 
 def scaled_row(m: int) -> tuple[int, ...]:

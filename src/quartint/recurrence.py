@@ -13,13 +13,15 @@ ingredients of the monotonicity argument for T.
 
 The certificate also makes the T values that the t-bounds, t-monotone and
 limit-gap sweeps read: t_stepped solves the recurrence for T(n+2), seeded
-with the direct sum at m = 1 and 2.  A stepped value is checked before it
-is used: t_stepped returns T(m) only once it has stepped on to the
-checkpoint at or above m, the next multiple of CHECKPOINT, and found the
-direct sum there equal to its own value; a mismatch is an ArithmeticError.
-So a wrong certificate is an internal error, never a counterexample.  The
-residual and main-inequality records and t-crosscheck read the direct sum
-itself, so the recurrence is never checked against values it made.
+with the direct sum at m = 1 and 2, in integers: T(n) = N_n / D_n over the
+direct sum's denominator D_n = 2^(n+1) C(4n, n+1).  A stepped value is
+checked before it is used: t_stepped returns T(m) only once it has stepped
+on to the checkpoint at or above m, the next multiple of CHECKPOINT, and
+found the direct sum there equal to its own value; a mismatch, or a step
+that leaves a remainder, is an ArithmeticError.  So a wrong certificate is
+an internal error, never a counterexample.  The residual and
+main-inequality records and t-crosscheck read the direct sum itself, so the
+recurrence is never checked against values it made.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .exact import binomial
 from .polynomial import horner
 from .tfunction import t_direct
 
@@ -57,27 +60,53 @@ D_SHIFT_REFERENCE = (814627800, 2803521195, 3780146130, 2680435095,
 
 CHECKPOINT = 64
 
-# T(1), T(2), ..., T(k CHECKPOINT): only values that a checkpoint has passed.
-_stepped: list[Fraction] = []
+# (N_n, D_n) for n = 1, 2, ..., k CHECKPOINT: only values that a checkpoint has passed.
+_stepped: list[tuple[int, int]] = []
 
 
-def t_stepped(m: int) -> Fraction:
-    """T(m) by the recurrence, T(n+2) = (b(n) T(n+1) - a(n) T(n) - d(n)) / c(n),
-    from T(1) and T(2) of the direct sum.
+def _ratio(n: int) -> tuple[int, int]:
+    """(P_n, Q_n) with D_{n+1} / D_n = P_n / Q_n."""
+    return 2 * (4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4), 3 * n * (3 * n + 1) * (3 * n + 2) * (n + 2)
 
-    The values are made in increasing m by a loop, up to the checkpoint at
-    or above m, and kept only when the direct sum agrees there; otherwise
-    this is an ArithmeticError and nothing new is kept.
+
+def _seed(n: int) -> tuple[int, int]:
+    """(N_n, D_n) from the direct sum."""
+    t, den = t_direct(n), binomial(4 * n, n + 1) << (n + 1)
+    return t.numerator * (den // t.denominator), den
+
+
+def t_stepped(m: int) -> tuple[int, int]:
+    """T(m) = N_m / D_m by the recurrence, from T(1) and T(2) of the direct sum,
+    as the pair (N_m, D_m) over D_m = 2^(m+1) C(4m, m+1), not reduced.
+
+    With D_{n+1} = D_n P_n / Q_n, c(n) T(n+2) = b(n) T(n+1) - a(n) T(n) - d(n)
+    over D_{n+2} is
+
+        c Q_n Q_{n+1} N_{n+2} = b P_{n+1} Q_n N_{n+1} - a P_n P_{n+1} N_n - d Q_n P_{n+1} D_{n+1},
+
+    and each division is a divmod whose remainder is an ArithmeticError.  The
+    values are made in increasing m by a loop, up to the checkpoint at or
+    above m, and kept only when the direct sum agrees there; otherwise this
+    is an ArithmeticError and nothing new is kept.
     """
     if m < 1:
         raise ValueError("t_stepped requires m >= 1")
     if m > len(_stepped):
         top = -(-m // CHECKPOINT) * CHECKPOINT
-        values = list(_stepped) or [t_direct(1), t_direct(2)]
+        values = list(_stepped) or [_seed(1), _seed(2)]
+        (n0, _), (n1, d1) = values[-2:]
+        p0, q0 = _ratio(len(values) - 1)
         for n in range(len(values) - 1, top - 1):
             a, b, c, d = (horner(p, n) for p in CERTIFICATE)
-            values.append((b * values[-1] - a * values[-2] - d) / c)
-        if values[-1] != t_direct(top):
+            p1, q1 = _ratio(n + 1)
+            n2, remainder = divmod(b * p1 * q0 * n1 - a * p0 * p1 * n0 - d * q0 * p1 * d1, c * q0 * q1)
+            d2, d_remainder = divmod(d1 * p1, q1)
+            if remainder or d_remainder:
+                raise ArithmeticError(f"T by the recurrence: inexact step at n={n}")
+            values.append((n2, d2))
+            n0, n1, d1, p0, q0 = n1, n2, d2, p1, q1
+        t = t_direct(top)
+        if n1 * t.denominator != d1 * t.numerator:
             raise ArithmeticError(f"T by the recurrence: T({top}) differs from the direct sum")
         _stepped[:] = values
     return _stepped[m - 1]
@@ -91,13 +120,15 @@ def ac_values(n: int) -> tuple[int, int]:
 def recurrence_residual(n: int, t: Callable[[int], Fraction] | None = None) -> Fraction:
     """a(n) T(n) - b(n) T(n+1) + c(n) T(n+2) + d(n), using ``t`` as the T
     oracle (the direct sum when omitted); a correct transcription makes this
-    exactly 0."""
+    exactly 0.  It is summed in integers over the product of the three
+    denominators and reduced once."""
     if n < 1:
         raise ValueError("residual needs n >= 1")
     if t is None:
         t = t_direct
     a, b, c, d = (horner(p, n) for p in CERTIFICATE)
-    return a * t(n) - b * t(n + 1) + c * t(n + 2) + d
+    (p0, q0), (p1, q1), (p2, q2) = ((v.numerator, v.denominator) for v in (t(n), t(n + 1), t(n + 2)))
+    return Fraction(a * p0 * q1 * q2 - b * p1 * q0 * q2 + c * p2 * q0 * q1 + d * q0 * q1 * q2, q0 * q1 * q2)
 
 
 def ac_limit() -> Fraction:

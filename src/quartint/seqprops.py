@@ -79,10 +79,17 @@ def iterated_l_first_negative(seq: Sequence[Entry], depth: int) -> tuple[int, in
     is the one the full iteration finds.  It is sufficient, not necessary:
     of the coefficient rows m <= 120, m = 6, 30 and 63 pass it one iteration
     later than the exact test with r = (3+sqrt 5)/2 would.
+
+    The last iteration is settled from leading bits when it can be: for
+    nonnegative int entries, an image with no negative entry is what
+    _squares_dominate proves, and when it does, this returns None without
+    forming L's products.  When it does not, the exact step runs.
     """
     current = list(seq)
     nonnegative = all(value >= 0 for value in current)
     for iteration in range(1, depth + 1):
+        if iteration == depth and nonnegative and _squares_dominate(current):
+            return None
         terms = _l_terms(current)
         image = [square - cross for square, cross in terms]
         for index, value in enumerate(image):
@@ -92,6 +99,28 @@ def iterated_l_first_negative(seq: Sequence[Entry], depth: int) -> tuple[int, in
             return None
         current, nonnegative = image, True
     return None
+
+
+def _squares_dominate(seq: Sequence[Entry]) -> bool:
+    """True only if x_k^2 >= x_{k-1} x_{k+1} at every k of a nonnegative int
+    sequence, zero-padded as in l_operator; False for Fraction entries.
+
+    Each entry x is read as its 62-bit head X = x >> s.  Since x^2 >= X^2 2^(2s)
+    and l r < (L+1)(R+1) 2^(sl+sr), a head test that holds proves the entry, and
+    an entry with a zero neighbour (the two edges among them) holds outright.
+    False means only that some head test failed, not that an entry fails.
+    """
+    if not all(isinstance(value, int) for value in seq):
+        return False
+    shifts = [max(x.bit_length() - 62, 0) for x in seq]
+    heads = [x >> s for x, s in zip(seq, shifts)]
+    for k in range(1, len(seq) - 1):
+        left, right = heads[k - 1], heads[k + 1]
+        if left and right:
+            shift = 2 * shifts[k] - shifts[k - 1] - shifts[k + 1]
+            if heads[k] ** 2 << max(shift, 0) < (left + 1) * (right + 1) << max(-shift, 0):
+                return False
+    return True
 
 
 def is_ratio_monotone(seq: Entries) -> bool:

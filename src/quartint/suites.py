@@ -141,29 +141,30 @@ def _s_monotone_witness(m: int) -> Witness:
 
 
 def _t_bounds_witness(m: int) -> Witness:
-    """T < 1 from m = 1, and the three bounds from m = 2; a failure names
-    the first bound that fails at m."""
-    t = recurrence.t_stepped(m)
-    if not t < 1:
-        bound, values = "t-below-one", {"T": rational_str(t)}
+    """T < 1 from m = 1, and the three bounds from m = 2, on the pair
+    T = N/D that t_stepped returns; a failure names the first bound that
+    fails at m."""
+    num, den = recurrence.t_stepped(m)
+    values = {}
+    if not num < den:
+        bound = "t-below-one"
     elif m < 2:
         return None
-    elif not t <= Fraction(27, 28):
-        bound, values = "t-below-27-28", {"T": rational_str(t)}
-    elif not t < (tail := tfunction.geometric_tail_bound(m)):
-        bound, values = "t-below-geometric-tail", {"T": rational_str(t), "bound": rational_str(tail)}
+    elif not 28 * num <= 27 * den:
+        bound = "t-below-27-28"
+    elif not num * (tail := tfunction.geometric_tail_bound(m)).denominator < den * tail.numerator:
+        bound, values = "t-below-geometric-tail", {"bound": rational_str(tail)}
     elif not (prefactor := tfunction.integral_prefactor(m)) <= Fraction(9, 112):
-        bound, values = "integral-prefactor-bound", {"prefactor": rational_str(prefactor)}
+        return {"m": m, "bound": "integral-prefactor-bound"}, {"prefactor": rational_str(prefactor)}
     else:
         return None
-    return {"m": m, "bound": bound}, values
+    return {"m": m, "bound": bound}, {"T": rational_str(Fraction(num, den)), **values}
 
 
 def _pair_witness(m: int) -> Witness:
     """C(2r,r) C(m+1,r) <= C(4m,r) for 2 <= r <= m+1, the induction step
     behind T(m) < 1."""
-    for r in range(2, m + 2):
-        lhs, rhs = binomial(2 * r, r) * binomial(m + 1, r), binomial(4 * m, r)
+    for r, (lhs, rhs) in enumerate(tfunction.pair_bound_sides(m), start=2):
         if lhs > rhs:
             return {"m": m, "r": r}, {"lhs": str(lhs), "rhs": str(rhs)}
     return None
@@ -247,11 +248,12 @@ def _main_inequality_witness(n: int) -> Witness:
 
 
 def _t_step_witness(m: int) -> Witness:
-    """A failure unless T(m) < T(m+1): T is strictly increasing for m >= 2."""
-    t_m, t_next = recurrence.t_stepped(m), recurrence.t_stepped(m + 1)
-    if t_m < t_next:
+    """A failure unless T(m) < T(m+1), N_m D_{m+1} < N_{m+1} D_m on the pairs
+    of t_stepped: T is strictly increasing for m >= 2."""
+    (n0, d0), (n1, d1) = recurrence.t_stepped(m), recurrence.t_stepped(m + 1)
+    if n0 * d1 < n1 * d0:
         return None
-    return {"m": m}, {"T(m)": str(t_m), "T(m+1)": str(t_next)}
+    return {"m": m}, {"T(m)": str(Fraction(n0, d0)), "T(m+1)": str(Fraction(n1, d1))}
 
 
 def _strictness(seen: list) -> tuple[str, ...]:
@@ -259,16 +261,17 @@ def _strictness(seen: list) -> tuple[str, ...]:
 
 
 def _limit_gap_witness(item: tuple[str, int]) -> Witness:
-    """The gap (2 - sqrt 2)/2 - T(m) in exact integers.  With T(m) = p/q
-    reduced, the gap is positive iff 1 - T(m) > 1/sqrt 2, that is iff
-    q > p and 2(q - p)^2 > q^2; it decreases from m to m+1 iff
-    T(m) < T(m+1), the t-monotone step check of _t_step_witness."""
+    """The gap (2 - sqrt 2)/2 - T(m) in exact integers.  With T(m) = p/q,
+    the gap is positive iff 1 - T(m) > 1/sqrt 2, that is iff q > p and
+    2(q - p)^2 > q^2, which a common positive factor of p and q does not
+    change, so the pair of t_stepped is read as it is; the gap decreases
+    from m to m+1 iff T(m) < T(m+1), the t-monotone step check of
+    _t_step_witness."""
     test, m = item
     if test == "decreasing":
         return _t_step_witness(m)
-    t = recurrence.t_stepped(m)
-    p, q = t.numerator, t.denominator
-    return None if q > p and 2 * (q - p) ** 2 > q * q else ({"m": m}, {"T": rational_str(t)})
+    p, q = recurrence.t_stepped(m)
+    return None if q > p and 2 * (q - p) ** 2 > q * q else ({"m": m}, {"T": rational_str(Fraction(p, q))})
 
 
 def _margin_witness(point: tuple[int, Fraction]) -> Witness | Fraction:

@@ -181,6 +181,23 @@ def t_via_w(m: int) -> Fraction:
     return Fraction(horner([(k - 1) * v for k, v in enumerate(c)], 2) + den, den)
 
 
+def pair_bound_sides(m: int) -> list[tuple[int, int]]:
+    """(C(2r,r) C(m+1,r), C(4m,r)) for 2 <= r <= m+1, the two sides of the
+    binomial pair bound, stepped along r from (3m(m+1), 2m(4m-1)) by
+
+        lhs_{r+1} = lhs_r 2(2r+1)(m+1-r) / (r+1)^2,    rhs_{r+1} = rhs_r (4m-r) / (r+1);
+
+    a division that leaves a remainder is an ArithmeticError."""
+    lhs, rhs, sides = 3 * m * (m + 1), 2 * m * (4 * m - 1), []
+    for r in range(2, m + 2):
+        sides.append((lhs, rhs))
+        lhs, remainder = divmod(lhs * (2 * (2 * r + 1) * (m + 1 - r)), (r + 1) ** 2)
+        rhs, rhs_remainder = divmod(rhs * (4 * m - r), r + 1)
+        if remainder or rhs_remainder:
+            raise ArithmeticError(f"binomial pair bound: inexact step at m={m}, r={r + 1}")
+    return sides
+
+
 def geometric_tail_bound(m: int) -> Fraction:
     """The envelope of T(m) with every binomial ratio replaced by 1, from the
     identity sum_{r=2}^{m+1} (r-1)/2^r = 1 - (m+2)/2^(m+1)."""
@@ -200,6 +217,22 @@ class InequalityChain(NamedTuple):
     rhs_last_term: int
 
 
+@lru_cache(maxsize=1)
+def _chain_binomials(m: int) -> tuple[tuple[int, int], ...]:
+    """(C(m+l, l), 2^m C(2m, m+l)) for 0 <= l < floor(m/2), stepped along l by
+    C(m+l+1, l+1) = C(m+l, l) (m+l+1)/(l+1) and C(2m, m+l+1) = C(2m, m+l) (m-l)/(m+l+1);
+    a division that leaves a remainder is an ArithmeticError.  The chain reads
+    one row at every l in turn, so only the last row is kept."""
+    scale, last, row = 1, binomial(2 * m, m) << m, []
+    for ell in range(m // 2):
+        row.append((scale, last))
+        scale, remainder = divmod(scale * (m + ell + 1), ell + 1)
+        last, last_remainder = divmod(last * (m - ell), m + ell + 1)
+        if remainder or last_remainder:
+            raise ArithmeticError(f"inequality chain: inexact binomial step at (m={m}, ell={ell + 1})")
+    return tuple(row)
+
+
 def inequality_chain_check(m: int, ell: int) -> InequalityChain:
     """The four sums of the chain at (m, l), exactly; suites._chain_witness
     decides the chain, and with it S_{m,l} < 1, as lhs < rhs_last_term.
@@ -213,15 +246,16 @@ def inequality_chain_check(m: int, ell: int) -> InequalityChain:
     in the integer row b of scaled_row(m).  So with (lhs, head) read from
     left_sums, rhs_unweighted = b_l/C - head and
     rhs_full = lhs + (l+1)(b_{l+1} - b_l)/C, so lhs < rhs_full is exactly
-    b_{l+1} > b_l.  A division by C that leaves a remainder is an
-    ArithmeticError, the only check made here.
+    b_{l+1} > b_l.  C and rhs_last_term = 2^m C(2m, m+l) are read from
+    _chain_binomials, made once per row.  A division by C that leaves a
+    remainder is an ArithmeticError, the only check made here.
     """
     if not 0 <= ell < m // 2:
         raise ValueError(f"need 0 <= ell < floor(m/2), got ell={ell}, m={m}")
     lhs, head = left_sums(m)[ell]
-    row, scale = scaled_row(m), binomial(m + ell, ell)
+    row, (scale, last) = scaled_row(m), _chain_binomials(m)[ell]
     total, remainder = divmod(row[ell], scale)
     step, step_remainder = divmod((ell + 1) * (row[ell + 1] - row[ell]), scale)
     if remainder or step_remainder:
         raise ArithmeticError(f"inequality chain: inexact division by C(m+l, l) at (m={m}, ell={ell})")
-    return InequalityChain(lhs, lhs + step, total - head, binomial(2 * m, m + ell) << m)
+    return InequalityChain(lhs, lhs + step, total - head, last)

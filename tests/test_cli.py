@@ -358,9 +358,9 @@ def _without_times(out):
 
 
 def _doctor_failing_runs(monkeypatch):
-    """T(5) = 1, and the hypineq margin -1/7 at (m, x) = (3, 1)."""
+    """T(5) = 1, the pair (1, 1), and the hypineq margin -1/7 at (m, x) = (3, 1)."""
     real_t, real_margin = recurrence.t_stepped, conjectures.hyp_inequality_margin
-    monkeypatch.setattr(recurrence, "t_stepped", lambda m: Fraction(1) if m == 5 else real_t(m))
+    monkeypatch.setattr(recurrence, "t_stepped", lambda m: (1, 1) if m == 5 else real_t(m))
     monkeypatch.setattr(
         conjectures, "hyp_inequality_margin", lambda m, x: Fraction(-1, 7) if (m, x) == (3, 1) else real_margin(m, x)
     )

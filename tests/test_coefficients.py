@@ -57,6 +57,16 @@ def test_row_container_protocol():
     assert [rational_str(v) for v in row.values] == ["21/8", "15/4", "3/2"]
 
 
+def test_row_fractions_equal_the_reduced_quotients_by_4_to_the_m():
+    # the entries are reduced by shifting out trailing zeros; numerator and
+    # denominator must be those that Fraction(b, 4^m) reduces to
+    for m in [*range(0, 301), 1000]:
+        literal = [Fraction(b, 4**m) for b in scaled_row(m)]
+        values = coefficient_row(m).values
+        assert [(v.numerator, v.denominator) for v in values] == [(v.numerator, v.denominator) for v in literal], m
+    assert coefficient_row(1).values == (Fraction(3, 2), Fraction(1, 1))
+
+
 def test_domain_errors():
     for row in (scaled_row, coefficient_row):
         with pytest.raises(ValueError, match="m must be nonnegative"):

@@ -45,8 +45,15 @@ def doctor(monkeypatch, owner, name, at, value):
 
 def doctor_t(monkeypatch, at, value):
     """Doctor T(m) as the t-bounds, t-monotone and limit-gap sweeps read it:
-    the values stepped by the recurrence."""
-    doctor(monkeypatch, recurrence, "t_stepped", (at,), lambda real, m: value(real))
+    the pairs (N, D) stepped by the recurrence.  value(real) gives T as a
+    Fraction, and the pair is 3N/3D, not reduced, as t_stepped's pairs are
+    not."""
+
+    def pair(real, m):
+        t = value(real)
+        return 3 * t.numerator, 3 * t.denominator
+
+    doctor(monkeypatch, recurrence, "t_stepped", (at,), pair)
 
 
 def doctor_t_direct(monkeypatch, at, value):
@@ -96,20 +103,27 @@ def test_integral_prefactor_bound_failure(monkeypatch):
     assert content(run_suite("t-bounds", max_m=12)) == expected
 
 
-def pair_bound_failure(monkeypatch, at, rhs, location, values):
-    doctor(monkeypatch, suites, "binomial", at, lambda real, n, k: rhs)
-    expected = [T_BOUNDS, failing("binomial-pair-bound", PAIR_RANGE, location, values)]
+def pair_bound_failure(monkeypatch, m, r, rhs, values):
+    """The stepped sides of row m with the right-hand side at r doctored to rhs."""
+
+    def doctored(real, m):
+        sides = real(m)
+        sides[r - 2] = (sides[r - 2][0], rhs)
+        return sides
+
+    doctor(monkeypatch, tfunction, "pair_bound_sides", (m,), doctored)
+    expected = [T_BOUNDS, failing("binomial-pair-bound", PAIR_RANGE, {"m": m, "r": r}, values)]
     assert content(run_suite("t-bounds", max_m=12)) == expected
 
 
 def test_binomial_pair_bound_failure(monkeypatch):
     # C(8,4) C(8,4) = 4900 against C(28,4) = 20475, doctored to 4899
-    pair_bound_failure(monkeypatch, (28, 4), 4899, {"m": 7, "r": 4}, {"lhs": "4900", "rhs": "4899"})
+    pair_bound_failure(monkeypatch, 7, 4, 4899, {"lhs": "4900", "rhs": "4899"})
 
 
 def test_binomial_pair_bound_failure_at_the_last_r(monkeypatch):
     # r = m+1: C(12,6) C(6,6) = 924 against C(20,6), doctored to 0
-    pair_bound_failure(monkeypatch, (20, 6), 0, {"m": 5, "r": 6}, {"lhs": "924", "rhs": "0"})
+    pair_bound_failure(monkeypatch, 5, 6, 0, {"lhs": "924", "rhs": "0"})
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +302,7 @@ def test_limit_gap_positivity_is_checked_before_decrease(monkeypatch):
     # T(3) = 1/5 breaks the decrease at m = 2, but the positivity pass over
     # every m runs first and reports T(9) = 1/2 above the limit
     real = recurrence.t_stepped
-    monkeypatch.setattr(recurrence, "t_stepped", lambda m: {3: Fraction(1, 5), 9: Fraction(1, 2)}.get(m) or real(m))
+    monkeypatch.setattr(recurrence, "t_stepped", lambda m: {3: (1, 5), 9: (1, 2)}.get(m) or real(m))
     expected = [step_failure(2, Fraction(1, 4), Fraction(1, 5)), gap_failure(9, {"T": "1/2"})]
     assert content(run_suite("monotone-t", max_m=20)) == expected
 
@@ -476,16 +490,16 @@ FIRST_ITEM_FAILS = {
         "left_sums",
         lambda m: tuple((2**m * binomial(2 * m, m + ell), 0) for ell in range((m + 1) // 2)),
     ),
-    "t-bounds": (recurrence, "t_stepped", lambda m: Fraction(1)),
-    "binomial-pair-bound": (suites, "binomial", lambda n, k: 2),
+    "t-bounds": (recurrence, "t_stepped", lambda m: (1, 1)),
+    "binomial-pair-bound": (tfunction, "pair_bound_sides", lambda m: [(1, 0)]),
     "t-crosscheck": (tfunction, "t_hypergeometric", lambda m: Fraction(-1)),
     "recurrence-b-identity": (recurrence, "CERTIFICATE", recurrence.CERTIFICATE._replace(b=(0,))),
     "recurrence-residual": (recurrence, "recurrence_residual", lambda n, t=None: Fraction(1)),
     "recurrence-d-shift": (recurrence, "D_SHIFT_REFERENCE", ()),
     "recurrence-ac-ratio": (recurrence, "ac_limit", lambda: Fraction(2)),
     "recurrence-main-inequality": (recurrence, "ac_values", lambda n: (-1, 1)),
-    "t-monotone": (recurrence, "t_stepped", lambda m: Fraction(1, 4)),
-    "limit-gap": (recurrence, "t_stepped", lambda m: Fraction(1)),
+    "t-monotone": (recurrence, "t_stepped", lambda m: (1, 4)),
+    "limit-gap": (recurrence, "t_stepped", lambda m: (1, 1)),
     "infinite-logconcavity-scan": (conjectures, "row_first_negative", lambda m, depth: (1, 0, Fraction(-1))),
     "hyp-inequality-scan": (conjectures, "hyp_inequality_margin", lambda m, x: Fraction(0)),
 }

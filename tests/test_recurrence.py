@@ -5,6 +5,7 @@ import pytest
 
 from quartint import recurrence
 from quartint.cli import main
+from quartint.exact import binomial
 from quartint.polynomial import horner, taylor_shift
 from quartint.recurrence import (
     CERTIFICATE,
@@ -58,6 +59,19 @@ def test_residuals_vanish():
     assert recurrence_residual(10) == 0
     with pytest.raises(ValueError):
         recurrence_residual(0)
+
+
+def test_residual_in_integers_equals_the_literal_fraction_form():
+    def literal(n, t):
+        a, b, c, d = (horner(p, n) for p in CERTIFICATE)
+        return a * t(n) - b * t(n + 1) + c * t(n + 2) + d
+
+    def off(m):
+        return t_direct(m) + Fraction(1, m + 7)
+
+    for n in range(1, 61):
+        assert recurrence_residual(n, t=off) == literal(n, off) != 0
+        assert recurrence_residual(n) == literal(n, t_direct) == 0
 
 
 def test_residuals_vanish_with_integral_oracle():
@@ -126,13 +140,20 @@ def cold_stepped():
 
 
 def test_stepped_values_equal_the_direct_sum(cold_stepped):
-    assert [t_stepped(m) for m in range(1, 501)] == [t_direct(m) for m in range(1, 501)]
+    assert [Fraction(*t_stepped(m)) for m in range(1, 501)] == [t_direct(m) for m in range(1, 501)]
     for m in (777, 1025, 1500, 2047, 2048):
-        assert t_stepped(m) == t_direct(m), m
+        assert Fraction(*t_stepped(m)) == t_direct(m), m
+
+
+def test_stepped_pairs_are_over_the_direct_sums_denominator(cold_stepped):
+    # D_m = 2^(m+1) C(4m, m+1), not reduced: T(1) = T(2) = 1/4 are 6/24 and 112/448
+    assert t_stepped(1) == (6, 24) and t_stepped(2) == (112, 448)
+    for m in range(1, 301):
+        assert t_stepped(m)[1] == binomial(4 * m, m + 1) << (m + 1), m
 
 
 def test_a_cold_stepped_call_at_2000(cold_stepped):
-    assert t_stepped(2000) == t_direct(2000)
+    assert Fraction(*t_stepped(2000)) == t_direct(2000)
     assert len(recurrence._stepped) == 2048
     with pytest.raises(ValueError):
         t_stepped(0)
@@ -140,7 +161,7 @@ def test_a_cold_stepped_call_at_2000(cold_stepped):
 
 def test_no_stepped_value_is_returned_before_its_checkpoint_matches(cold_stepped, monkeypatch):
     monkeypatch.setattr(recurrence, "t_direct", lambda m: t_direct(m) + (m == 128))
-    assert t_stepped(64) == t_direct(64)
+    assert Fraction(*t_stepped(64)) == t_direct(64)
     with pytest.raises(ArithmeticError, match=r"T\(128\)"):
         t_stepped(65)
     assert len(recurrence._stepped) == 64
@@ -157,9 +178,14 @@ DOCTORED_CERTIFICATES = {
 def test_a_wrong_certificate_is_an_internal_error_never_a_counterexample(
     cold_stepped, monkeypatch, capsys, prop, doctored
 ):
+    # either guard may fire first: a step that leaves a remainder (both
+    # doctored certificates do at n = 1) or the checkpoint at T(64)
     monkeypatch.setattr(recurrence, "CERTIFICATE", doctored)
     assert main(["verify", "--property", prop]) == 3
-    assert "T(64) differs from the direct sum" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "T by the recurrence: inexact step at n=" in err or "T(64) differs from the direct sum" in err
+    with pytest.raises(ArithmeticError, match="inexact step at n=1$"):
+        t_stepped(3)
 
 
 @pytest.mark.parametrize("suite", ["recurrence", "t-crosscheck"])

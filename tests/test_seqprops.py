@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quartint.coefficients import coefficient_row, scaled_row
 from quartint.seqprops import (
+    _squares_dominate,
     is_logconcave,
     is_ratio_monotone,
     is_unimodal,
@@ -113,6 +115,76 @@ def test_the_stop_test_does_not_certify_a_row_below_its_factor():
     # stop test with 7/3 in place of 8/3 would miss
     assert literal_iterated_l_first_negative((9, 14, 9), 8) == (4, 1, -1851164668121216)
     assert iterated_l_first_negative((9, 14, 9), 8) == (4, 1, -1851164668121216)
+
+
+def parent_iterated_l_first_negative(seq, depth):
+    # the loop before the last iteration was settled from leading bits: every
+    # iteration is the exact step, then the 8/3 stop test
+    current = list(seq)
+    nonnegative = all(value >= 0 for value in current)
+    for iteration in range(1, depth + 1):
+        image = l_operator(current)
+        for index, value in enumerate(image):
+            if value < 0:
+                return iteration, index, value
+        padded = (0, *current, 0)
+        if nonnegative and all(3 * x * x >= 8 * l * r for l, x, r in zip(padded, padded[1:], padded[2:])):
+            return None
+        current, nonnegative = image, True
+    return None
+
+
+def test_iterated_l_equals_the_exact_loop_on_the_rows():
+    # the loop above at depth 8 gives every depth d <= 8: its witness if it
+    # lies at an iteration <= d, else None; rows past m = 100 stop at depth 4,
+    # where depths 5 to 8 would take half a minute
+    for m in range(151):
+        rows = (scaled_row(m), coefficient_row(m).values) if m <= 30 else (scaled_row(m),)
+        for row in rows:
+            top = 8 if m <= 100 else 4
+            hit = parent_iterated_l_first_negative(row, top)
+            for depth in range(1, top + 1):
+                expected = hit if hit is not None and hit[0] <= depth else None
+                assert iterated_l_first_negative(row, depth) == expected, (m, depth)
+
+
+def squares_hold(seq):
+    padded = (0, *seq, 0)
+    return all(x * x >= l * r for l, x, r in zip(padded, padded[1:], padded[2:]))
+
+
+@st.composite
+def near_ties(draw):
+    # a nonnegative int sequence around l, x, r with x^2 = l r + delta, |delta| small,
+    # at 200-4000 bits
+    bits = draw(st.integers(200, 4000))
+    left = draw(st.integers(2 ** (bits - 1), 2**bits))
+    right = draw(st.integers(1, 2**bits))
+    root = isqrt(left * right)
+    x = draw(st.sampled_from([root - 1, root, root + 1]))
+    head = draw(st.lists(st.integers(0, 2**bits), max_size=3))
+    tail = draw(st.lists(st.integers(0, 2**bits), max_size=3))
+    return [*head, left, x, right, *tail]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=st.one_of(near_ties(), st.lists(st.integers(0, 2**4000), min_size=1, max_size=8)))
+def test_squares_dominate_only_when_every_square_does(seq):
+    if _squares_dominate(seq):
+        assert squares_hold(seq)
+    # at depth 1 the head test reads seq itself, and a near tie falls back to the exact step
+    assert iterated_l_first_negative(seq, 1) == literal_iterated_l_first_negative(seq, 1)
+
+
+def test_squares_dominate_decides_clear_cases_and_declines_near_ties():
+    x = 3**1000
+    assert _squares_dominate([x, 2 * x, x]) and _squares_dominate([0, 5, 0]) and _squares_dominate([7])
+    assert not _squares_dominate([x, x + 1, x + 2])  # x^2 + 2x + 1 > x^2 + 2x, too close for 62-bit heads
+    assert not _squares_dominate([x, x - 1, x])
+    assert not _squares_dominate([Fraction(1), Fraction(2), Fraction(1)])  # Fraction entries take the exact step
+    # the second iterate of every row m <= 100 is settled from leading bits
+    for m in range(101):
+        assert _squares_dominate(l_operator(l_operator(scaled_row(m)))), m
 
 
 def test_ratio_monotone_examples():

@@ -18,6 +18,7 @@ from quartint.tfunction import (
     inequality_chain_check,
     integral_prefactor,
     left_sums,
+    pair_bound_sides,
     s_sum,
     t_direct,
     t_hypergeometric,
@@ -185,11 +186,21 @@ def test_chain_row_not_divisible_is_arithmetic_error(monkeypatch, capsys):
     assert "(m=10, ell=1)" in capsys.readouterr().err
 
 
+def test_chain_binomials_are_the_literal_binomials():
+    for m in range(2, 401):
+        literal = tuple((binomial(m + ell, ell), 2**m * binomial(2 * m, m + ell)) for ell in range(m // 2))
+        assert tfunction._chain_binomials.__wrapped__(m) == literal, m
+    assert tfunction._chain_binomials.__wrapped__(3) == ((1, 160),)
+    assert tfunction._chain_binomials.__wrapped__(1) == ()
+
+
 @pytest.fixture
 def cold_left_sums():
     left_sums.cache_clear()
+    tfunction._chain_binomials.cache_clear()
     yield
     left_sums.cache_clear()
+    tfunction._chain_binomials.cache_clear()
 
 
 def test_chain_inexact_carry_is_arithmetic_error(cold_left_sums, monkeypatch, capsys):
@@ -277,6 +288,9 @@ def test_verify_all_makes_each_row_of_left_sums_once(cold_left_sums, monkeypatch
     for m in range(2, 101):
         left_sums(m)
     assert left_sums.cache_info().misses == 99
+    # the chain's binomials are made once per row too, and only the last row is kept
+    made = tfunction._chain_binomials.cache_info()
+    assert (made.misses, made.currsize) == (99, 1) and made.hits > 0
 
 
 def test_s_sum_values():
@@ -340,6 +354,13 @@ def test_t_via_w_correction():
     # the uncorrected variant W'(1/2)/2 - W(1/2), which t-crosscheck notes
     w, half = literal_w(1), Fraction(1, 2)
     assert half * horner(derivative(w), half) - horner(w, half) == t_via_w(1) - 1 == Fraction(-3, 4)
+
+
+def test_pair_bound_sides_are_the_literal_binomials():
+    for m in range(1, 201):
+        literal = [(binomial(2 * r, r) * binomial(m + 1, r), binomial(4 * m, r)) for r in range(2, m + 2)]
+        assert pair_bound_sides(m) == literal, m
+    assert pair_bound_sides(7)[2] == (4900, 20475)  # r = 4: C(8,4) C(8,4) and C(28,4)
 
 
 def test_bound_pair():
