@@ -80,10 +80,9 @@ def iterated_l_first_negative(seq: Sequence[Entry], depth: int) -> tuple[int, in
     of the coefficient rows m <= 120, m = 6, 30 and 63 pass it one iteration
     later than the exact test with r = (3+sqrt 5)/2 would.
 
-    The last iteration is settled from leading bits when it can be: for
-    nonnegative int entries, an image with no negative entry is what
-    _squares_dominate proves, and when it does, this returns None without
-    forming L's products.  When it does not, the exact step runs.
+    At the last iteration, a nonnegative iterate whose image _squares_dominate
+    proves nonnegative from leading bits gives None without forming L's
+    products; otherwise the exact step runs.
     """
     current = list(seq)
     nonnegative = all(value >= 0 for value in current)

@@ -155,8 +155,8 @@ def squares_hold(seq):
 
 @st.composite
 def near_ties(draw):
-    # a nonnegative int sequence around l, x, r with x^2 = l r + delta, |delta| small,
-    # at 200-4000 bits
+    # a nonnegative int sequence around l, x, r with x = isqrt(l r) + (-1, 0 or 1)
+    # at 200-4000 bits: |x^2 - l r| <= 2 sqrt(l r) + 1, a relative gap far below 2^-62
     bits = draw(st.integers(200, 4000))
     left = draw(st.integers(2 ** (bits - 1), 2**bits))
     right = draw(st.integers(1, 2**bits))
