@@ -8,11 +8,8 @@ from .coefficients import CoefficientRow, coefficient_row, scaled_row
 from .conjectures import hyp_inequality_margin
 from .exact import binomial, rational_str
 from .hypergeometric import (
-    companion_ratio_bound_violations,
-    envelope_bound_check,
     hyp2f1,
     hyp2f1_first_moment,
-    pochhammer_ratio_bound_check,
     series_coefficients,
 )
 from .polynomial import horner, taylor_shift

@@ -34,6 +34,9 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 MAX_GRID_POINTS = 10_000
+# A cold row costs about m^2.9: at this m, 45 s and a 0.76 GB peak on a
+# shared 2-core VM.
+MAX_COEFFS_M = 12_000
 
 
 def _positive_int(text: str) -> int:
@@ -117,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coeffs(args) -> int:
+    if args.m > MAX_COEFFS_M:
+        raise ValueError(f"--m is capped at {MAX_COEFFS_M}, where a row takes about 45 s; got {args.m}")
     strings = [rational_str(v) for v in coefficient_row(args.m).values]
     if args.format == "csv":
         print(",".join(strings))

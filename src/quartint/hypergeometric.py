@@ -1,6 +1,5 @@
-"""Terminating Gauss 2F1 series evaluated exactly at rational arguments,
-their dense polynomial form, and the 3^(-k) ratio bounds and the integrand
-envelope used to control the series tails.
+"""Terminating Gauss 2F1 series evaluated exactly at rational arguments and
+their dense polynomial form.
 
 A series terminates when the upper parameter b is a nonpositive integer; the
 truncation order is N = -b and the value is the finite sum
@@ -24,7 +23,7 @@ is summed the same way, with the term ratio r_k (k+2)/(k+3).  The dense
 form, series_coefficients, takes the ratios p_k / q_k at z = 1 in integers:
 over the one denominator prod q_k, coefficient k is
 (prod_{i<k} p_i) (prod_{i>=k} q_i).  It is the one coefficient generator:
-the hypineq margin, the ratio bounds and t_via_w read it.
+the hypineq margin and t_via_w read it.
 """
 
 from __future__ import annotations
@@ -91,51 +90,3 @@ def series_coefficients(a, b, c) -> tuple[tuple[int, ...], int]:
         coeffs.append(coeffs[-1] // q * p)
     return tuple(coeffs), den
 
-
-def _tripled_ratios(b: int, c: int) -> list[int]:
-    """3^k (b)_k / (c)_k, coefficient k of 2F1(1, b; c; z) times 3^k, as the
-    integers of series_coefficients over one positive denominator, entry 0."""
-    coeffs, den = series_coefficients(1, b, c)
-    return [3**k * v if den > 0 else -(3**k) * v for k, v in enumerate(coeffs)]
-
-
-def pochhammer_ratio_bound_check(m: int) -> bool:
-    """b_k = 3^k (1-m)_k / (2-4m)_k stays in (0, 1] and never increases,
-    for 1 <= k <= m-1.
-
-    This is the bound (1-m)_k/(2-4m)_k <= 3^(-k) behind the integrand
-    envelope.  The ratio is coefficient k of 2F1(1, 1-m; 2-4m; z), and
-    b_0 = 1.
-    """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    b = _tripled_ratios(1 - m, 2 - 4 * m)
-    return all(0 < later <= earlier for earlier, later in zip(b, b[1:]))
-
-
-def companion_ratio_bound_violations(m: int) -> list[int]:
-    """All k in 0..m+1 where (-1-m)_k / (-4m)_k exceeds 3^(-k).
-
-    The ratio is coefficient k of 2F1(1, -1-m; -4m; z).  The bound holds
-    for every m >= 3; it fails at k = 1 for m = 2 (3/8 > 1/3) and at k = 1, 2
-    for m = 1 (1/2 > 1/3, 1/6 > 1/9), which callers surface, not hide.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    b = _tripled_ratios(-1 - m, -4 * m)
-    return [k for k, v in enumerate(b) if v > b[0]]
-
-
-def envelope_bound_check(m: int, t) -> bool:
-    """[2F1(5/2, 1-m; 2-4m; t)]^2 (3-t)^5 <= 243 for rational t in [0, 2].
-
-    Both sides are rational (243 = (9 sqrt 3)^2), so the comparison is exact.
-    Equality is attained at t = 0.
-    """
-    t = Fraction(t)
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if not 0 <= t <= 2:
-        raise ValueError("t must lie in [0, 2]")
-    value = hyp2f1(Fraction(5, 2), 1 - m, 2 - 4 * m, t)
-    return value * value * (3 - t) ** 5 <= 243

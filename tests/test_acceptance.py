@@ -16,11 +16,7 @@ import pytest
 from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavity
 from quartint.coefficients import coefficient_row
 from quartint.exact import binomial
-from quartint.hypergeometric import (
-    companion_ratio_bound_violations,
-    envelope_bound_check,
-    pochhammer_ratio_bound_check,
-)
+from quartint.hypergeometric import hyp2f1, series_coefficients
 from quartint.quadrature import closed_form, evaluate_quartic_integral
 from quartint.polynomial import taylor_shift
 from quartint.recurrence import CERTIFICATE, D_SHIFT_REFERENCE, ac_limit, recurrence_residual
@@ -183,19 +179,25 @@ def test_c11_monotonicity_and_limit():
 
 @criterion(12, "envelope and ratio bounds")
 def test_c12_envelope_and_ratio_bounds():
-    grid = [Fraction(i, 10) for i in range(21)]
     for m in range(2, 61):
-        for t in grid:
-            assert envelope_bound_check(m, t), (m, t)
+        for t in (Fraction(i, 10) for i in range(21)):
+            value = hyp2f1(Fraction(5, 2), 1 - m, 2 - 4 * m, t)
+            assert value * value * (3 - t) ** 5 <= 243, (m, t)
+
+    def tripled(b, c):
+        """3^k (b)_k / (c)_k: coefficient k of 2F1(1, b; c; z) times 3^k."""
+        coeffs, den = series_coefficients(1, b, c)
+        return [Fraction(3**k * v, den) for k, v in enumerate(coeffs)]
+
     for m in range(2, 101):
-        assert pochhammer_ratio_bound_check(m), m
+        b = tripled(1 - m, 2 - 4 * m)
+        assert b[0] == 1 and all(0 < later <= earlier for earlier, later in zip(b, b[1:])), m
     # The 3^(-k) tail bound holds for every 3 <= m <= 100; at m = 2 it has the
-    # single genuine exception k = 1, where the ratio is 3/8 > 1/3.  The
-    # checker must find exactly that exception and nothing else.
-    assert companion_ratio_bound_violations(2) == [1]
+    # single genuine exception k = 1, where the ratio is 3/8 > 1/3.
+    assert [k for k, v in enumerate(tripled(-3, -8)) if v > 1] == [1]
     print("ACCEPTANCE 12 note: tail ratio bound verified with its single true exception (m=2, k=1)")
     for m in range(3, 101):
-        assert companion_ratio_bound_violations(m) == [], m
+        assert all(v <= 1 for v in tripled(-1 - m, -4 * m)), m
 
 
 @criterion(13, "quadrature cross-check")

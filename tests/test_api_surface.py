@@ -13,15 +13,6 @@ import quartint
 
 PACKAGE = Path(quartint.__file__).parent
 
-# Inequalities behind the proofs of T(m) < 1 and T(m) <= 27/28, each waiting
-# to become a ``verify`` record (ROADMAP item 1); until then only the tests
-# call them.
-AWAITING_REGISTRATION = {
-    "companion_ratio_bound_violations",
-    "envelope_bound_check",
-    "pochhammer_ratio_bound_check",
-}
-
 
 def _names_in(node: ast.AST) -> set[str]:
     names = set()
@@ -49,8 +40,8 @@ def functions_the_package_does_not_call() -> set[str]:
     return defined - named
 
 
-def test_only_the_bounds_awaiting_registration_are_left_uncalled():
-    assert functions_the_package_does_not_call() == AWAITING_REGISTRATION
+def test_every_function_is_called_by_the_package():
+    assert functions_the_package_does_not_call() == set()
 
 
 def exception_classes_the_package_does_not_catch() -> set[str]:

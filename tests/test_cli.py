@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartint import cli, conjectures, recurrence
+from quartint import cli, coefficients, conjectures, recurrence
 from quartint.cli import build_parser, main
 from quartint.coefficients import CoefficientRow
 from quartint.reports import SCHEMA_VERSION
@@ -63,6 +63,17 @@ def test_coeffs_rejects_negative_m(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["coeffs", "--m", "-1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("m", ["99999999999999999999999", str(cli.MAX_COEFFS_M + 1)])
+def test_coeffs_above_the_cap_is_a_usage_error_before_any_row(capsys, monkeypatch, m):
+    def no_row(m):
+        raise AssertionError("a row was made")
+
+    monkeypatch.setattr(coefficients, "_scaled_row", no_row)
+    code, out, err = run(capsys, "coeffs", "--m", m)
+    assert (code, out) == (2, "")
+    assert err == f"error: --m is capped at {cli.MAX_COEFFS_M}, where a row takes about 45 s; got {m}\n"
 
 
 def test_verify_unimodal(capsys):

@@ -6,14 +6,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from quartint.hypergeometric import (
-    companion_ratio_bound_violations,
-    envelope_bound_check,
-    hyp2f1,
-    hyp2f1_first_moment,
-    pochhammer_ratio_bound_check,
-    series_coefficients,
-)
+from quartint.hypergeometric import hyp2f1, hyp2f1_first_moment, series_coefficients
 from quartint.polynomial import horner
 
 
@@ -209,40 +202,35 @@ def test_contiguous_relation():
 
 
 def test_pochhammer_ratio_bound():
-    for m in range(2, 41):
-        assert pochhammer_ratio_bound_check(m)
-        # the check reads (1-m)_k / (2-4m)_k off the series coefficients
-        ratios = tuple(pochhammer(1 - m, k) / pochhammer(2 - 4 * m, k) for k in range(m))
-        assert as_fractions(1, 1 - m, 2 - 4 * m) == ratios
+    # (1-m)_k / (2-4m)_k <= 3^(-k), the bound behind the integrand envelope:
+    # 3^k times the ratio starts at 1, stays positive and never rises
+    for m in range(2, 101):
+        ratios = as_fractions(1, 1 - m, 2 - 4 * m)
+        if m <= 40:
+            assert ratios == tuple(pochhammer(1 - m, k) / pochhammer(2 - 4 * m, k) for k in range(m))
+        tripled = [3**k * r for k, r in enumerate(ratios)]
+        assert tripled[0] == 1 and all(0 < later <= earlier for earlier, later in zip(tripled, tripled[1:])), m
 
 
 def test_companion_ratio_bound_single_known_exception():
-    # for m >= 2 the 3^(-k) tail bound fails at exactly (m, k) = (2, 1):
-    # 3/8 > 1/3; at m = 1, (-2)_k / (-4)_k is 1/2 > 1/3 and 1/6 > 1/9
-    assert companion_ratio_bound_violations(1) == [1, 2]
-    assert companion_ratio_bound_violations(2) == [1]
-    for m in range(3, 41):
-        assert companion_ratio_bound_violations(m) == []
-    for m in range(1, 41):
-        # the violations are read off the series coefficients (-1-m)_k / (-4m)_k
-        ratios = tuple(pochhammer(-1 - m, k) / pochhammer(-4 * m, k) for k in range(m + 2))
-        assert as_fractions(1, -1 - m, -4 * m) == ratios
+    # (-1-m)_k / (-4m)_k <= 3^(-k) fails at k = 1 for m = 2 (3/8 > 1/3), at
+    # k = 1, 2 for m = 1 (1/2 > 1/3, 1/6 > 1/9) and nowhere for 3 <= m <= 100
+    for m in range(1, 101):
+        ratios = as_fractions(1, -1 - m, -4 * m)
+        if m <= 40:
+            assert ratios == tuple(pochhammer(-1 - m, k) / pochhammer(-4 * m, k) for k in range(m + 2))
+        violations = [k for k, r in enumerate(ratios) if 3**k * r > 1]
+        assert violations == {1: [1, 2], 2: [1]}.get(m, []), m
 
 
 def test_envelope_bound_on_grid():
-    grid = [Fraction(i, 10) for i in range(21)]
-    for m in range(2, 21):
-        for t in grid:
-            assert envelope_bound_check(m, t)
-    # equality case: the series is 1 at t = 0 and 3^5 = 243
-    assert envelope_bound_check(5, 0)
-
-
-def test_envelope_bound_domain():
-    with pytest.raises(ValueError):
-        envelope_bound_check(1, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        envelope_bound_check(3, Fraction(5, 2))
+    # [2F1(5/2, 1-m; 2-4m; t)]^2 (3-t)^5 <= 243 = (9 sqrt 3)^2, exactly, at
+    # t = i/10 in [0, 2]; equality at t = 0, where the series is 1
+    for m in range(2, 61):
+        for t in (Fraction(i, 10) for i in range(21)):
+            value = hyp2f1(Fraction(5, 2), 1 - m, 2 - 4 * m, t)
+            assert value * value * (3 - t) ** 5 <= 243, (m, t)
+    assert hyp2f1(Fraction(5, 2), -4, -18, 0) ** 2 * 3**5 == 243
 
 
 def test_difference_identity():
