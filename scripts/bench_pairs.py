@@ -77,6 +77,8 @@ print(json.dumps({"import_s": elapsed, "modules": new}))
 # binomial-pair-bound and i-logconcave kernels are those records' witnesses
 # at verify --all's ranges; i-logconcave reads rows made before its timer
 # starts (WARM), as in verify --all, where the row suites have made them.
+# The depth-7 i-logconcave kernel is the same witness over rows m <= 60, the
+# sweep of scan ilogconcave --max-m 60 --depth 7.
 KERNEL_RUNS = 3
 KERNEL_PROBE = f"""
 import json, statistics, time
@@ -132,12 +134,12 @@ kernels = {{
     "inequality_chain_check(m <= 150)": chain_150,
     "S and chain sums as verify --all reads them (m <= 100)": s_and_chain_100,
     "left_sums(2..150) as s-monotone reads them": s_monotone_150,
-    "row_first_negative(m <= 60, depth 7)": lambda: [conjectures.row_first_negative(m, 7) for m in range(61)],
+    "i-logconcave witness, rows m <= 60, depth 7": lambda: [suites._ilogconcave_witness(m, 7) for m in range(61)],
     "series_coefficients(1, -801, -3200)": lambda: hypergeometric.series_coefficients(1, -801, -3200),
     "hyp_inequality_margin(931 scan points)": hypineq_margins_931,
     "geometric_tail_bound(2..2000)": lambda: [tfunction.geometric_tail_bound(m) for m in range(2, 2001)],
     "binomial-pair-bound, m <= 120": lambda: [suites._pair_witness(m) for m in range(1, 121)],
-    "i-logconcave, rows m <= 100, depth 3": lambda: [conjectures.row_first_negative(m, 3) for m in range(101)],
+    "i-logconcave, rows m <= 100, depth 3": lambda: [suites._ilogconcave_witness(m, 3) for m in range(101)],
 }}
 WARM = {{"i-logconcave, rows m <= 100, depth 3": lambda: [coefficients.scaled_row(m) for m in range(101)]}}
 medians = {{}}

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import tfunction
-from .coefficients import coefficient_row
+from .coefficients import dyadic_row
 from .exact import rational_str
 from .quadrature import QuadratureConvergenceError, evaluate_quartic_integral
 from .reports import SCHEMA_VERSION, utc_now_iso
@@ -34,9 +34,12 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 MAX_GRID_POINTS = 10_000
-# A cold row costs about m^2.9: at this m, 45 s and a 0.76 GB peak on a
-# shared 2-core VM.
+# A cold run costs about m^3, mostly the strings of the row's entries: at
+# this m, 33 s and a 0.67 GB peak on a shared 2-core VM.
 MAX_COEFFS_M = 12_000
+# The exact closed form costs about m^2 times the bits of a: at this m, a cold run
+# takes 58 s at a = 1e-300 (53 bits over 2^1049) and 0.2 s at a = -0.25.
+MAX_INTEGRAL_M = 4_000
 
 
 def _positive_int(text: str) -> int:
@@ -121,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_coeffs(args) -> int:
     if args.m > MAX_COEFFS_M:
-        raise ValueError(f"--m is capped at {MAX_COEFFS_M}, where a row takes about 45 s; got {args.m}")
-    strings = [rational_str(v) for v in coefficient_row(args.m).values]
+        raise ValueError(f"--m is capped at {MAX_COEFFS_M}, where a row takes about 33 s; got {args.m}")
+    strings = [f"{p}/{1 << e}" if e else str(p) for p, e in dyadic_row(args.m)]
     if args.format == "csv":
         print(",".join(strings))
     elif args.format == "json":
@@ -192,6 +195,8 @@ def _cmd_tvalues(args) -> int:
 
 
 def _cmd_integral(args) -> int:
+    if args.m > MAX_INTEGRAL_M:
+        raise ValueError(f"--m is capped at {MAX_INTEGRAL_M}, where the closed form can take about 60 s; got {args.m}")
     result = evaluate_quartic_integral(args.m, args.a, args.tol)
     if args.format == "json":
         print(json.dumps(result._asdict(), indent=2))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .exact import binomial
 
@@ -48,17 +48,22 @@ def _scaled_row(m: int) -> tuple[int, ...]:
     return tuple(row[:-1])
 
 
-def coefficient_row(m: int) -> CoefficientRow:
-    """All of (d_0(m), ..., d_m(m)) in one shot.  A row of the wrong length
-    or with an entry that is not positive is an ArithmeticError, an internal
-    error like an inexact step of the recurrence.  The common factor of b and
-    4^m is the power of two s = min(tz(b), 2m), with tz the trailing zero bits,
-    so each entry is reduced as b >> s over 2^(2m-s) by shifts."""
+def dyadic_row(m: int) -> Iterator[tuple[int, int]]:
+    """(p, e) with d_l(m) = p / 2^e in lowest terms, for 0 <= l <= m.  A row of
+    the wrong length or with an entry that is not positive is an
+    ArithmeticError, an internal error.  b and 4^m share the power of two
+    s = min(tz(b), 2m), with tz the trailing zero bits, so each entry
+    reduces to b >> s over 2^(2m-s) by shifts, with no gcd."""
     row = scaled_row(m)
     if len(row) != m + 1 or any(b <= 0 for b in row):
         raise ArithmeticError(f"row for m={m} must have {m + 1} strictly positive entries")
     shifts = (min((b & -b).bit_length() - 1, 2 * m) for b in row)
-    return CoefficientRow(tuple(Fraction(b >> s, 1 << (2 * m - s)) for b, s in zip(row, shifts)))
+    return ((b >> s, 2 * m - s) for b, s in zip(row, shifts))
+
+
+def coefficient_row(m: int) -> CoefficientRow:
+    """All of (d_0(m), ..., d_m(m)) in one shot, from dyadic_row."""
+    return CoefficientRow(tuple(Fraction(p, 1 << e) for p, e in dyadic_row(m)))
 
 
 def scaled_row(m: int) -> tuple[int, ...]:

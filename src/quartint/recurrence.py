@@ -13,15 +13,16 @@ ingredients of the monotonicity argument for T.
 
 The certificate also makes the T values that the t-bounds, t-monotone and
 limit-gap sweeps read: t_stepped solves the recurrence for T(n+2), seeded
-with the direct sum at m = 1 and 2, in integers: T(n) = N_n / D_n over the
-direct sum's denominator D_n = 2^(n+1) C(4n, n+1).  A stepped value is
-checked before it is used: t_stepped returns T(m) only once it has stepped
-on to the checkpoint at or above m, the next multiple of CHECKPOINT, and
-found the direct sum there equal to its own value; a mismatch, or a step
-that leaves a remainder, is an ArithmeticError.  So a wrong certificate is
-an internal error, never a counterexample.  The residual and
-main-inequality records and t-crosscheck read the direct sum itself, so the
-recurrence is never checked against values it made.
+with the direct sum's pairs at m = 1 and 2, in integers: T(n) = N_n / D_n
+over the direct sum's denominator D_n = 2^(n+1) C(4n, n+1).  A stepped
+value is checked before it is used: t_stepped returns T(m) only once it has
+stepped on to the checkpoint at or above m, the next multiple of
+CHECKPOINT, and found its pair (N, D) there equal to the direct sum's pair,
+numerator and denominator alike; a mismatch, or a step that leaves a
+remainder, is an ArithmeticError.  So a wrong certificate is an internal
+error, never a counterexample.  The residual and main-inequality records
+and t-crosscheck read the direct sum itself, so the recurrence is never
+checked against values it made.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .exact import binomial
 from .polynomial import horner
-from .tfunction import t_direct
+from .tfunction import t_direct, t_direct_pair
 
 
 class RecurrenceCoefficients(NamedTuple):
@@ -69,14 +69,8 @@ def _ratio(n: int) -> tuple[int, int]:
     return 2 * (4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4), 3 * n * (3 * n + 1) * (3 * n + 2) * (n + 2)
 
 
-def _seed(n: int) -> tuple[int, int]:
-    """(N_n, D_n) from the direct sum."""
-    t, den = t_direct(n), binomial(4 * n, n + 1) << (n + 1)
-    return t.numerator * (den // t.denominator), den
-
-
 def t_stepped(m: int) -> tuple[int, int]:
-    """T(m) = N_m / D_m by the recurrence, from T(1) and T(2) of the direct sum,
+    """T(m) = N_m / D_m by the recurrence, from the direct sum's pairs at 1 and 2,
     as the pair (N_m, D_m) over D_m = 2^(m+1) C(4m, m+1), not reduced.
 
     With D_{n+1} = D_n P_n / Q_n, c(n) T(n+2) = b(n) T(n+1) - a(n) T(n) - d(n)
@@ -86,14 +80,14 @@ def t_stepped(m: int) -> tuple[int, int]:
 
     and each division is a divmod whose remainder is an ArithmeticError.  The
     values are made in increasing m by a loop, up to the checkpoint at or
-    above m, and kept only when the direct sum agrees there; otherwise this
-    is an ArithmeticError and nothing new is kept.
+    above m, and kept only when its pair there is the direct sum's pair;
+    otherwise this is an ArithmeticError and nothing new is kept.
     """
     if m < 1:
         raise ValueError("t_stepped requires m >= 1")
     if m > len(_stepped):
         top = -(-m // CHECKPOINT) * CHECKPOINT
-        values = list(_stepped) or [_seed(1), _seed(2)]
+        values = list(_stepped) or [t_direct_pair(1), t_direct_pair(2)]
         (n0, _), (n1, d1) = values[-2:]
         p0, q0 = _ratio(len(values) - 1)
         for n in range(len(values) - 1, top - 1):
@@ -105,8 +99,7 @@ def t_stepped(m: int) -> tuple[int, int]:
                 raise ArithmeticError(f"T by the recurrence: inexact step at n={n}")
             values.append((n2, d2))
             n0, n1, d1, p0, q0 = n1, n2, d2, p1, q1
-        t = t_direct(top)
-        if n1 * t.denominator != d1 * t.numerator:
+        if (n1, d1) != t_direct_pair(top):
             raise ArithmeticError(f"T by the recurrence: T({top}) differs from the direct sum")
         _stepped[:] = values
     return _stepped[m - 1]

@@ -74,11 +74,17 @@ def _row_witness(predicate: str, m: int) -> Witness:
 
 
 def _ilogconcave_witness(m: int, depth: int) -> Witness:
-    hit = conjectures.row_first_negative(m, depth)
+    """The first negative entry of L^j(d(m)), 1 <= j <= depth, found on the integer row
+    b(m) = 4^m d(m): an entry v of L^j(b) is v / 4^(m 2^j) of L^j(d(m)) (see l_operator).
+    Depth 0 would check nothing, so it is a ValueError."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    hit = seqprops.iterated_l_first_negative(scaled_row(m), depth)
     if hit is None:
         return None
     iteration, index, value = hit
-    return {"m": m, "iteration": iteration, "index": index}, {"entry": rational_str(value)}
+    entry = rational_str(Fraction(value, 4 ** (m * 2**iteration)))
+    return {"m": m, "iteration": iteration, "index": index}, {"entry": entry}
 
 
 def _min_functional_witness(m: int) -> Witness:

@@ -19,9 +19,9 @@ suites decide every inequality, S < 1 in the chain included.
 Every route is exact rational arithmetic, summed in integers over one
 common denominator and reduced to a Fraction once at the end: the direct
 sum over its natural denominator 2^(m+1) C(4m, m+1), with integer terms
-made by their term ratio (t_direct); the two series through hyp2f1; the
-integral through hyp2f1_first_moment, the same nested sum with the term
-ratio times (k+2)/(k+3); and the weighted sum from series_coefficients,
+made by their term ratio (t_direct_pair); the two series through hyp2f1;
+the integral through hyp2f1_first_moment, the same nested sum with the
+term ratio times (k+2)/(k+3); and the weighted sum from series_coefficients,
 the generator scan hypineq reads, as W(x) = 2F1(1/2, -1-m; -4m; 4x).  The
 integer left sums of S_{m,l} = lhs / (2^m C(2m, m+l)) are carried across l
 in two moments of their term window, O(m) steps a row, and kept per row for
@@ -116,13 +116,13 @@ def s_sum(m: int, ell: int) -> Fraction:
     return Fraction(_left_sum(m, ell)[0], binomial(2 * m, m + ell) << m)
 
 
-@lru_cache(maxsize=None)
-def t_direct(m: int) -> Fraction:
-    """T(m) by its defining sum over t_r = C(2r,r) C(m+1,r) (r-1) / (2^r C(4m,r)).
+def t_direct_pair(m: int) -> tuple[int, int]:
+    """T(m) by its defining sum over t_r = C(2r,r) C(m+1,r) (r-1) / (2^r C(4m,r)),
+    as the pair (N, D) over D = 2^(m+1) C(4m, m+1), not reduced.
 
-    Since C(m+1,r)/C(4m,r) = C(4m-r, m+1-r)/C(4m, m+1), the sum is
-    N / (2^(m+1) C(4m, m+1)) with N = sum_{r=2}^{m+1} (r-1) g_r over the
-    integers g_r = C(2r,r) C(4m-r, m+1-r) 2^(m+1-r).  They are made from
+    Since C(m+1,r)/C(4m,r) = C(4m-r, m+1-r)/C(4m, m+1), the sum is N / D with
+    N = sum_{r=2}^{m+1} (r-1) g_r over the integers
+    g_r = C(2r,r) C(4m-r, m+1-r) 2^(m+1-r).  They are made from
     g_2 = 6 C(4m-2, m-1) 2^(m-1) by the term ratio
 
         g_{r+1}/g_r = (2r+1)(m+1-r) / ((r+1)(4m-r)),
@@ -139,7 +139,13 @@ def t_direct(m: int) -> Fraction:
         g, remainder = divmod(g * ((2 * r + 1) * (m + 1 - r)), (r + 1) * (4 * m - r))
         if remainder:
             raise ArithmeticError(f"T direct sum: inexact division at m={m}, r={r + 1}")
-    return Fraction(num, binomial(4 * m, m + 1) << (m + 1))
+    return num, binomial(4 * m, m + 1) << (m + 1)
+
+
+@lru_cache(maxsize=None)
+def t_direct(m: int) -> Fraction:
+    """T(m) from t_direct_pair, reduced."""
+    return Fraction(*t_direct_pair(m))
 
 
 @lru_cache(maxsize=None)

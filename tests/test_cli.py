@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartint import cli, coefficients, conjectures, recurrence
+from quartint import cli, coefficients, conjectures, quadrature, recurrence
 from quartint.cli import build_parser, main
-from quartint.coefficients import CoefficientRow
+from quartint.coefficients import coefficient_row
+from quartint.exact import rational_str
 from quartint.reports import SCHEMA_VERSION
 from quartint.tfunction import T_LIMIT
 
@@ -51,12 +52,19 @@ def test_coeffs_table(capsys):
 def test_coeffs_prints_an_entry_past_the_digit_cap_of_int_to_str(capsys, monkeypatch):
     # rows from m = 3992 on hold entries of more than 4300 digits
     big = 10**4999 + 7
-    monkeypatch.setattr(cli, "coefficient_row", lambda m: CoefficientRow((Fraction(big, 3),)))
+    monkeypatch.setattr(cli, "dyadic_row", lambda m: iter([(big, 1)]))
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(4300)  # the default, which an earlier main() lifted
     code, out, _ = run(capsys, "coeffs", "--m", "1", "--format", "csv")
     assert code == 0
-    assert out.strip() == f"{big}/3"
+    assert out.strip() == f"{big}/2"
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 150, 4000])
+def test_coeffs_writes_the_strings_of_the_fraction_row(capsys, m):
+    code, out, _ = run(capsys, "coeffs", "--m", str(m), "--format", "csv")  # lifts the digit cap first
+    assert code == 0
+    assert out == ",".join(rational_str(v) for v in coefficient_row(m).values) + "\n"
 
 
 def test_coeffs_rejects_negative_m(capsys):
@@ -73,7 +81,19 @@ def test_coeffs_above_the_cap_is_a_usage_error_before_any_row(capsys, monkeypatc
     monkeypatch.setattr(coefficients, "_scaled_row", no_row)
     code, out, err = run(capsys, "coeffs", "--m", m)
     assert (code, out) == (2, "")
-    assert err == f"error: --m is capped at {cli.MAX_COEFFS_M}, where a row takes about 45 s; got {m}\n"
+    assert err == f"error: --m is capped at {cli.MAX_COEFFS_M}, where a row takes about 33 s; got {m}\n"
+
+
+@pytest.mark.parametrize("m", ["99999999999999999999999", str(cli.MAX_INTEGRAL_M + 1)])
+def test_integral_above_the_cap_is_a_usage_error_before_any_row_or_quadrature(capsys, monkeypatch, m):
+    def no_work(*args):
+        raise AssertionError("a row or a quadrature was started")
+
+    monkeypatch.setattr(coefficients, "_scaled_row", no_work)
+    monkeypatch.setattr(quadrature, "_adaptive", no_work)
+    code, out, err = run(capsys, "integral", "--m", m, "--a", "-0.25")
+    assert (code, out) == (2, "")
+    assert err == f"error: --m is capped at {cli.MAX_INTEGRAL_M}, where the closed form can take about 60 s; got {m}\n"
 
 
 def test_verify_unimodal(capsys):

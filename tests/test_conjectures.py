@@ -7,13 +7,9 @@ from hypothesis import given, strategies as st
 from quartint import conjectures, scan_hyp_inequality, scan_infinite_logconcavity, seqprops, suites
 from quartint.cli import main
 from quartint.coefficients import scaled_row
-from quartint.conjectures import (
-    hyp_inequality_margin,
-    iterated_l_first_negative,
-    margin_polynomial,
-    row_first_negative,
-)
+from quartint.conjectures import hyp_inequality_margin, margin_polynomial
 from quartint.hypergeometric import hyp2f1, series_coefficients
+from quartint.seqprops import iterated_l_first_negative
 from quartint.tfunction import t_direct
 
 
@@ -58,13 +54,14 @@ def test_failing_row_reports_the_fraction_row_witness(monkeypatch):
     # = (1,1,1,1,25) and L^2 has -24 at index 3.  The integer path must give
     # the witness the Fraction row b / 4^m gives, -24 / 4^(4*4) = -3/2^29.
     doctored = (1, 2, 3, 4, 5)
-    monkeypatch.setattr(conjectures, "scaled_row", lambda m: doctored if m == 4 else scaled_row(m))
+    monkeypatch.setattr(suites, "scaled_row", lambda m: doctored if m == 4 else scaled_row(m))
     expected = iterated_l_first_negative([Fraction(v, 4**4) for v in doctored], 5)
     assert expected == (2, 3, Fraction(-3, 2**29))
-    assert row_first_negative(4, 5) == expected
+    assert iterated_l_first_negative(doctored, 5) == (2, 3, -24)
 
     location = {"m": 4, "iteration": 2, "index": 3}
     values = {"entry": "-3/536870912"}
+    assert suites._ilogconcave_witness(4, 5) == (location, values)
     scan = scan_infinite_logconcavity(6, 5)
     assert not scan.passed
     assert (scan.counterexample.location, scan.counterexample.values) == (location, values)
@@ -86,10 +83,10 @@ def test_rows_stop_iterating_once_certified(monkeypatch):
         return real(seq)
 
     monkeypatch.setattr(seqprops, "_l_terms", counting)
-    assert row_first_negative(60, 7) is None
+    assert iterated_l_first_negative(scaled_row(60), 7) is None
     assert len(calls) == 5
     calls.clear()
-    assert row_first_negative(3, 7) is None
+    assert iterated_l_first_negative(scaled_row(3), 7) is None
     assert calls == [4]
 
 

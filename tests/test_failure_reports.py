@@ -474,7 +474,7 @@ _claimed = seqprops.minimum_claimed_value
 FIRST_ITEM_FAILS = {
     "unimodal": (seqprops, "is_unimodal", lambda row: False),
     "logconcave": (seqprops, "is_logconcave", lambda row: False),
-    "i-logconcave": (conjectures, "row_first_negative", lambda m, depth: (1, 0, Fraction(-1))),
+    "i-logconcave": (seqprops, "iterated_l_first_negative", lambda row, depth: (1, 0, -1)),
     "ratio-monotone": (seqprops, "is_ratio_monotone", lambda row: False),
     # at m = 1 only: the notes are made at m = 2
     "min-functional": (seqprops, "minimum_claimed_value", lambda m: _claimed(m) + (m == 1)),
@@ -500,7 +500,7 @@ FIRST_ITEM_FAILS = {
     "recurrence-main-inequality": (recurrence, "ac_values", lambda n: (-1, 1)),
     "t-monotone": (recurrence, "t_stepped", lambda m: (1, 4)),
     "limit-gap": (recurrence, "t_stepped", lambda m: (1, 1)),
-    "infinite-logconcavity-scan": (conjectures, "row_first_negative", lambda m, depth: (1, 0, Fraction(-1))),
+    "infinite-logconcavity-scan": (seqprops, "iterated_l_first_negative", lambda row, depth: (1, 0, -1)),
     "hyp-inequality-scan": (conjectures, "hyp_inequality_margin", lambda m, x: Fraction(0)),
 }
 

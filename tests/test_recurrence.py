@@ -16,7 +16,7 @@ from quartint.recurrence import (
     t_stepped,
 )
 from quartint.suites import run_suite
-from quartint.tfunction import t_direct, t_integral
+from quartint.tfunction import t_direct, t_direct_pair, t_integral
 
 
 def test_certificate_shape():
@@ -105,6 +105,50 @@ def test_certificate_positivity():
         assert horner(CERTIFICATE.c, n) > 0
 
 
+# The premises of the sign-propagation argument that T rises for m >= 2
+# (with Delta_n = T(n+1) - T(n) and U = 1 - T), as far as they hold today.
+def monotonicity_premise_failures(certificate):
+    """The names of the premises that ``certificate`` fails."""
+    a, b, c, d = certificate
+    checks = {
+        "a - c has positive coefficients": all(x - y > 0 for x, y in zip_longest(a, c, fillvalue=0)),
+        "c has positive coefficients": all(x > 0 for x in c),
+        "d(1) < 0 < d(2)": horner(d, 1) < 0 < horner(d, 2),
+        "b = a + c + d": all(y == w + x + z for w, y, x, z in zip_longest(a, b, c, d, fillvalue=0)),
+        "c(n) Delta_{n+1} = a(n) Delta_n - d(n) U(n+1) for 1 <= n <= 500": all(
+            horner(c, n) * (t_direct(n + 2) - t_direct(n + 1))
+            == horner(a, n) * (t_direct(n + 1) - t_direct(n)) - horner(d, n) * (1 - t_direct(n + 1))
+            for n in range(1, 501)
+        ),
+    }
+    return [name for name, holds in checks.items() if not holds]
+
+
+def test_the_monotonicity_premises_hold():
+    assert monotonicity_premise_failures(CERTIFICATE) == []
+    # the boundary: d(1) < 0 matches T(1) = T(2)
+    assert (horner(CERTIFICATE.d, 1), horner(CERTIFICATE.d, 2)) == (-21319200, 814627800)
+
+
+@pytest.mark.parametrize("k", [0, 9])
+def test_a_doctored_b_fails_the_monotonicity_premises(k):
+    b = list(CERTIFICATE.b)
+    b[k] += 1
+    assert monotonicity_premise_failures(CERTIFICATE._replace(b=tuple(b))) == ["b = a + c + d"]
+
+
+def test_a_negative_coefficient_of_a_minus_c_fails_the_monotonicity_premises():
+    # c[3] raised past a[3], and b with it, so that b = a + c + d still holds
+    raise_c = CERTIFICATE.a[3] - CERTIFICATE.c[3] + 1
+    c = (*CERTIFICATE.c[:3], CERTIFICATE.c[3] + raise_c, *CERTIFICATE.c[4:])
+    b = (*CERTIFICATE.b[:3], CERTIFICATE.b[3] + raise_c, *CERTIFICATE.b[4:])
+    failures = monotonicity_premise_failures(CERTIFICATE._replace(b=b, c=c))
+    assert failures == [
+        "a - c has positive coefficients",
+        "c(n) Delta_{n+1} = a(n) Delta_n - d(n) U(n+1) for 1 <= n <= 500",
+    ]
+
+
 def power_sum(coeffs, n):
     return sum(c * n**k for k, c in enumerate(coeffs))
 
@@ -159,12 +203,26 @@ def test_a_cold_stepped_call_at_2000(cold_stepped):
         t_stepped(0)
 
 
+def doctor_direct_pair(monkeypatch, at, change):
+    """The direct pair that the checkpoints read, changed at m = at."""
+    monkeypatch.setattr(recurrence, "t_direct_pair", lambda m: change(*t_direct_pair(m)) if m == at else t_direct_pair(m))
+
+
 def test_no_stepped_value_is_returned_before_its_checkpoint_matches(cold_stepped, monkeypatch):
-    monkeypatch.setattr(recurrence, "t_direct", lambda m: t_direct(m) + (m == 128))
+    doctor_direct_pair(monkeypatch, 128, lambda n, d: (n + 1, d))
     assert Fraction(*t_stepped(64)) == t_direct(64)
     with pytest.raises(ArithmeticError, match=r"T\(128\)"):
         t_stepped(65)
     assert len(recurrence._stepped) == 64
+
+
+def test_a_checkpoint_compares_the_denominators_too(cold_stepped, monkeypatch):
+    # (2N, 2D) is T(64) over another denominator; the stepped pair is over
+    # D_64 itself, so the checkpoint fails and keeps nothing
+    doctor_direct_pair(monkeypatch, 64, lambda n, d: (2 * n, 2 * d))
+    with pytest.raises(ArithmeticError, match=r"T\(64\) differs from the direct sum"):
+        t_stepped(1)
+    assert recurrence._stepped == []
 
 
 DOCTORED_CERTIFICATES = {
