@@ -37,8 +37,8 @@ MAX_GRID_POINTS = 10_000
 # A cold run costs about m^3, mostly the strings of the row's entries: at
 # this m, 33 s and a 0.67 GB peak on a shared 2-core VM.
 MAX_COEFFS_M = 12_000
-# The exact closed form costs about m^2 times the bits of a: at this m, a cold run
-# takes 58 s at a = 1e-300 (53 bits over 2^1049) and 0.2 s at a = -0.25.
+# The exact closed form costs about m^2 times the bits of a: at this m, on the same
+# VM, a cold run takes 58 s at a = 1e-300 (53 bits over 2^1049), 0.2 s at a = -0.25.
 MAX_INTEGRAL_M = 4_000
 
 

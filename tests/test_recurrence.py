@@ -114,7 +114,7 @@ def monotonicity_premise_failures(certificate):
         "a - c has positive coefficients": all(x - y > 0 for x, y in zip_longest(a, c, fillvalue=0)),
         "c has positive coefficients": all(x > 0 for x in c),
         "d(1) < 0 < d(2)": horner(d, 1) < 0 < horner(d, 2),
-        "b = a + c + d": all(y == w + x + z for w, y, x, z in zip_longest(a, b, c, d, fillvalue=0)),
+        "b = a + c + d": all(bk == ak + ck + dk for ak, bk, ck, dk in zip_longest(a, b, c, d, fillvalue=0)),
         "c(n) Delta_{n+1} = a(n) Delta_n - d(n) U(n+1) for 1 <= n <= 500": all(
             horner(c, n) * (t_direct(n + 2) - t_direct(n + 1))
             == horner(a, n) * (t_direct(n + 1) - t_direct(n)) - horner(d, n) * (1 - t_direct(n + 1))
