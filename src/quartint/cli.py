@@ -40,6 +40,25 @@ MAX_COEFFS_M = 12_000
 # The exact closed form costs about m^2 times the bits of a: at this m, on the same
 # VM, a cold run takes 58 s at a = 1e-300 (53 bits over 2^1049), 0.2 s at a = -0.25.
 MAX_INTEGRAL_M = 4_000
+# The largest limit of each verify suite and a cold run's cost at it on the same
+# VM.  The row and left-sum caches keep every row, so memory grows like m^3.
+MAX_SUITE_LIMIT = {
+    "unimodal": (1_500, "3 s and 0.6 GB"),
+    "logconcave": (1_500, "24 s and 0.6 GB"),
+    "ilogconcave": (200, "16 s and 25 MB at any depth"),
+    "ratio-monotone": (1_500, "13 s and 0.6 GB"),
+    "min-functional": (1_500, "33 s and 0.6 GB"),
+    "delta-signs": (1_500, "3 s and 0.6 GB"),
+    "inequality-chain": (1_200, "8 s and 0.55 GB"),
+    "s-monotone": (1_500, "4 s and 0.44 GB"),
+    "t-bounds": (10_000, "11 s and 70 MB"),
+    "t-crosscheck": (1_500, "27 s and 29 MB"),
+    "recurrence": (2_000, "18 s and 19 MB"),
+    "monotone-t": (10_000, "19 s and 72 MB"),
+}
+# The same for --max-m of each scan.  ilogconcave was measured at a depth past
+# the last L step of every row up to its cap, so the cost holds at any depth.
+MAX_SCAN_M = {"ilogconcave": MAX_SUITE_LIMIT["ilogconcave"], "hypineq": (300, "1 s and 38 MB at the default grid")}
 
 
 def _positive_int(text: str) -> int:
@@ -81,6 +100,17 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     return tuple(lo + i * step for i in range(count))
 
 
+def _check_cap(option: str, value: int | None, cap: int, cost: str) -> None:
+    if value is not None and value > cap:
+        raise ValueError(f"{option} is capped at {cap}, where a run takes about {cost}; got {value}")
+
+
+def _refuse(args, run: str, option: str) -> None:
+    """A usage error for an option that the run does not read."""
+    if getattr(args, option) is not None:
+        raise ValueError(f"{run} does not read --{option.replace('_', '-')}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quartint", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true")
     p_verify.add_argument("--max-m", type=_positive_int, default=None)
     p_verify.add_argument("--max-n", type=_positive_int, default=None)
-    p_verify.add_argument("--depth", type=_positive_int, default=3)
+    p_verify.add_argument("--depth", type=_positive_int, help="ilogconcave only (default 3)")
     jobs_help = "ignored: every sweep runs in one process; accepted until the benchmark stops passing it"
     p_verify.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
@@ -103,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="counterexample scans for the open conjectures")
     p_scan.add_argument("kind", choices=("ilogconcave", "hypineq"))
     p_scan.add_argument("--max-m", type=_positive_int, default=40)
-    p_scan.add_argument("--depth", type=_positive_int, default=5)
-    p_scan.add_argument("--x-grid", default="0.5:5:0.25")
+    p_scan.add_argument("--depth", type=_positive_int, help="ilogconcave only (default 5)")
+    p_scan.add_argument("--x-grid", help="hypineq only (default 0.5:5:0.25)")
     p_scan.add_argument("--format", choices=("table", "json"), default="json")
 
     p_tvalues = sub.add_parser("tvalues", help="T(m) through the direct, hypergeometric and integral routes")
@@ -144,20 +174,29 @@ def _cmd_verify(args) -> int:
         unread = "max_n" if knob == "max_m" else "max_m"
         if getattr(args, unread) is not None:
             raise ValueError(f"{args.property} reads --{knob.replace('_', '-')}, not --{unread.replace('_', '-')}")
+        if args.property != "ilogconcave":
+            _refuse(args, args.property, "depth")
+    for name in names:
+        knob = SUITES[name][1]
+        _check_cap(f"--{knob.replace('_', '-')} of {name}", getattr(args, knob), *MAX_SUITE_LIMIT[name])
+    depth = 3 if args.depth is None else args.depth
     results = []
     for name in names:
-        results.extend(run_suite(name, max_m=args.max_m, max_n=args.max_n, depth=args.depth))
-    config = {"properties": names, "max_m": args.max_m, "max_n": args.max_n, "depth": args.depth}
+        results.extend(run_suite(name, max_m=args.max_m, max_n=args.max_n, depth=depth))
+    config = {"properties": names, "max_m": args.max_m, "max_n": args.max_n, "depth": depth}
     return _emit_run("verify", config, results, started, args.format)
 
 
 def _cmd_scan(args) -> int:
     started = utc_now_iso()
+    _refuse(args, f"scan {args.kind}", "x_grid" if args.kind == "ilogconcave" else "depth")
+    _check_cap("--max-m", args.max_m, *MAX_SCAN_M[args.kind])
     if args.kind == "ilogconcave":
-        result = scan_infinite_logconcavity(args.max_m, args.depth)
-        config = {"kind": args.kind, "max_m": args.max_m, "depth": args.depth}
+        depth = 5 if args.depth is None else args.depth
+        result = scan_infinite_logconcavity(args.max_m, depth)
+        config = {"kind": args.kind, "max_m": args.max_m, "depth": depth}
     else:
-        grid = _parse_grid(args.x_grid)
+        grid = _parse_grid("0.5:5:0.25" if args.x_grid is None else args.x_grid)
         result = scan_hyp_inequality(args.max_m, grid)
         config = {"kind": args.kind, "max_m": args.max_m, "x_grid": [rational_str(x) for x in grid]}
     return _emit_run("scan", config, [result], started, args.format)

@@ -3,15 +3,19 @@ a function that only the tests call is either registered as a ``verify``
 record or deleted, with its assertions moved onto the surviving API.  Every
 exception class the package defines is caught by name somewhere in it: one
 that no ``except`` names is told apart from its base by nothing but its
-name, so it is a plain instance of that base instead."""
+name, so it is a plain instance of that base instead.  The package exports
+exactly the names that the README's Library section uses."""
 
 import ast
 import importlib
+import re
+import types
 from pathlib import Path
 
 import quartint
 
 PACKAGE = Path(quartint.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
 
 
 def _names_in(node: ast.AST) -> set[str]:
@@ -62,3 +66,11 @@ def exception_classes_the_package_does_not_catch() -> set[str]:
 
 def test_every_exception_class_is_caught_by_name():
     assert exception_classes_the_package_does_not_catch() == set()
+
+
+def test_every_export_is_in_the_readme_library():
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"\bq\.(\w+)", section))
+    # the submodules are attributes of the package once imported, not exports
+    exports = {k for k, v in vars(quartint).items() if not k.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert exports == documented

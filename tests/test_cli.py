@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartint import cli, coefficients, conjectures, quadrature, recurrence
+from quartint import cli, coefficients, conjectures, quadrature, recurrence, seqprops, suites, tfunction
 from quartint.cli import build_parser, main
 from quartint.coefficients import coefficient_row
 from quartint.exact import rational_str
@@ -94,6 +94,105 @@ def test_integral_above_the_cap_is_a_usage_error_before_any_row_or_quadrature(ca
     code, out, err = run(capsys, "integral", "--m", m, "--a", "-0.25")
     assert (code, out) == (2, "")
     assert err == f"error: --m is capped at {cli.MAX_INTEGRAL_M}, where the closed form can take about 60 s; got {m}\n"
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Every kernel behind verify and scan, and the sweep that runs them, fail if called."""
+
+    def called(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for module, name in [
+        (coefficients, "_scaled_row"),
+        (tfunction, "left_sums"),
+        (tfunction, "t_direct"),
+        (recurrence, "t_stepped"),
+        (seqprops, "iterated_l_first_negative"),
+        (conjectures, "margin_polynomial"),
+        (suites, "_sweep"),
+    ]:
+        monkeypatch.setattr(module, name, called)
+
+
+def _usage_error(capsys, *argv) -> str:
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+# The largest limit that CI, the benchmark or the README runs, per suite and scan.
+LARGEST_INVOCATION = {
+    "unimodal": 200, "logconcave": 150, "ilogconcave": 150, "ratio-monotone": 150, "min-functional": 150,
+    "delta-signs": 150, "inequality-chain": 400, "s-monotone": 400, "t-bounds": 2000, "t-crosscheck": 300,
+    "recurrence": 100, "monotone-t": 2000, "scan ilogconcave": 100, "scan hypineq": 150,
+}
+
+
+def test_every_cap_is_above_its_default_and_every_invocation():
+    assert set(cli.MAX_SUITE_LIMIT) == set(suites.SUITES)
+    assert set(cli.MAX_SCAN_M) == {"ilogconcave", "hypineq"}
+    caps = {**cli.MAX_SUITE_LIMIT, **{f"scan {kind}": cap for kind, cap in cli.MAX_SCAN_M.items()}}
+    for run_name, (cap, _) in caps.items():
+        assert cap >= LARGEST_INVOCATION[run_name], run_name
+    for name, (default, _, _) in suites.SUITES.items():
+        assert cli.MAX_SUITE_LIMIT[name][0] >= default
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_verify_above_the_cap_is_a_usage_error_before_any_kernel(capsys, no_kernel, name):
+    cap, cost = cli.MAX_SUITE_LIMIT[name]
+    option = "--" + suites.SUITES[name][1].replace("_", "-")
+    for value in (str(cap + 1), "99999999999999999999999"):
+        err = _usage_error(capsys, "verify", "--property", name, option, value)
+        assert err == f"error: {option} of {name} is capped at {cap}, where a run takes about {cost}; got {value}\n"
+
+
+def test_verify_all_is_refused_when_one_suite_is_above_its_cap(capsys, no_kernel):
+    lowest = min(cap for name, (cap, _) in cli.MAX_SUITE_LIMIT.items() if suites.SUITES[name][1] == "max_m")
+    assert "is capped at" in _usage_error(capsys, "verify", "--all", "--max-m", str(lowest + 1))
+    cap = cli.MAX_SUITE_LIMIT["recurrence"][0]
+    assert "--max-n of recurrence" in _usage_error(capsys, "verify", "--all", "--max-n", str(cap + 1))
+
+
+@pytest.mark.parametrize("kind", ["ilogconcave", "hypineq"])
+def test_scan_above_the_cap_is_a_usage_error_before_any_kernel(capsys, no_kernel, kind):
+    cap, cost = cli.MAX_SCAN_M[kind]
+    for value in (str(cap + 1), "99999999999999999999999"):
+        err = _usage_error(capsys, "scan", kind, "--max-m", value)
+        assert err == f"error: --max-m is capped at {cap}, where a run takes about {cost}; got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("verify", "--property", name, "--depth", "4") for name in sorted(suites.SUITES) if name != "ilogconcave"),
+        ("scan", "hypineq", "--depth", "4"),
+        ("scan", "ilogconcave", "--x-grid", "0.5:1:0.5"),
+    ],
+)
+def test_an_option_the_run_does_not_read_is_a_usage_error_before_any_kernel(capsys, no_kernel, argv):
+    option = argv[-2]
+    assert _usage_error(capsys, *argv).endswith(f" does not read {option}\n")
+
+
+def test_defaults_of_depth_and_grid_still_show_in_the_config(capsys):
+    code, out, _ = run(capsys, "verify", "--property", "unimodal", "--max-m", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["config"]["depth"] == 3
+    code, out, _ = run(capsys, "scan", "ilogconcave", "--max-m", "3")
+    assert code == 0 and json.loads(out)["config"]["depth"] == 5
+    code, out, _ = run(capsys, "scan", "hypineq", "--max-m", "2")
+    grid = [rational_str(Fraction(2 + i, 4)) for i in range(19)]
+    assert code == 0 and json.loads(out)["config"]["x_grid"] == grid
+
+
+def test_ilogconcave_still_reads_depth(capsys):
+    code, out, _ = run(capsys, "verify", "--property", "ilogconcave", "--max-m", "6", "--depth", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["depth"] == 2
+    assert payload["results"][0]["range"] == "rows m <= 6, depth 2"
 
 
 def test_verify_unimodal(capsys):
