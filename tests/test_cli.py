@@ -188,7 +188,8 @@ def test_defaults_of_depth_and_grid_still_show_in_the_config(capsys):
 
 
 def test_ilogconcave_still_reads_depth(capsys):
-    code, out, _ = run(capsys, "verify", "--property", "ilogconcave", "--max-m", "6", "--depth", "2", "--format", "json")
+    argv = ("verify", "--property", "ilogconcave", "--max-m", "6", "--depth", "2", "--format", "json")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     payload = json.loads(out)
     assert payload["config"]["depth"] == 2
