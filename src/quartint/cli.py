@@ -26,7 +26,7 @@ from .coefficients import dyadic_row
 from .exact import rational_str
 from .quadrature import QuadratureConvergenceError, evaluate_quartic_integral
 from .reports import SCHEMA_VERSION, utc_now_iso
-from .suites import SUITES, run_suite, scan_hyp_inequality, scan_infinite_logconcavity
+from .suites import DEFAULT_DEPTH, SUITES, run_suite, scan_hyp_inequality, scan_infinite_logconcavity
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -38,27 +38,20 @@ MAX_GRID_POINTS = 10_000
 # this m, 33 s and a 0.67 GB peak on a shared 2-core VM.
 MAX_COEFFS_M = 12_000
 # The exact closed form costs about m^2 times the bits of a: at this m, on the same
-# VM, a cold run takes 58 s at a = 1e-300 (53 bits over 2^1049), 0.2 s at a = -0.25.
-MAX_INTEGRAL_M = 4_000
-# The largest limit of each verify suite and a cold run's cost at it on the same
-# VM.  The row and left-sum caches keep every row, so memory grows like m^3.
-MAX_SUITE_LIMIT = {
-    "unimodal": (1_500, "3 s and 0.6 GB"),
-    "logconcave": (1_500, "24 s and 0.6 GB"),
-    "ilogconcave": (200, "16 s and 25 MB at any depth"),
-    "ratio-monotone": (1_500, "13 s and 0.6 GB"),
-    "min-functional": (1_500, "33 s and 0.6 GB"),
-    "delta-signs": (1_500, "3 s and 0.6 GB"),
-    "inequality-chain": (1_200, "8 s and 0.55 GB"),
-    "s-monotone": (1_500, "4 s and 0.44 GB"),
-    "t-bounds": (10_000, "11 s and 70 MB"),
-    "t-crosscheck": (1_500, "27 s and 29 MB"),
-    "recurrence": (2_000, "18 s and 19 MB"),
-    "monotone-t": (10_000, "19 s and 72 MB"),
-}
-# The same for --max-m of each scan.  ilogconcave was measured at a depth past
-# the last L step of every row up to its cap, so the cost holds at any depth.
-MAX_SCAN_M = {"ilogconcave": MAX_SUITE_LIMIT["ilogconcave"], "hypineq": (300, "1 s and 38 MB at the default grid")}
+# VM, a cold run takes 52 s at a = 2.225073858507201e-308 (53 bits over 2^1074),
+# 44 s at a = 1e-300 and 1 s at a = -0.25.
+MAX_INTEGRAL_M = 8_000
+# scan hypineq evaluates (--max-m - 1) x grid points margins, each at a cost that
+# grows with m and with the bits of the grid entry's numerator and denominator.
+MAX_MARGINS = 10_000
+MAX_GRID_BITS = 32
+HYPINEQ_COST = "22 s and 53 MB at --max-m 300 and both caps"
+# tvalues makes T(m) three ways for every m up to --max-m; the cost is that of JSON.
+MAX_TVALUES_M = 2_000
+TVALUES_COST = "34 s and 62 MB"
+# The largest --max-m of each scan and a cold run's cost there; ilogconcave is the
+# suite's sweep, timed past every row's last L step, so its cost holds at any depth.
+MAX_SCAN_M = {"ilogconcave": SUITES["ilogconcave"].cap, "hypineq": (300, "1 s and 38 MB at the default grid")}
 
 
 def _positive_int(text: str) -> int:
@@ -105,10 +98,10 @@ def _check_cap(option: str, value: int | None, cap: int, cost: str) -> None:
         raise ValueError(f"{option} is capped at {cap}, where a run takes about {cost}; got {value}")
 
 
-def _refuse(args, run: str, option: str) -> None:
+def _refuse(args, run: str, option: str, reads: str = "does not read") -> None:
     """A usage error for an option that the run does not read."""
     if getattr(args, option) is not None:
-        raise ValueError(f"{run} does not read --{option.replace('_', '-')}")
+        raise ValueError(f"{run} {reads} --{option.replace('_', '-')}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true")
     p_verify.add_argument("--max-m", type=_positive_int, default=None)
     p_verify.add_argument("--max-n", type=_positive_int, default=None)
-    p_verify.add_argument("--depth", type=_positive_int, help="ilogconcave only (default 3)")
+    p_verify.add_argument("--depth", type=_positive_int, help=f"ilogconcave only (default {DEFAULT_DEPTH})")
     jobs_help = "ignored: every sweep runs in one process; accepted until the benchmark stops passing it"
     p_verify.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
@@ -169,17 +162,13 @@ def _cmd_coeffs(args) -> int:
 def _cmd_verify(args) -> int:
     started = utc_now_iso()
     names = sorted(SUITES) if args.all else [args.property]
-    if args.property is not None:
-        knob = SUITES[args.property][1]
-        unread = "max_n" if knob == "max_m" else "max_m"
-        if getattr(args, unread) is not None:
-            raise ValueError(f"{args.property} reads --{knob.replace('_', '-')}, not --{unread.replace('_', '-')}")
-        if args.property != "ilogconcave":
-            _refuse(args, args.property, "depth")
     for name in names:
-        knob = SUITES[name][1]
-        _check_cap(f"--{knob.replace('_', '-')} of {name}", getattr(args, knob), *MAX_SUITE_LIMIT[name])
-    depth = 3 if args.depth is None else args.depth
+        suite = SUITES[name]
+        flag = "--" + suite.limit.replace("_", "-")
+        for option in () if args.all else suite.unread:
+            _refuse(args, name, option, "does not read" if option == "depth" else f"reads {flag}, not")
+        _check_cap(f"{flag} of {name}", getattr(args, suite.limit), *suite.cap)
+    depth = DEFAULT_DEPTH if args.depth is None else args.depth
     results = []
     for name in names:
         results.extend(run_suite(name, max_m=args.max_m, max_n=args.max_n, depth=depth))
@@ -197,6 +186,10 @@ def _cmd_scan(args) -> int:
         config = {"kind": args.kind, "max_m": args.max_m, "depth": depth}
     else:
         grid = _parse_grid("0.5:5:0.25" if args.x_grid is None else args.x_grid)
+        margins = (args.max_m - 1) * len(grid)
+        _check_cap("the number of margins, (--max-m - 1) x grid points,", margins, MAX_MARGINS, HYPINEQ_COST)
+        bits = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in grid)
+        _check_cap("the bit length of a grid entry's numerator or denominator", bits, MAX_GRID_BITS, HYPINEQ_COST)
         result = scan_hyp_inequality(args.max_m, grid)
         config = {"kind": args.kind, "max_m": args.max_m, "x_grid": [rational_str(x) for x in grid]}
     return _emit_run("scan", config, [result], started, args.format)
@@ -205,6 +198,7 @@ def _cmd_scan(args) -> int:
 def _cmd_tvalues(args) -> int:
     """T(m) through the direct, hypergeometric and integral routes, with the
     float limit gap; an ArithmeticError (exit 3) if any two routes disagree."""
+    _check_cap("--max-m", args.max_m, MAX_TVALUES_M, TVALUES_COST)
     rows = []
     for m in range(1, args.max_m + 1):
         direct, hyp, integral = tfunction.t_direct(m), tfunction.t_hypergeometric(m), tfunction.t_integral(m)
@@ -235,7 +229,7 @@ def _cmd_tvalues(args) -> int:
 
 def _cmd_integral(args) -> int:
     if args.m > MAX_INTEGRAL_M:
-        raise ValueError(f"--m is capped at {MAX_INTEGRAL_M}, where the closed form can take about 60 s; got {args.m}")
+        raise ValueError(f"--m is capped at {MAX_INTEGRAL_M}, where the closed form can take about 52 s; got {args.m}")
     result = evaluate_quartic_integral(args.m, args.a, args.tol)
     if args.format == "json":
         print(json.dumps(result._asdict(), indent=2))

@@ -9,7 +9,7 @@ degree m + 2.  margin_polynomial builds it once per m as m + 3 integers
 over one denominator, from the integer series coefficients of the four
 2F1s, and checks its value at x = 1/2 (z = 2) against the four series
 summed there; hyp_inequality_margin evaluates it at each grid point by
-horner, in integers.
+homogeneous_horner, in integers.
 
 The scans themselves are sweeps in ``suites``.
 """
@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import lcm
 
 from .hypergeometric import hyp2f1, series_coefficients
-from .polynomial import horner
+from .polynomial import homogeneous_horner, horner
 
 
 def _margin_series(m: int):
@@ -63,11 +63,10 @@ def hyp_inequality_margin(m: int, x) -> Fraction:
     The conjecture predicts a positive margin for every x >= 1/2.  The
     margin is margin_polynomial(m), a polynomial in z = 4x checked at
     x = 1/2.  Of degree n, at z = zeta/delta it is
-    sum_k coeffs[k] delta^(n-k) zeta^k / (den delta^n), so horner runs at
-    zeta in integers."""
+    sum_k coeffs[k] zeta^k delta^(n-k) / (den delta^n), whose numerator
+    homogeneous_horner makes in integers."""
     if m < 1:
         raise ValueError("margin needs m >= 1")
     coeffs, den = margin_polynomial(m)
-    z, n = 4 * Fraction(x), len(coeffs) - 1
-    zeta, delta = z.numerator, z.denominator
-    return Fraction(horner([coeff * delta ** (n - k) for k, coeff in enumerate(coeffs)], zeta), den * delta**n)
+    zeta, delta = (4 * Fraction(x)).as_integer_ratio()
+    return Fraction(homogeneous_horner(coeffs, zeta, delta), den * delta ** (len(coeffs) - 1))

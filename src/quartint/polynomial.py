@@ -1,11 +1,12 @@
 """Dense polynomials as coefficient tuples, index equal to degree.
 
-Two operations cover every polynomial in the package, and each keeps the
+Three operations cover every polynomial in the package, and each keeps the
 entry type of its input: int coefficients at an int point give ints,
 Fraction coefficients or points give Fractions, a float point gives a float.
 
-    horner(p, x)        p(x)
-    taylor_shift(p, c)  the coefficients of p(x + c)
+    horner(p, x)                 p(x)
+    homogeneous_horner(p, s, t)  t^n p(s/t) for p of degree n, in integers
+    taylor_shift(p, c)           the coefficients of p(x + c)
 
 The shift is repeated synthetic division by x - c (Horner's rule applied
 n times), so it needs only additions and multiplications by c; this is the
@@ -25,6 +26,17 @@ def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     out = 0
     for c in reversed(coeffs):
         out = out * x + c
+    return out
+
+
+def homogeneous_horner(coeffs: Sequence[Scalar], s: Scalar, t: Scalar) -> Scalar:
+    """sum_k coeffs[k] s^k t^(n-k) with n = len(coeffs) - 1, which is t^n p(s/t):
+    p at a rational point s/t without a division.  Each step multiplies the
+    sum so far by s and adds the next coefficient times the next power of t."""
+    out, power = 0, 1
+    for c in reversed(coeffs):
+        out = out * s + c * power
+        power *= t
     return out
 
 

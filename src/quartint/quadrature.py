@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coefficients import scaled_row
-from .polynomial import horner
+from .polynomial import homogeneous_horner
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -119,16 +119,19 @@ def _adaptive(f, lo: float, hi: float, tol: float) -> tuple[float, int]:
 def closed_form(m: int, a) -> float:
     """pi / (2^(m+3/2) (a+1)^(m+1/2)) * P_m(a).
 
-    With P_m(a) = b(m)(a) / 4^m for the integer row b(m), the exact rational
-    P_m(a) / (2^m (a+1)^m) = b(m)(a) / (8 (a+1))^m is converted to float
-    once and then multiplied by pi / (2^(3/2) sqrt(a+1)): for large m,
-    P_m(a) and the powers of 2 and a+1 each overflow a float on their own.
+    With P_m(a) = b(m)(a) / 4^m for the integer row b(m) and a = p/q, the
+    exact rational P_m(a) / (2^m (a+1)^m) = b(m)(a) / (8 (a+1))^m is
+    sum_k b_k p^k q^(m-k) / (8 (p+q))^m, one integer over another.  It is
+    converted to float once, by int true division (correctly rounded, as
+    float() of the Fraction is), and then multiplied by
+    pi / (2^(3/2) sqrt(a+1)): for large m, P_m(a) and the powers of 2 and
+    a+1 each overflow a float on their own.
     """
-    a_exact = Fraction(a)  # exact also for float input
-    if not a_exact > -1:
+    p, q = Fraction(a).as_integer_ratio()  # exact also for float and string input
+    if not p + q > 0:
         raise ValueError(f"closed form requires a > -1, got a = {a}")
-    scaled = horner(scaled_row(m), a_exact) / (8 * (a_exact + 1)) ** m
-    return float(scaled) * math.pi / (2.0**1.5 * math.sqrt(a_exact + 1))
+    scaled = homogeneous_horner(scaled_row(m), p, q) / (8 * (p + q)) ** m
+    return scaled * math.pi / (2.0**1.5 * math.sqrt((p + q) / q))
 
 
 class QuadratureResult(NamedTuple):

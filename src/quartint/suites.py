@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from functools import partial
 from itertools import zip_longest
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import conjectures, recurrence, seqprops, tfunction
 from .coefficients import coefficient_row, scaled_row
@@ -367,22 +367,38 @@ def _monotone_t(n: int, depth: int) -> list[tuple]:
     ]
 
 
-# suite name -> (default limit, the limit it reads, its records at limit n
-# and iteration depth)
-SUITES: dict[str, tuple[int, str, Callable[[int, int], list[tuple]]]] = {
-    "unimodal": (100, "max_m", lambda n, depth: [
+class Suite(NamedTuple):
+    """A verify suite: the limit it reads and its default, the cap and a cold run's cost
+    there on a shared 2-core VM (the row caches keep every row, so memory grows like m^3),
+    its records at limit n and depth, and whether it reads --depth."""
+
+    limit: str
+    default: int
+    cap: tuple[int, str]
+    records: Callable[[int, int], list[tuple]]
+    reads_depth: bool = False
+
+    @property
+    def unread(self) -> tuple[str, ...]:
+        """The options of verify --property that this suite does not read."""
+        return ("max_n" if self.limit == "max_m" else "max_m",) + (() if self.reads_depth else ("depth",))
+
+
+DEFAULT_DEPTH = 3  # of L, where --depth is not given
+SUITES: dict[str, Suite] = {
+    "unimodal": Suite("max_m", 100, (1_500, "3 s and 0.6 GB"), lambda n, depth: [
         ("unimodal", f"rows m <= {n}", range(n + 1), partial(_row_witness, "is_unimodal")),
     ]),
-    "logconcave": (100, "max_m", lambda n, depth: [
+    "logconcave": Suite("max_m", 100, (1_500, "24 s and 0.6 GB"), lambda n, depth: [
         ("logconcave", f"rows m <= {n}", range(n + 1), partial(_row_witness, "is_logconcave")),
     ]),
-    "ilogconcave": (100, "max_m", lambda n, depth: [
+    "ilogconcave": Suite("max_m", 100, (200, "16 s and 25 MB at any depth"), lambda n, depth: [
         ("i-logconcave", f"rows m <= {n}, depth {depth}", range(n + 1), partial(_ilogconcave_witness, depth=depth)),
-    ]),
-    "ratio-monotone": (100, "max_m", lambda n, depth: [
+    ], reads_depth=True),
+    "ratio-monotone": Suite("max_m", 100, (1_500, "13 s and 0.6 GB"), lambda n, depth: [
         ("ratio-monotone", f"rows 2 <= m <= {n}", range(2, n + 1), partial(_row_witness, "is_ratio_monotone")),
     ]),
-    "min-functional": (40, "max_m", lambda n, depth: [
+    "min-functional": Suite("max_m", 40, (1_500, "33 s and 0.6 GB"), lambda n, depth: [
         (
             "min-functional",
             f"minimum over 1 <= l <= m at l = m, 1 <= m <= {n}",
@@ -391,7 +407,7 @@ SUITES: dict[str, tuple[int, str, Callable[[int, int], list[tuple]]]] = {
             _min_functional_notes(min(n, 2)),
         ),
     ]),
-    "delta-signs": (100, "max_m", lambda n, depth: [
+    "delta-signs": Suite("max_m", 100, (1_500, "3 s and 0.6 GB"), lambda n, depth: [
         (
             "delta-signs",
             f"positive below floor(m/2), negative at and above; m <= {n}",
@@ -399,10 +415,10 @@ SUITES: dict[str, tuple[int, str, Callable[[int, int], list[tuple]]]] = {
             _delta_signs_witness,
         ),
     ]),
-    "inequality-chain": (100, "max_m", lambda n, depth: [
+    "inequality-chain": Suite("max_m", 100, (1_200, "8 s and 0.55 GB"), lambda n, depth: [
         ("inequality-chain", f"all (m, l) with 0 <= l < floor(m/2), m <= {n}", range(2, n + 1), _chain_witness),
     ]),
-    "s-monotone": (100, "max_m", lambda n, depth: [
+    "s-monotone": Suite("max_m", 100, (1_500, "4 s and 0.44 GB"), lambda n, depth: [
         (
             "s-monotone",
             f"S(m,l) strictly increasing over 0 <= l <= floor((m-1)/2) and max < 1; 2 <= m <= {n}",
@@ -410,8 +426,8 @@ SUITES: dict[str, tuple[int, str, Callable[[int, int], list[tuple]]]] = {
             _s_monotone_witness,
         ),
     ]),
-    "t-bounds": (500, "max_m", _t_bounds),
-    "t-crosscheck": (100, "max_m", lambda n, depth: [
+    "t-bounds": Suite("max_m", 500, (10_000, "11 s and 70 MB"), _t_bounds),
+    "t-crosscheck": Suite("max_m", 100, (1_500, "27 s and 29 MB"), lambda n, depth: [
         (
             "t-crosscheck",
             f"direct = hypergeometric = integral = via-W and S(2m, m-1) = T(m); 1 <= m <= {n}",
@@ -424,8 +440,8 @@ SUITES: dict[str, tuple[int, str, Callable[[int, int], list[tuple]]]] = {
             ),
         ),
     ]),
-    "recurrence": (100, "max_n", _recurrence),
-    "monotone-t": (500, "max_m", _monotone_t),
+    "recurrence": Suite("max_n", 100, (2_000, "18 s and 19 MB"), _recurrence),
+    "monotone-t": Suite("max_m", 500, (10_000, "19 s and 72 MB"), _monotone_t),
 }
 
 
@@ -433,19 +449,19 @@ def run_suite(
     name: str,
     max_m: int | None = None,
     max_n: int | None = None,
-    depth: int = 3,
+    depth: int = DEFAULT_DEPTH,
 ) -> list[PropertyReport]:
     """Run one named suite with its documented default range when no limit is
     given."""
     if name not in SUITES:
         raise ValueError(f"unknown property {name!r}; choose from {sorted(SUITES)}")
-    default_limit, knob, records = SUITES[name]
-    limit = max_n if knob == "max_n" else max_m
+    suite = SUITES[name]
+    limit = max_n if suite.limit == "max_n" else max_m
     if limit is None:
-        limit = default_limit
+        limit = suite.default
     if limit < 1:
-        raise ValueError(f"{knob.replace('_', '-')} must be >= 1")
-    return [_sweep(*record) for record in records(limit, depth)]
+        raise ValueError(f"{suite.limit.replace('_', '-')} must be >= 1")
+    return [_sweep(*record) for record in suite.records(limit, depth)]
 
 
 # ---------------------------------------------------------------------------

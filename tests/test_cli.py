@@ -93,7 +93,7 @@ def test_integral_above_the_cap_is_a_usage_error_before_any_row_or_quadrature(ca
     monkeypatch.setattr(quadrature, "_adaptive", no_work)
     code, out, err = run(capsys, "integral", "--m", m, "--a", "-0.25")
     assert (code, out) == (2, "")
-    assert err == f"error: --m is capped at {cli.MAX_INTEGRAL_M}, where the closed form can take about 60 s; got {m}\n"
+    assert err == f"error: --m is capped at {cli.MAX_INTEGRAL_M}, where the closed form can take about 52 s; got {m}\n"
 
 
 @pytest.fixture
@@ -122,37 +122,44 @@ def _usage_error(capsys, *argv) -> str:
     return err
 
 
-# The largest limit that CI, the benchmark or the README runs, per suite and scan.
+# The largest limit that CI, the benchmark or the README runs, per suite and scan;
+# for scan hypineq also its margins, (max-m - 1) x grid points, and the most bits
+# of a grid entry's numerator or denominator (43/8 of the benchmark's grids).
 LARGEST_INVOCATION = {
     "unimodal": 200, "logconcave": 150, "ilogconcave": 150, "ratio-monotone": 150, "min-functional": 150,
     "delta-signs": 150, "inequality-chain": 400, "s-monotone": 400, "t-bounds": 2000, "t-crosscheck": 300,
     "recurrence": 100, "monotone-t": 2000, "scan ilogconcave": 100, "scan hypineq": 150,
+    "hypineq margins": 149 * 19, "hypineq grid bits": 6, "tvalues": 300,
 }
 
 
 def test_every_cap_is_above_its_default_and_every_invocation():
-    assert set(cli.MAX_SUITE_LIMIT) == set(suites.SUITES)
+    for name, suite in suites.SUITES.items():
+        cap, _ = suite.cap
+        assert cap >= suite.default >= 1, name
+        assert cap >= LARGEST_INVOCATION[name], name
     assert set(cli.MAX_SCAN_M) == {"ilogconcave", "hypineq"}
-    caps = {**cli.MAX_SUITE_LIMIT, **{f"scan {kind}": cap for kind, cap in cli.MAX_SCAN_M.items()}}
-    for run_name, (cap, _) in caps.items():
-        assert cap >= LARGEST_INVOCATION[run_name], run_name
-    for name, (default, _, _) in suites.SUITES.items():
-        assert cli.MAX_SUITE_LIMIT[name][0] >= default
+    for kind, (cap, _) in cli.MAX_SCAN_M.items():
+        assert cap >= LARGEST_INVOCATION[f"scan {kind}"], kind
+    assert cli.MAX_MARGINS >= LARGEST_INVOCATION["hypineq margins"]
+    assert cli.MAX_GRID_BITS >= LARGEST_INVOCATION["hypineq grid bits"]
+    assert cli.MAX_TVALUES_M >= LARGEST_INVOCATION["tvalues"]
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
 def test_verify_above_the_cap_is_a_usage_error_before_any_kernel(capsys, no_kernel, name):
-    cap, cost = cli.MAX_SUITE_LIMIT[name]
-    option = "--" + suites.SUITES[name][1].replace("_", "-")
+    suite = suites.SUITES[name]
+    cap, cost = suite.cap
+    option = "--" + suite.limit.replace("_", "-")
     for value in (str(cap + 1), "99999999999999999999999"):
         err = _usage_error(capsys, "verify", "--property", name, option, value)
         assert err == f"error: {option} of {name} is capped at {cap}, where a run takes about {cost}; got {value}\n"
 
 
 def test_verify_all_is_refused_when_one_suite_is_above_its_cap(capsys, no_kernel):
-    lowest = min(cap for name, (cap, _) in cli.MAX_SUITE_LIMIT.items() if suites.SUITES[name][1] == "max_m")
+    lowest = min(suite.cap[0] for suite in suites.SUITES.values() if suite.limit == "max_m")
     assert "is capped at" in _usage_error(capsys, "verify", "--all", "--max-m", str(lowest + 1))
-    cap = cli.MAX_SUITE_LIMIT["recurrence"][0]
+    cap = suites.SUITES["recurrence"].cap[0]
     assert "--max-n of recurrence" in _usage_error(capsys, "verify", "--all", "--max-n", str(cap + 1))
 
 
@@ -164,10 +171,39 @@ def test_scan_above_the_cap_is_a_usage_error_before_any_kernel(capsys, no_kernel
         assert err == f"error: --max-m is capped at {cap}, where a run takes about {cost}; got {value}\n"
 
 
+def test_scan_hypineq_above_the_margin_cap_is_a_usage_error_before_any_margin(capsys, no_kernel):
+    points = cli.MAX_MARGINS // 299 + 1
+    err = _usage_error(capsys, "scan", "hypineq", "--max-m", "300", "--x-grid", f"1:{points}:1")
+    option = "the number of margins, (--max-m - 1) x grid points,"
+    capped = f"{option} is capped at {cli.MAX_MARGINS}, where a run takes about {cli.HYPINEQ_COST}"
+    assert err == f"error: {capped}; got {299 * points}\n"
+
+
+@pytest.mark.parametrize(
+    "grid, bits", [(f"{2**32}:{2**32}:1", 33), (f"{2**32 + 1}/{2**33}:1:1", 34), ("1e100:1e100:1", 333)]
+)
+def test_scan_hypineq_above_the_grid_bit_cap_is_a_usage_error_before_any_margin(capsys, no_kernel, grid, bits):
+    err = _usage_error(capsys, "scan", "hypineq", "--max-m", "2", "--x-grid", grid)
+    option = "the bit length of a grid entry's numerator or denominator"
+    capped = f"{option} is capped at {cli.MAX_GRID_BITS}, where a run takes about {cli.HYPINEQ_COST}"
+    assert err == f"error: {capped}; got {bits}\n"
+
+
+@pytest.mark.parametrize("m", ["99999999999999999999999", str(cli.MAX_TVALUES_M + 1)])
+def test_tvalues_above_the_cap_is_a_usage_error_before_any_t(capsys, monkeypatch, no_kernel, m):
+    def no_t(m):
+        raise AssertionError("a T route ran")
+
+    monkeypatch.setattr(tfunction, "t_hypergeometric", no_t)
+    monkeypatch.setattr(tfunction, "t_integral", no_t)
+    capped = f"--max-m is capped at {cli.MAX_TVALUES_M}, where a run takes about {cli.TVALUES_COST}"
+    assert _usage_error(capsys, "tvalues", "--max-m", m) == f"error: {capped}; got {m}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        *(("verify", "--property", name, "--depth", "4") for name in sorted(suites.SUITES) if name != "ilogconcave"),
+        *(("verify", "--property", name, "--depth", "4") for name, s in suites.SUITES.items() if not s.reads_depth),
         ("scan", "hypineq", "--depth", "4"),
         ("scan", "ilogconcave", "--x-grid", "0.5:1:0.5"),
     ],

@@ -512,8 +512,8 @@ SCANS = {
 # (suite or scan, property, the notes of its record)
 RECORDS = [
     (name, record[0], tuple(record[4]) if len(record) > 4 else ())
-    for name, (_, _, records) in SUITES.items()
-    for record in records(SHAPE_LIMIT, 3)
+    for name, suite in SUITES.items()
+    for record in suite.records(SHAPE_LIMIT, 3)
 ] + [(name, name, ()) for name in SCANS]
 
 

@@ -4,7 +4,7 @@ from math import comb
 
 from hypothesis import given, strategies as st
 
-from quartint.polynomial import horner, taylor_shift
+from quartint.polynomial import homogeneous_horner, horner, taylor_shift
 
 coeff_lists = st.lists(st.fractions(), max_size=6)
 int_lists = st.lists(st.integers(-10**6, 10**6), max_size=8)
@@ -80,6 +80,17 @@ def test_scalar_multiplication(a, x, c):
     assert horner(scale(a, 3), x) == 3 * horner(a, x)
     assert horner(scale(a, Fraction(1, 2)), x) == horner(a, x) / 2
     assert taylor_shift(scale(a, 3), c) == scale(taylor_shift(a, c), 3)
+
+
+@given(int_lists, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+def test_homogeneous_horner_is_p_at_s_over_t_times_t_to_the_degree(p, s, t):
+    # sum_k p_k s^k t^(n-k), literally, and t^n p(s/t) in Fractions
+    n = len(p) - 1
+    value = homogeneous_horner(p, s, t)
+    assert type(value) is int
+    assert value == sum(c * s**k * t ** (n - k) for k, c in enumerate(p))
+    if p:
+        assert value == t**n * horner(p, Fraction(s, t))
 
 
 def test_taylor_shift_values():

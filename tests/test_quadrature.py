@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quartint import quadrature
-from quartint.coefficients import coefficient_row
+from quartint.coefficients import coefficient_row, scaled_row
 from quartint.polynomial import horner
 from quartint.quadrature import QuadratureConvergenceError, closed_form, evaluate_quartic_integral
 
@@ -114,14 +114,26 @@ def factor_by_factor_closed_form(m, a):
 
 
 def test_closed_form_converts_the_exact_rational_once():
-    # P_m(a) / (2^m (a+1)^m) as a literal power sum over the rational row,
-    # converted to float once: the same rational, so the same float
-    for m in range(0, 41):
-        for a in (-0.9, -0.5, 0.0, 0.5, 1.0, 4.0):
-            exact = Fraction(a)
-            p_m = sum(d * exact**ell for ell, d in enumerate(coefficient_row(m).values))
-            expected = float(p_m / (2 * (exact + 1)) ** m) * math.pi / (2.0**1.5 * math.sqrt(exact + 1))
-            assert closed_form(m, a) == expected, (m, a)
+    # P_m(a) / (2^m (a+1)^m) = b(m)(a) / (8 (a+1))^m by Horner in Fractions over
+    # the integer row, converted to float once: the same rational, so the same
+    # float, or an OverflowError from both where it is past the float range
+    def literal(m, a):
+        exact, b_a = Fraction(a), Fraction(0)
+        for b in reversed(scaled_row(m)):
+            b_a = b_a * exact + b
+        return float(b_a / (8 * (exact + 1)) ** m) * math.pi / (2.0**1.5 * math.sqrt(exact + 1))
+
+    def outcome(f, m, a):
+        try:
+            return f(m, a)
+        except OverflowError:
+            return OverflowError
+
+    points = [(m, a) for m in range(0, 41) for a in (-0.9, -0.5, 0.0, 0.5, 1.0, 4.0)]
+    points += [(m, a) for m in (1, 40, 200, 1000) for a in (1e-300, 2.225073858507201e-308, -0.99, 1e300)]
+    for m, a in points:
+        assert outcome(closed_form, m, a) == outcome(literal, m, a), (m, a)
+    assert outcome(closed_form, 200, -0.99) is OverflowError
 
 
 def test_closed_form_matches_factor_by_factor_form():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quartint import seqprops, suites, tfunction
-from quartint.suites import SUITES, run_suite
+from quartint.suites import DEFAULT_DEPTH, SUITES, run_suite
 
 
 def single(reports):
@@ -171,8 +171,8 @@ def test_the_chain_suite_computes_no_s_sum(monkeypatch):
 
 
 def test_no_default_range_is_empty():
-    for name, (limit, _, records) in SUITES.items():
-        for record in records(limit, 3):
+    for name, suite in SUITES.items():
+        for record in suite.records(suite.default, DEFAULT_DEPTH):
             assert len(record[2]) > 0, (name, record[0])
 
 
