@@ -33,25 +33,18 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-MAX_GRID_POINTS = 10_000
-# A cold run costs about m^3, mostly the strings of the row's entries: at
-# this m, 33 s and a 0.67 GB peak on a shared 2-core VM.
-MAX_COEFFS_M = 12_000
-# The exact closed form costs about m^2 times the bits of a: at this m, on the same
-# VM, a cold run takes 52 s at a = 2.225073858507201e-308 (53 bits over 2^1074),
-# 44 s at a = 1e-300 and 1 s at a = -0.25.
-MAX_INTEGRAL_M = 8_000
-# scan hypineq evaluates (--max-m - 1) x grid points margins, each at a cost that
-# grows with m and with the bits of the grid entry's numerator and denominator.
-MAX_MARGINS = 10_000
-MAX_GRID_BITS = 32
-HYPINEQ_COST = "22 s and 53 MB at --max-m 300 and both caps"
-# tvalues makes T(m) three ways for every m up to --max-m; the cost is that of JSON.
-MAX_TVALUES_M = 2_000
-TVALUES_COST = "34 s and 62 MB"
-# The largest --max-m of each scan and a cold run's cost there; ilogconcave is the
-# suite's sweep, timed past every row's last L step, so its cost holds at any depth.
-MAX_SCAN_M = {"ilogconcave": SUITES["ilogconcave"].cap, "hypineq": (300, "1 s and 38 MB at the default grid")}
+# The largest value of each capped input of coeffs, integral, tvalues and scan, and a cold
+# run's cost there on a shared 2-core VM; verify's caps are in suites.SUITES.
+CAPS = {
+    "coeffs": (12_000, "33 s and 0.67 GB"),  # about m^3, mostly the strings of the row's entries
+    "integral": (8_000, "52 s"),  # about m^2 times the bits of a: at a = 2.225073858507201e-308
+    "tvalues": (2_000, "34 s and 62 MB"),  # T(m) three ways for each m, in JSON
+    "scan ilogconcave": SUITES["ilogconcave"].cap,  # the suite's sweep, timed past every row's last L step
+    "scan hypineq": (300, "1 s and 38 MB at the default grid"),
+    # (--max-m - 1) x grid points margins, each dearer as m and the bits of the grid entries grow
+    "hypineq margins": (10_000, "22 s and 53 MB at --max-m 300 and both caps"),
+    "hypineq grid bits": (32, "22 s and 53 MB at --max-m 300 and both caps"),
+}
 
 
 def _positive_int(text: str) -> int:
@@ -75,22 +68,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_grid(text: str) -> tuple[Fraction, ...]:
-    """lo:hi:step with exact decimal/rational bounds, e.g. 0.5:5:0.25; at
-    most MAX_GRID_POINTS points."""
+def _parse_grid(text: str) -> tuple[Fraction, Fraction, int]:
+    """lo:hi:step with exact decimal/rational bounds, e.g. 0.5:5:0.25, as
+    lo, step and the number of points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like lo:hi:step, got {text!r}")
+    for part in parts:
+        try:  # Fraction builds 10^|exponent| before any cap can see it
+            exponent = int(part.lower().partition("e")[2] or 0)
+        except ValueError:  # not a number, which Fraction refuses below
+            exponent = 0
+        if abs(exponent) > 4300:
+            raise ValueError(f"grid {text!r} has an exponent larger than 4300 in absolute value")
     try:
         lo, hi, step = (Fraction(p) for p in parts)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in grid {text!r}") from None
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid bounds in {text!r}")
-    count = (hi - lo) // step + 1
-    if count > MAX_GRID_POINTS:
-        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    return tuple(lo + i * step for i in range(count))
+    return lo, step, (hi - lo) // step + 1
 
 
 def _check_cap(option: str, value: int | None, cap: int, cost: str) -> None:
@@ -146,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coeffs(args) -> int:
-    if args.m > MAX_COEFFS_M:
-        raise ValueError(f"--m is capped at {MAX_COEFFS_M}, where a row takes about 33 s; got {args.m}")
+    _check_cap("--m", args.m, *CAPS["coeffs"])
     strings = [f"{p}/{1 << e}" if e else str(p) for p, e in dyadic_row(args.m)]
     if args.format == "csv":
         print(",".join(strings))
@@ -179,17 +175,18 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     started = utc_now_iso()
     _refuse(args, f"scan {args.kind}", "x_grid" if args.kind == "ilogconcave" else "depth")
-    _check_cap("--max-m", args.max_m, *MAX_SCAN_M[args.kind])
+    _check_cap("--max-m", args.max_m, *CAPS[f"scan {args.kind}"])
     if args.kind == "ilogconcave":
         depth = 5 if args.depth is None else args.depth
         result = scan_infinite_logconcavity(args.max_m, depth)
         config = {"kind": args.kind, "max_m": args.max_m, "depth": depth}
     else:
-        grid = _parse_grid("0.5:5:0.25" if args.x_grid is None else args.x_grid)
-        margins = (args.max_m - 1) * len(grid)
-        _check_cap("the number of margins, (--max-m - 1) x grid points,", margins, MAX_MARGINS, HYPINEQ_COST)
+        lo, step, points = _parse_grid("0.5:5:0.25" if args.x_grid is None else args.x_grid)
+        margins = max(args.max_m - 1, 1) * points  # before any point is built, so no grid is unbounded
+        _check_cap("the number of margins, (--max-m - 1) x grid points,", margins, *CAPS["hypineq margins"])
+        grid = tuple(lo + i * step for i in range(points))
         bits = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in grid)
-        _check_cap("the bit length of a grid entry's numerator or denominator", bits, MAX_GRID_BITS, HYPINEQ_COST)
+        _check_cap("the bit length of a grid entry's numerator or denominator", bits, *CAPS["hypineq grid bits"])
         result = scan_hyp_inequality(args.max_m, grid)
         config = {"kind": args.kind, "max_m": args.max_m, "x_grid": [rational_str(x) for x in grid]}
     return _emit_run("scan", config, [result], started, args.format)
@@ -198,7 +195,7 @@ def _cmd_scan(args) -> int:
 def _cmd_tvalues(args) -> int:
     """T(m) through the direct, hypergeometric and integral routes, with the
     float limit gap; an ArithmeticError (exit 3) if any two routes disagree."""
-    _check_cap("--max-m", args.max_m, MAX_TVALUES_M, TVALUES_COST)
+    _check_cap("--max-m", args.max_m, *CAPS["tvalues"])
     rows = []
     for m in range(1, args.max_m + 1):
         direct, hyp, integral = tfunction.t_direct(m), tfunction.t_hypergeometric(m), tfunction.t_integral(m)
@@ -228,8 +225,7 @@ def _cmd_tvalues(args) -> int:
 
 
 def _cmd_integral(args) -> int:
-    if args.m > MAX_INTEGRAL_M:
-        raise ValueError(f"--m is capped at {MAX_INTEGRAL_M}, where the closed form can take about 52 s; got {args.m}")
+    _check_cap("--m", args.m, *CAPS["integral"])
     result = evaluate_quartic_integral(args.m, args.a, args.tol)
     if args.format == "json":
         print(json.dumps(result._asdict(), indent=2))

@@ -73,32 +73,10 @@ def test_coeffs_rejects_negative_m(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("m", ["99999999999999999999999", str(cli.MAX_COEFFS_M + 1)])
-def test_coeffs_above_the_cap_is_a_usage_error_before_any_row(capsys, monkeypatch, m):
-    def no_row(m):
-        raise AssertionError("a row was made")
-
-    monkeypatch.setattr(coefficients, "_scaled_row", no_row)
-    code, out, err = run(capsys, "coeffs", "--m", m)
-    assert (code, out) == (2, "")
-    assert err == f"error: --m is capped at {cli.MAX_COEFFS_M}, where a row takes about 33 s; got {m}\n"
-
-
-@pytest.mark.parametrize("m", ["99999999999999999999999", str(cli.MAX_INTEGRAL_M + 1)])
-def test_integral_above_the_cap_is_a_usage_error_before_any_row_or_quadrature(capsys, monkeypatch, m):
-    def no_work(*args):
-        raise AssertionError("a row or a quadrature was started")
-
-    monkeypatch.setattr(coefficients, "_scaled_row", no_work)
-    monkeypatch.setattr(quadrature, "_adaptive", no_work)
-    code, out, err = run(capsys, "integral", "--m", m, "--a", "-0.25")
-    assert (code, out) == (2, "")
-    assert err == f"error: --m is capped at {cli.MAX_INTEGRAL_M}, where the closed form can take about 52 s; got {m}\n"
-
-
 @pytest.fixture
 def no_kernel(monkeypatch):
-    """Every kernel behind verify and scan, and the sweep that runs them, fail if called."""
+    """Every kernel behind verify, scan, tvalues and integral, and the sweep that runs
+    them, fail if called."""
 
     def called(*args, **kwargs):
         raise AssertionError("a kernel ran")
@@ -107,9 +85,12 @@ def no_kernel(monkeypatch):
         (coefficients, "_scaled_row"),
         (tfunction, "left_sums"),
         (tfunction, "t_direct"),
+        (tfunction, "t_hypergeometric"),
+        (tfunction, "t_integral"),
         (recurrence, "t_stepped"),
         (seqprops, "iterated_l_first_negative"),
         (conjectures, "margin_polynomial"),
+        (quadrature, "_adaptive"),
         (suites, "_sweep"),
     ]:
         monkeypatch.setattr(module, name, called)
@@ -122,28 +103,22 @@ def _usage_error(capsys, *argv) -> str:
     return err
 
 
-# The largest limit that CI, the benchmark or the README runs, per suite and scan;
-# for scan hypineq also its margins, (max-m - 1) x grid points, and the most bits
-# of a grid entry's numerator or denominator (43/8 of the benchmark's grids).
+# The largest limit that CI, the benchmark or the README runs, keyed as suites.SUITES
+# and cli.CAPS; for scan hypineq also its margins, (max-m - 1) x grid points, and the
+# most bits of a grid entry's numerator or denominator (43/8 of the benchmark's grids).
 LARGEST_INVOCATION = {
     "unimodal": 200, "logconcave": 150, "ilogconcave": 150, "ratio-monotone": 150, "min-functional": 150,
     "delta-signs": 150, "inequality-chain": 400, "s-monotone": 400, "t-bounds": 2000, "t-crosscheck": 300,
-    "recurrence": 100, "monotone-t": 2000, "scan ilogconcave": 100, "scan hypineq": 150,
-    "hypineq margins": 149 * 19, "hypineq grid bits": 6, "tvalues": 300,
+    "recurrence": 100, "monotone-t": 2000, "coeffs": 4000, "integral": 200, "tvalues": 300,
+    "scan ilogconcave": 100, "scan hypineq": 150, "hypineq margins": 149 * 19, "hypineq grid bits": 6,
 }
 
 
 def test_every_cap_is_above_its_default_and_every_invocation():
-    for name, suite in suites.SUITES.items():
-        cap, _ = suite.cap
-        assert cap >= suite.default >= 1, name
-        assert cap >= LARGEST_INVOCATION[name], name
-    assert set(cli.MAX_SCAN_M) == {"ilogconcave", "hypineq"}
-    for kind, (cap, _) in cli.MAX_SCAN_M.items():
-        assert cap >= LARGEST_INVOCATION[f"scan {kind}"], kind
-    assert cli.MAX_MARGINS >= LARGEST_INVOCATION["hypineq margins"]
-    assert cli.MAX_GRID_BITS >= LARGEST_INVOCATION["hypineq grid bits"]
-    assert cli.MAX_TVALUES_M >= LARGEST_INVOCATION["tvalues"]
+    assert not set(suites.SUITES) & set(cli.CAPS)
+    for name, (cap, _) in ({name: suite.cap for name, suite in suites.SUITES.items()} | cli.CAPS).items():
+        default = suites.SUITES[name].default if name in suites.SUITES else 1
+        assert cap >= default >= 1 and cap >= LARGEST_INVOCATION[name], name
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
@@ -163,41 +138,49 @@ def test_verify_all_is_refused_when_one_suite_is_above_its_cap(capsys, no_kernel
     assert "--max-n of recurrence" in _usage_error(capsys, "verify", "--all", "--max-n", str(cap + 1))
 
 
-@pytest.mark.parametrize("kind", ["ilogconcave", "hypineq"])
-def test_scan_above_the_cap_is_a_usage_error_before_any_kernel(capsys, no_kernel, kind):
-    cap, cost = cli.MAX_SCAN_M[kind]
-    for value in (str(cap + 1), "99999999999999999999999"):
-        err = _usage_error(capsys, "scan", kind, "--max-m", value)
-        assert err == f"error: --max-m is capped at {cap}, where a run takes about {cost}; got {value}\n"
+HUGE = "99999999999999999999999"
 
 
-def test_scan_hypineq_above_the_margin_cap_is_a_usage_error_before_any_margin(capsys, no_kernel):
-    points = cli.MAX_MARGINS // 299 + 1
-    err = _usage_error(capsys, "scan", "hypineq", "--max-m", "300", "--x-grid", f"1:{points}:1")
-    option = "the number of margins, (--max-m - 1) x grid points,"
-    capped = f"{option} is capped at {cli.MAX_MARGINS}, where a run takes about {cli.HYPINEQ_COST}"
-    assert err == f"error: {capped}; got {299 * points}\n"
+def _over_cap_cases():
+    """(key of cli.CAPS, the input's name in the error, argv, the value it asks for) for
+    each invocation above a cap."""
+    caps = {key: cap for key, (cap, _) in cli.CAPS.items()}
+    cases = []
+    for key, option, *argv in [
+        ("coeffs", "--m", "coeffs"),
+        ("integral", "--m", "integral", "--a", "-0.25"),
+        ("tvalues", "--max-m", "tvalues"),
+        ("scan ilogconcave", "--max-m", "scan", "ilogconcave"),
+        ("scan hypineq", "--max-m", "scan", "hypineq"),
+    ]:
+        cases += [(key, option, (*argv, option, v), v) for v in (str(caps[key] + 1), HUGE)]
+    margins = "the number of margins, (--max-m - 1) x grid points,"
+    bits = "the bit length of a grid entry's numerator or denominator"
+    cap = caps["hypineq margins"]
+    points = cap // 299 + 1
+    for max_m, grid, value in [("300", f"1:{points}:1", 299 * points), ("2", f"1:{cap + 1}:1", cap + 1)]:
+        cases.append(("hypineq margins", margins, ("scan", "hypineq", "--max-m", max_m, "--x-grid", grid), value))
+    cap = caps["hypineq grid bits"]
+    grids = [(f"{2**cap}:{2**cap}:1", cap + 1), (f"{2**cap + 1}/{2**(cap + 1)}:1:1", cap + 2), ("1e100:1e100:1", 333)]
+    for grid, value in grids:
+        cases.append(("hypineq grid bits", bits, ("scan", "hypineq", "--max-m", "2", "--x-grid", grid), value))
+    return cases
+
+
+OVER_CAP = _over_cap_cases()
+
+
+def test_every_cap_has_a_case_above_it():
+    assert {key for key, *_ in OVER_CAP} == set(cli.CAPS)
 
 
 @pytest.mark.parametrize(
-    "grid, bits", [(f"{2**32}:{2**32}:1", 33), (f"{2**32 + 1}/{2**33}:1:1", 34), ("1e100:1e100:1", 333)]
+    "key, name, argv, value", OVER_CAP, ids=[f"{key}-{'huge' if value == HUGE else value}" for key, *_, value in OVER_CAP]
 )
-def test_scan_hypineq_above_the_grid_bit_cap_is_a_usage_error_before_any_margin(capsys, no_kernel, grid, bits):
-    err = _usage_error(capsys, "scan", "hypineq", "--max-m", "2", "--x-grid", grid)
-    option = "the bit length of a grid entry's numerator or denominator"
-    capped = f"{option} is capped at {cli.MAX_GRID_BITS}, where a run takes about {cli.HYPINEQ_COST}"
-    assert err == f"error: {capped}; got {bits}\n"
-
-
-@pytest.mark.parametrize("m", ["99999999999999999999999", str(cli.MAX_TVALUES_M + 1)])
-def test_tvalues_above_the_cap_is_a_usage_error_before_any_t(capsys, monkeypatch, no_kernel, m):
-    def no_t(m):
-        raise AssertionError("a T route ran")
-
-    monkeypatch.setattr(tfunction, "t_hypergeometric", no_t)
-    monkeypatch.setattr(tfunction, "t_integral", no_t)
-    capped = f"--max-m is capped at {cli.MAX_TVALUES_M}, where a run takes about {cli.TVALUES_COST}"
-    assert _usage_error(capsys, "tvalues", "--max-m", m) == f"error: {capped}; got {m}\n"
+def test_above_a_cap_is_a_usage_error_before_any_kernel(capsys, no_kernel, key, name, argv, value):
+    cap, cost = cli.CAPS[key]
+    err = _usage_error(capsys, *argv)
+    assert err == f"error: {name} is capped at {cap}, where a run takes about {cost}; got {value}\n"
 
 
 @pytest.mark.parametrize(
@@ -659,13 +642,31 @@ def test_scan_rejects_zero_denominator_grid(capsys):
 
 
 def test_scan_rejects_oversized_grid(capsys):
-    # 10^200 points: the count is checked before any point is built
-    code, _, err = run(capsys, "scan", "hypineq", "--x-grid", "0.5:1e100:1e-100")
-    assert code == 2
-    assert f"more than {cli.MAX_GRID_POINTS} points" in err
-    assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
-    with pytest.raises(ValueError):
-        cli._parse_grid(f"0:{cli.MAX_GRID_POINTS}:1")
+    # 10^200 points: the margins are counted before any point is built
+    cap, _ = cli.CAPS["hypineq margins"]
+    err = _usage_error(capsys, "scan", "hypineq", "--x-grid", "0.5:1e100:1e-100")
+    assert err.startswith(f"error: the number of margins, (--max-m - 1) x grid points, is capped at {cap},")
+    code, out, _ = run(capsys, "scan", "hypineq", "--max-m", "2", "--x-grid", f"1:{cap}:1")
+    assert code == 0 and json.loads(out)["results"][0]["range"] == f"2 <= m <= 2, {cap} grid points"
+    assert "capped at" in _usage_error(capsys, "scan", "hypineq", "--max-m", "2", "--x-grid", f"1:{cap + 1}:1")
+
+
+@pytest.mark.parametrize("max_m, grid", [("1", "0.5:1e100:1e-100"), ("2", "1e100000000:1e100000000:1")])
+def test_a_huge_grid_exits_2_at_once(max_m, grid):
+    # A fold that counted max-m 1 as no rows would build 10^200 points, and a missing
+    # exponent bound would make 10^(10^8) in Fraction: a cold process with 1 GiB of
+    # address space must exit 2 within 10 s.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from quartint.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["scan", "hypineq", "--max-m", max_m, "--x-grid", grid]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_integral_convergence_failure_is_internal_error(capsys):
@@ -742,7 +743,7 @@ malformed_grids = st.one_of(
     .filter(lambda lo: lo < Fraction(1, 2))
     .map(lambda lo: _grid((lo, lo + 1, Fraction(1, 4)))),
     st.tuples(st.integers(1, 1000), st.integers(0, 10**6)).map(
-        lambda t: _grid((1, 1 + Fraction(cli.MAX_GRID_POINTS + t[1], t[0]), Fraction(1, t[0])))
+        lambda t: _grid((1, 1 + Fraction(cli.CAPS["hypineq margins"][0] + t[1], t[0]), Fraction(1, t[0])))
     ),
     st.sampled_from(["1/0:2:1", "1:2/0:1", "1:2:1/0"]),
 )
